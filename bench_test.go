@@ -240,21 +240,3 @@ func BenchmarkSimulateStream50k(b *testing.B)  { benchSimStream(b, 50_000) }
 func BenchmarkSimulateStream200k(b *testing.B) { benchSimStream(b, 200_000) }
 func BenchmarkSimulateSlice50k(b *testing.B)   { benchSimSlice(b, 50_000) }
 func BenchmarkSimulateSlice200k(b *testing.B)  { benchSimSlice(b, 200_000) }
-
-// BenchmarkIdealReplay measures the Demand-MIN oracle over a recorded
-// stream.
-func BenchmarkIdealReplay(b *testing.B) {
-	app := benchApp(b)
-	tr := app.Trace(0, 50_000)
-	params := ripple.DefaultParams()
-	pol, _ := ripple.NewPolicy("lru")
-	res, err := ripple.Simulate(params, app.Prog, tr, ripple.Options{Policy: pol, RecordStream: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ripple.IdealMisses(res.Stream, params.L1I)
-	}
-}

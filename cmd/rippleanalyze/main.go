@@ -14,11 +14,11 @@
 // Output is byte-identical for any worker count. -json additionally
 // writes a machine-readable report of the analysis, sweep, and plan.
 //
-// By default the trace must decode cleanly (-strict). With -recover a
-// damaged trace resynchronizes at the next sync point (ripplegen
-// -syncevery) after any corrupt region, the analysis runs over whatever
-// survives, and the report carries the decoded coverage. Transient
-// simulation failures retry with deterministic backoff (-retries).
+// By default the trace must decode cleanly. With -recover a damaged
+// trace resynchronizes at the next sync point (ripplegen -syncevery)
+// after any corrupt region, the analysis runs over whatever survives,
+// and the report carries the decoded coverage. Transient simulation
+// failures retry with deterministic backoff (-retries).
 //
 // With -index the trace replays through its .ptidx seek index (written
 // by ripplegen -index, rebuilt automatically when missing or stale), so
@@ -26,11 +26,12 @@
 // instead of the window's whole prefix. Every output is byte-identical
 // to an unindexed run; -index conflicts with -recover because the index
 // is only defined over a cleanly decoding trace.
+//
+// The trace is memory-mapped, or read through ReadAt where the platform
+// cannot map it; the output is identical either way.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -38,7 +39,6 @@ import (
 	"os"
 	"sort"
 
-	"ripple/internal/blockseq"
 	"ripple/internal/cliflag"
 	"ripple/internal/core"
 	"ripple/internal/frontend"
@@ -46,13 +46,11 @@ import (
 	"ripple/internal/program"
 	"ripple/internal/rippled"
 	"ripple/internal/runner"
-	"ripple/internal/trace"
 )
 
 func main() {
 	var o options
-	flag.StringVar(&o.ProgPath, "prog", "", "program image from ripplegen (required)")
-	flag.StringVar(&o.PTPath, "pt", "", "PT trace from ripplegen (required)")
+	o.Trace.Register(flag.CommandLine, "program image from ripplegen (required)")
 	flag.StringVar(&o.Out, "out", "", "output plan path (required)")
 	flag.Float64Var(&o.Threshold, "threshold", 0, "invalidation threshold; 0 tunes it by simulation")
 	flag.StringVar(&o.Policy, "policy", "lru", "underlying replacement policy to tune against")
@@ -62,20 +60,11 @@ func main() {
 	flag.StringVar(&o.CacheDir, "cachedir", "", "directory for the persistent result store (default: no persistence)")
 	flag.StringVar(&o.StoreURL, "store", "", "rippled URL for a shared fleet result store (e.g. http://127.0.0.1:8344); mutually exclusive with -cachedir")
 	flag.StringVar(&o.JSONOut, "json", "", "also write a JSON report to this path")
-	flag.BoolVar(&o.Recover, "recover", false, "resynchronize past damaged trace regions instead of failing")
-	flag.BoolVar(&o.Index, "index", false, "replay through the .ptidx seek index (built on the fly if absent or stale); conflicts with -recover")
-	strict := flag.Bool("strict", false, "fail on any trace damage (the default; conflicts with -recover)")
 	flag.IntVar(&o.Retries, "retries", 2, "retry budget for transiently failing simulations")
 	flag.StringVar(&o.Oracle, "oracle", "exact", "oracle engine for the ideal-miss report: exact, or sampled to add a single-pass sampled-set OPTGen estimate beside it")
 	flag.IntVar(&o.OracleSets, "oracle-sets", 0, "sampled-set budget for -oracle sampled (default 64)")
-	flag.BoolVar(&o.Mmap, "mmap", true, "memory-map the trace for zero-copy decode (ReadAt fallback when disabled or unsupported by the platform)")
-	flag.IntVar(&o.Decoders, "decoders", 1, "decode this many PSB sync regions concurrently per pass (> 1 requires -mmap)")
 	flag.Parse()
 	o.Stdout = os.Stdout
-	if cliflag.Passed("recover") && cliflag.Passed("strict") && o.Recover && *strict {
-		fmt.Fprintln(os.Stderr, "rippleanalyze: -recover and -strict are mutually exclusive")
-		os.Exit(2)
-	}
 	if o.CacheDir != "" && o.StoreURL != "" {
 		fmt.Fprintln(os.Stderr, "rippleanalyze: -cachedir and -store are mutually exclusive")
 		os.Exit(2)
@@ -103,22 +92,19 @@ func main() {
 
 // options carries one invocation's inputs; tests drive run directly.
 type options struct {
-	ProgPath, PTPath, Out string
-	Threshold             float64
-	Policy, Prefetcher    string
-	Warmup                int
-	Workers               int
-	CacheDir              string
-	StoreURL              string
-	JSONOut               string
-	Recover               bool
-	Index                 bool
-	Mmap                  bool
-	Decoders              int
-	Retries               int
-	Oracle                string
-	OracleSets            int
-	Stdout                io.Writer
+	cliflag.Trace
+	Out                string
+	Threshold          float64
+	Policy, Prefetcher string
+	Warmup             int
+	Workers            int
+	CacheDir           string
+	StoreURL           string
+	JSONOut            string
+	Retries            int
+	Oracle             string
+	OracleSets         int
+	Stdout             io.Writer
 }
 
 // report is the -json output: everything the run decided, in a
@@ -188,15 +174,7 @@ func run(o options) (runner.Stats, error) {
 	if o.Stdout == nil {
 		o.Stdout = io.Discard
 	}
-	if o.Index && o.Recover {
-		// A seek index is built from a strict decode; a damaged trace has no
-		// well-defined byte offsets to seek to.
-		return stats, fmt.Errorf("-index and -recover are mutually exclusive")
-	}
-	if o.Decoders > 1 && !o.Mmap {
-		return stats, fmt.Errorf("-decoders %d requires -mmap (parallel decode runs over the mapping)", o.Decoders)
-	}
-	prog, tr, err := load(o.ProgPath, o.PTPath, o.Recover, o.Index, trace.FileOptions{NoMmap: !o.Mmap, Decoders: o.Decoders})
+	prog, tr, _, err := o.Trace.Load()
 	if err != nil {
 		return stats, err
 	}
@@ -307,40 +285,16 @@ func run(o options) (runner.Stats, error) {
 // pool (with a persistent store under -cachedir) and the trace's content
 // identity, so equal (program, trace, config) reruns hit the store.
 func parallelOpts(o options) (core.ParallelOptions, *runner.Pool, error) {
-	var store runner.StoreBackend
-	if o.StoreURL != "" {
-		cl, err := rippled.NewClient(o.StoreURL, rippled.ClientOptions{Log: os.Stderr})
-		if err != nil {
-			return core.ParallelOptions{}, nil, err
-		}
-		store = cl
-	} else if o.CacheDir != "" {
-		st, err := runner.OpenStore(o.CacheDir)
-		if err != nil {
-			return core.ParallelOptions{}, nil, err
-		}
-		store = st
+	store, err := rippled.OpenStore(o.StoreURL, o.CacheDir, os.Stderr)
+	if err != nil {
+		return core.ParallelOptions{}, nil, err
 	}
 	pool := runner.New(runner.Options{Workers: o.Workers, Store: store, Retries: o.Retries})
-	srcID, err := fileDigest(o.PTPath)
+	srcID, err := cliflag.FileDigest(o.PTPath)
 	if err != nil {
 		return core.ParallelOptions{}, nil, err
 	}
 	return core.ParallelOptions{Pool: pool, SourceID: "pt:" + srcID}, pool, nil
-}
-
-// fileDigest returns the SHA-256 (hex) of a file's content.
-func fileDigest(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // summarizePlan flattens a plan into the deterministic report form.
@@ -359,33 +313,4 @@ func summarizePlan(p *core.Plan) planReport {
 	}
 	sort.Slice(pr.Injections, func(i, j int) bool { return pr.Injections[i].Block < pr.Injections[j].Block })
 	return pr
-}
-
-// load reads the program image and wires a streaming source over the
-// trace file; the analysis and tuning passes each re-decode it, so the
-// trace is never held in memory. With rec the source decodes in recovery
-// mode: damaged regions are skipped at sync points and accounted in the
-// analysis coverage. With indexed the source replays through the .ptidx
-// seek index (rebuilt if missing or stale), so windowed replay skips
-// ahead instead of decoding each window's full prefix. fo carries the
-// read options (mmap vs ReadAt, parallel region decoders).
-func load(progPath, ptPath string, rec, indexed bool, fo trace.FileOptions) (*program.Program, blockseq.Source, error) {
-	pf, err := os.Open(progPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer pf.Close()
-	prog, err := program.Load(pf)
-	if err != nil {
-		return nil, nil, err
-	}
-	if indexed {
-		src, err := trace.IndexedFileSourceOptions(ptPath, prog, fo)
-		if err != nil {
-			return nil, nil, err
-		}
-		return prog, src, nil
-	}
-	fo.Recover = rec
-	return prog, trace.FileSourceOptions(ptPath, prog, fo), nil
 }

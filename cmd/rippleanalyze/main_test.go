@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"ripple/internal/cliflag"
 	"ripple/internal/core"
 	"ripple/internal/fault"
 	"ripple/internal/trace"
@@ -68,8 +70,7 @@ func fixture(t *testing.T) (progPath, ptPath string) {
 
 func baseOptions(progPath, ptPath, dir, tag string) options {
 	return options{
-		ProgPath:   progPath,
-		PTPath:     ptPath,
+		Trace:      cliflag.Trace{ProgPath: progPath, PTPath: ptPath},
 		Out:        filepath.Join(dir, "plan-"+tag),
 		Policy:     "lru",
 		Prefetcher: "none",
@@ -289,6 +290,13 @@ func TestRecoverDamagedTrace(t *testing.T) {
 	if _, err := run(o); err == nil {
 		t.Fatal("strict mode accepted a damaged trace")
 	}
+	// -index builds its seek index from a strict decode, which fails
+	// with the decoder's offset-and-kind error.
+	o.Index = true
+	if _, err := run(o); err == nil || !strings.Contains(err.Error(), "trace: offset ") {
+		t.Fatalf("-index over a damaged trace: %v", err)
+	}
+	o.Index = false
 	o.Recover = true
 	if _, err := run(o); err != nil {
 		t.Fatalf("recover mode failed: %v", err)

@@ -13,8 +13,8 @@ import (
 	"fmt"
 	"os"
 
+	"ripple/internal/cliflag"
 	"ripple/internal/core"
-	"ripple/internal/program"
 )
 
 func main() {
@@ -33,12 +33,7 @@ func run(progPath, planPath, out string) error {
 	if progPath == "" || planPath == "" || out == "" {
 		return fmt.Errorf("-prog, -plan, and -out are required")
 	}
-	pf, err := os.Open(progPath)
-	if err != nil {
-		return err
-	}
-	prog, err := program.Load(pf)
-	pf.Close()
+	prog, err := cliflag.LoadProgram(progPath)
 	if err != nil {
 		return err
 	}

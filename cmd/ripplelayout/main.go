@@ -13,8 +13,8 @@ import (
 	"fmt"
 	"os"
 
+	"ripple/internal/cliflag"
 	"ripple/internal/layout"
-	"ripple/internal/program"
 	"ripple/internal/trace"
 )
 
@@ -36,16 +36,11 @@ func run(progPath, ptPath, out string, funcs, blocks bool) error {
 	if progPath == "" || ptPath == "" || out == "" {
 		return fmt.Errorf("-prog, -pt, and -out are required")
 	}
-	pf, err := os.Open(progPath)
+	prog, err := cliflag.LoadProgram(progPath)
 	if err != nil {
 		return err
 	}
-	prog, err := program.Load(pf)
-	pf.Close()
-	if err != nil {
-		return err
-	}
-	prof, err := layout.ProfileFromTrace(prog, trace.FileSource(ptPath, prog))
+	prof, err := layout.ProfileFromTrace(prog, trace.FileSourceOptions(ptPath, prog, trace.FileOptions{}))
 	if err != nil {
 		return err
 	}

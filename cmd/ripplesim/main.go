@@ -21,7 +21,8 @@
 // for them. Results are byte-identical with or without it, and store
 // entries are shared between the two modes. -index conflicts with
 // -recover because the index is only defined over a cleanly decoding
-// trace.
+// trace. The trace is memory-mapped, or read through ReadAt where the
+// platform cannot map it; the output is identical either way.
 //
 // Usage:
 //
@@ -33,11 +34,10 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -55,78 +55,95 @@ import (
 )
 
 func main() {
-	progPath := flag.String("prog", "", "program image to simulate (required)")
-	ptPath := flag.String("pt", "", "PT trace from ripplegen (required)")
-	traceProgPath := flag.String("trace-prog", "", "program image the trace was recorded against, when -prog is a rewritten image (default: -prog)")
-	planPath := flag.String("plan", "", "optional injection plan from rippleanalyze")
-	policy := flag.String("policy", "lru", "replacement policy, or comma-separated list to sweep ("+strings.Join(replacement.Names(), ", ")+")")
-	prefetcher := flag.String("prefetcher", "fdip", "prefetcher, or comma-separated list to sweep ("+strings.Join(prefetch.Names(), ", ")+")")
-	warmup := flag.Int("warmup", 0, "warmup blocks excluded from measurement")
+	var o options
+	o.Trace.Register(flag.CommandLine, "program image to simulate (required)")
+	flag.StringVar(&o.TraceProgPath, "trace-prog", "", "program image the trace was recorded against, when -prog is a rewritten image (default: -prog)")
+	flag.StringVar(&o.PlanPath, "plan", "", "optional injection plan from rippleanalyze")
+	flag.StringVar(&o.Policy, "policy", "lru", "replacement policy, or comma-separated list to sweep ("+strings.Join(replacement.Names(), ", ")+")")
+	flag.StringVar(&o.Prefetcher, "prefetcher", "fdip", "prefetcher, or comma-separated list to sweep ("+strings.Join(prefetch.Names(), ", ")+")")
+	flag.IntVar(&o.Warmup, "warmup", 0, "warmup blocks excluded from measurement")
 	blocks := flag.Int("blocks", 0, "simulate only the first N trace blocks (default: whole trace)")
-	accuracy := flag.Bool("accuracy", false, "score replacement decisions against the Belady oracle")
-	ideal := flag.Bool("ideal", false, "also report the ideal (Demand-MIN) miss count for this configuration's access stream")
-	oracleEngine := flag.String("oracle", "exact", "oracle engine for -ideal: exact (two-pass streaming Belady) or sampled (single-pass sampled-set OPTGen estimate)")
-	oracleSets := flag.Int("oracle-sets", 0, "sampled-set budget for -oracle sampled (default 64)")
-	demote := flag.Bool("demote", false, "execute hints as LRU demotions instead of invalidations")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of the report")
-	workers := flag.Int("j", 0, "parallel workers for sweep mode (default GOMAXPROCS)")
-	cachedir := flag.String("cachedir", "", "persistent result store for sweep mode (default: none)")
-	storeURL := flag.String("store", "", "rippled URL for a shared fleet result store in sweep mode (e.g. http://127.0.0.1:8344); mutually exclusive with -cachedir")
-	rec := flag.Bool("recover", false, "resynchronize past damaged trace regions instead of failing")
-	index := flag.Bool("index", false, "replay through the .ptidx seek index (built on the fly if absent or stale); conflicts with -recover")
-	useMmap := flag.Bool("mmap", true, "memory-map the trace for zero-copy decode (ReadAt fallback when disabled or unsupported by the platform)")
-	decoders := flag.Int("decoders", 1, "decode this many PSB sync regions concurrently per pass (> 1 requires -mmap)")
+	flag.BoolVar(&o.Accuracy, "accuracy", false, "score replacement decisions against the Belady oracle")
+	flag.BoolVar(&o.Ideal, "ideal", false, "also report the ideal (Demand-MIN) miss count for this configuration's access stream")
+	flag.StringVar(&o.Oracle, "oracle", "exact", "oracle engine for -ideal: exact (two-pass streaming Belady) or sampled (single-pass sampled-set OPTGen estimate)")
+	flag.IntVar(&o.OracleSets, "oracle-sets", 0, "sampled-set budget for -oracle sampled (default 64)")
+	flag.BoolVar(&o.Demote, "demote", false, "execute hints as LRU demotions instead of invalidations")
+	flag.BoolVar(&o.JSON, "json", false, "emit machine-readable JSON instead of the report")
+	flag.IntVar(&o.Workers, "j", 0, "parallel workers for sweep mode (default GOMAXPROCS)")
+	flag.StringVar(&o.CacheDir, "cachedir", "", "persistent result store for sweep mode (default: none)")
+	flag.StringVar(&o.StoreURL, "store", "", "rippled URL for a shared fleet result store in sweep mode (e.g. http://127.0.0.1:8344); mutually exclusive with -cachedir")
 	flag.Parse()
 
-	policies := strings.Split(*policy, ",")
-	prefetchers := strings.Split(*prefetcher, ",")
 	// -blocks 0 legitimately means "simulate nothing", so "unset" must be
 	// distinguished from the zero value (the flag.Visit discipline).
-	limit := -1
+	o.Limit = -1
 	if cliflag.Passed("blocks") {
-		limit = *blocks
+		o.Limit = *blocks
 	}
-	fo := trace.FileOptions{NoMmap: !*useMmap, Decoders: *decoders}
-	var err error
-	if *rec && *index {
-		err = fmt.Errorf("-index and -recover are mutually exclusive")
-	} else if *decoders > 1 && !*useMmap {
-		err = fmt.Errorf("-decoders %d requires -mmap (parallel decode runs over the mapping)", *decoders)
-	} else if *cachedir != "" && *storeURL != "" {
-		err = fmt.Errorf("-cachedir and -store are mutually exclusive")
-	} else if *oracleEngine != "exact" && *oracleEngine != "sampled" {
-		err = fmt.Errorf("-oracle must be 'exact' or 'sampled'")
-	} else if len(policies) > 1 || len(prefetchers) > 1 {
-		if *ideal {
-			err = fmt.Errorf("-ideal is only available in single-configuration mode, not sweeps")
-		} else {
-			err = sweep(*progPath, *traceProgPath, *ptPath, *planPath, policies, prefetchers,
-				limit, *warmup, *accuracy, *demote, *jsonOut, *workers, *cachedir, *storeURL, *rec, *index, fo)
-		}
-	} else {
-		err = run(*progPath, *traceProgPath, *ptPath, *planPath, *policy, *prefetcher, limit, *warmup,
-			*accuracy, *demote, *jsonOut, *rec, *index, *ideal, *oracleEngine, *oracleSets, fo)
-	}
-	if err != nil {
+	o.Stdout, o.Stderr = os.Stdout, os.Stderr
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "ripplesim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(progPath, traceProgPath, ptPath, planPath, policy, prefetcher string, limit, warmup int,
-	accuracy, demote, jsonOut, rec, indexed, ideal bool, oracleEngine string, oracleSets int, fo trace.FileOptions) error {
-	if progPath == "" || ptPath == "" {
-		return fmt.Errorf("-prog and -pt are required")
+// options carries one invocation's inputs; tests drive run directly.
+type options struct {
+	cliflag.Trace
+	TraceProgPath, PlanPath string
+	// Policy and Prefetcher are comma-separated; more than one value in
+	// either sweeps the cross product.
+	Policy, Prefetcher string
+	// Limit caps the trace to its first Limit blocks; < 0 is the whole
+	// trace.
+	Limit, Warmup                 int
+	Accuracy, Ideal, Demote, JSON bool
+	Oracle                        string
+	OracleSets                    int
+	Workers                       int
+	CacheDir, StoreURL            string
+	// Stdout receives the report; Stderr the sweep's runner log. Nil
+	// discards.
+	Stdout, Stderr io.Writer
+}
+
+// run validates the options and simulates one configuration, or sweeps
+// the policy x prefetcher cross product.
+func run(o options) error {
+	if o.Stdout == nil {
+		o.Stdout = io.Discard
 	}
-	if traceProgPath == "" {
-		traceProgPath = progPath
+	if o.Stderr == nil {
+		o.Stderr = io.Discard
 	}
-	prog, tr, reporter, err := load(progPath, traceProgPath, ptPath, limit, rec, indexed, fo)
+	if o.Oracle == "" {
+		o.Oracle = "exact"
+	}
+	policies := strings.Split(o.Policy, ",")
+	prefetchers := strings.Split(o.Prefetcher, ",")
+	switch {
+	case o.CacheDir != "" && o.StoreURL != "":
+		return fmt.Errorf("-cachedir and -store are mutually exclusive")
+	case o.Oracle != "exact" && o.Oracle != "sampled":
+		return fmt.Errorf("-oracle must be 'exact' or 'sampled'")
+	case len(policies) > 1 || len(prefetchers) > 1:
+		if o.Ideal {
+			return fmt.Errorf("-ideal is only available in single-configuration mode, not sweeps")
+		}
+		return sweep(o, policies, prefetchers)
+	}
+	return simulate(o)
+}
+
+// simulate runs one configuration and prints its report.
+func simulate(o options) error {
+	prog, tr, reporter, err := load(o)
 	if err != nil {
 		return err
 	}
-	if planPath != "" {
-		f, err := os.Open(planPath)
+	w := o.Stdout
+	if o.PlanPath != "" {
+		f, err := os.Open(o.PlanPath)
 		if err != nil {
 			return err
 		}
@@ -136,71 +153,71 @@ func run(progPath, traceProgPath, ptPath, planPath, policy, prefetcher string, l
 			return err
 		}
 		prog = plan.Apply(prog)
-		fmt.Printf("applied plan: %d invalidate instructions in %d cue blocks\n",
+		fmt.Fprintf(w, "applied plan: %d invalidate instructions in %d cue blocks\n",
 			plan.StaticInstructions(), len(plan.Injections))
 	}
 
-	pol, err := replacement.New(policy)
+	pol, err := replacement.New(o.Policy)
 	if err != nil {
 		return err
 	}
-	pf, err := prefetch.New(prefetcher, prog)
+	pf, err := prefetch.New(o.Prefetcher, prog)
 	if err != nil {
 		return err
 	}
 	hints := frontend.HintInvalidate
-	if demote {
+	if o.Demote {
 		hints = frontend.HintDemote
 	}
 	res, err := frontend.Run(frontend.DefaultParams(), prog, tr, frontend.Options{
 		Policy:          pol,
 		Prefetcher:      pf,
 		Hints:           hints,
-		MeasureAccuracy: accuracy,
-		WarmupBlocks:    warmup,
+		MeasureAccuracy: o.Accuracy,
+		WarmupBlocks:    o.Warmup,
 	})
 	if err != nil {
 		return err
 	}
 
 	var idealRep *idealReport
-	if ideal {
-		if idealRep, err = idealOf(prog, tr, policy, prefetcher, hints, warmup, oracleEngine, oracleSets); err != nil {
+	if o.Ideal {
+		if idealRep, err = idealOf(prog, tr, o.Policy, o.Prefetcher, hints, o.Warmup, o.Oracle, o.OracleSets); err != nil {
 			return err
 		}
 	}
 
-	if jsonOut {
-		return emitJSON(res, coverageOf(reporter), idealRep)
+	if o.JSON {
+		return emitJSON(w, res, coverageOf(reporter), idealRep)
 	}
-	fmt.Printf("%s: %s prefetcher, %s replacement\n", res.Program, res.Prefetcher, res.Policy)
-	printCoverage(reporter)
-	fmt.Printf("  instructions: %d (%d injected hints, %.2f%% dynamic overhead)\n",
+	fmt.Fprintf(w, "%s: %s prefetcher, %s replacement\n", res.Program, res.Prefetcher, res.Policy)
+	printCoverage(w, reporter)
+	fmt.Fprintf(w, "  instructions: %d (%d injected hints, %.2f%% dynamic overhead)\n",
 		res.Instrs, res.HintInstrs, core.DynamicOverheadPct(res))
-	fmt.Printf("  cycles: %d  IPC: %.3f\n", res.Cycles, res.IPC())
-	fmt.Printf("  L1I MPKI: %.2f (misses %d, late prefetches %d, compulsory %d)\n",
+	fmt.Fprintf(w, "  cycles: %d  IPC: %.3f\n", res.Cycles, res.IPC())
+	fmt.Fprintf(w, "  L1I MPKI: %.2f (misses %d, late prefetches %d, compulsory %d)\n",
 		res.MPKI(), res.L1I.DemandMisses, res.LateMisses, res.Compulsory)
-	fmt.Printf("  miss breakdown: L2 %d, L3 %d, memory %d\n", res.L2Hits, res.L3Hits, res.MemFills)
+	fmt.Fprintf(w, "  miss breakdown: L2 %d, L3 %d, memory %d\n", res.L2Hits, res.L3Hits, res.MemFills)
 	if res.L1I.HintInvalidations+res.L1I.Demotions > 0 {
-		fmt.Printf("  ripple: coverage %.1f%% (%d hint evictions, %d hints found no victim)\n",
+		fmt.Fprintf(w, "  ripple: coverage %.1f%% (%d hint evictions, %d hints found no victim)\n",
 			res.Coverage()*100, res.L1I.HintFreedFills, res.L1I.HintMisses)
 	}
 	if idealRep != nil {
-		fmt.Printf("  ideal replacement (demand-min, %s): %d misses", idealRep.Engine, idealRep.Misses)
+		fmt.Fprintf(w, "  ideal replacement (demand-min, %s): %d misses", idealRep.Engine, idealRep.Misses)
 		if idealRep.Engine == "sampled" {
-			fmt.Printf(" estimated from %d/%d sets (history %d)", idealRep.SampleSets, idealRep.TotalSets, idealRep.History)
+			fmt.Fprintf(w, " estimated from %d/%d sets (history %d)", idealRep.SampleSets, idealRep.TotalSets, idealRep.History)
 		}
-		fmt.Printf("; this policy took %d\n", res.L1I.DemandMisses)
+		fmt.Fprintf(w, "; this policy took %d\n", res.L1I.DemandMisses)
 	}
-	if accuracy {
-		fmt.Printf("  accuracy: policy %.1f%%", res.PolicyAccuracy()*100)
+	if o.Accuracy {
+		fmt.Fprintf(w, "  accuracy: policy %.1f%%", res.PolicyAccuracy()*100)
 		if res.HintEvictions > 0 {
-			fmt.Printf(", ripple %.1f%%, combined %.1f%%", res.HintAccuracy()*100, res.CombinedAccuracy()*100)
+			fmt.Fprintf(w, ", ripple %.1f%%, combined %.1f%%", res.HintAccuracy()*100, res.CombinedAccuracy()*100)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if res.BranchMPKI > 0 {
-		fmt.Printf("  branch MPKI: %.2f\n", res.BranchMPKI)
+		fmt.Fprintf(w, "  branch MPKI: %.2f\n", res.BranchMPKI)
 	}
 	return nil
 }
@@ -211,21 +228,14 @@ func run(progPath, traceProgPath, ptPath, planPath, policy, prefetcher string, l
 // they are keyed by the SHA-256 of the input files plus the full
 // configuration, so editing the trace or plan invalidates exactly the
 // affected entries.
-func sweep(progPath, traceProgPath, ptPath, planPath string, policies, prefetchers []string,
-	limit, warmup int, accuracy, demote, jsonOut bool, workers int, cachedir, storeURL string, rec, indexed bool, fo trace.FileOptions) error {
-	if progPath == "" || ptPath == "" {
-		return fmt.Errorf("-prog and -pt are required")
-	}
-	if traceProgPath == "" {
-		traceProgPath = progPath
-	}
-	prog, tr, reporter, err := load(progPath, traceProgPath, ptPath, limit, rec, indexed, fo)
+func sweep(o options, policies, prefetchers []string) error {
+	prog, tr, reporter, err := load(o)
 	if err != nil {
 		return err
 	}
 	planHash := "none"
-	if planPath != "" {
-		f, err := os.Open(planPath)
+	if o.PlanPath != "" {
+		f, err := os.Open(o.PlanPath)
 		if err != nil {
 			return err
 		}
@@ -235,50 +245,40 @@ func sweep(progPath, traceProgPath, ptPath, planPath string, policies, prefetche
 			return err
 		}
 		prog = plan.Apply(prog)
-		if h, err := fileHash(planPath); err == nil {
+		if h, err := cliflag.FileDigest(o.PlanPath); err == nil {
 			planHash = h
 		}
 	}
-	progHash, err := fileHash(progPath)
+	progHash, err := cliflag.FileDigest(o.ProgPath)
 	if err != nil {
 		return err
 	}
-	ptHash, err := fileHash(ptPath)
+	ptHash, err := cliflag.FileDigest(o.PTPath)
 	if err != nil {
 		return err
 	}
 	params := frontend.DefaultParams()
 	base := fmt.Sprintf("rsim1|prog=%s|pt=%s|plan=%s|params=%+v|warmup=%d|acc=%t|demote=%t",
-		progHash, ptHash, planHash, params, warmup, accuracy, demote)
-	if limit >= 0 {
+		progHash, ptHash, planHash, params, o.Warmup, o.Accuracy, o.Demote)
+	if o.Limit >= 0 {
 		// Appended only when -blocks was passed, so pre-existing store
 		// entries for whole-trace sweeps stay addressable.
-		base += fmt.Sprintf("|blocks=%d", limit)
+		base += fmt.Sprintf("|blocks=%d", o.Limit)
 	}
-	if rec {
+	if o.Recover {
 		// Likewise appended only with -recover: a clean trace decodes
 		// identically in both modes, but a damaged one yields a different
 		// (shorter) block sequence under the same file hash.
 		base += "|recover=1"
 	}
 
-	var store runner.StoreBackend
-	if storeURL != "" {
-		cl, cerr := rippled.NewClient(storeURL, rippled.ClientOptions{Log: os.Stderr})
-		if cerr != nil {
-			return cerr
-		}
-		store = cl
-	} else if cachedir != "" {
-		st, serr := runner.OpenStore(cachedir)
-		if serr != nil {
-			return serr
-		}
-		store = st
+	store, err := rippled.OpenStore(o.StoreURL, o.CacheDir, o.Stderr)
+	if err != nil {
+		return err
 	}
-	pool := runner.New(runner.Options{Workers: workers, Store: store, Log: os.Stderr})
+	pool := runner.New(runner.Options{Workers: o.Workers, Store: store, Log: o.Stderr})
 	hints := frontend.HintInvalidate
-	if demote {
+	if o.Demote {
 		hints = frontend.HintDemote
 	}
 	job := func(pol, pf string) runner.Job {
@@ -301,8 +301,8 @@ func sweep(progPath, traceProgPath, ptPath, planPath string, policies, prefetche
 					Policy:          p,
 					Prefetcher:      pre,
 					Hints:           hints,
-					MeasureAccuracy: accuracy,
-					WarmupBlocks:    warmup,
+					MeasureAccuracy: o.Accuracy,
+					WarmupBlocks:    o.Warmup,
 				})
 				if err != nil {
 					return nil, err
@@ -320,8 +320,9 @@ func sweep(progPath, traceProgPath, ptPath, planPath string, policies, prefetche
 	if err := pool.RunAll(ctx, jobs); err != nil {
 		return err
 	}
-	if !jsonOut {
-		printCoverage(reporter)
+	w := o.Stdout
+	if !o.JSON {
+		printCoverage(w, reporter)
 	}
 	var out []map[string]interface{}
 	for _, pol := range policies {
@@ -331,30 +332,20 @@ func sweep(progPath, traceProgPath, ptPath, planPath string, policies, prefetche
 				return err
 			}
 			res := *(v.(*frontend.Result))
-			if jsonOut {
+			if o.JSON {
 				out = append(out, withCoverage(resultJSON(res), coverageOf(reporter)))
 				continue
 			}
-			fmt.Printf("%-10s %-10s IPC %.3f  MPKI %6.2f  cycles %d\n",
+			fmt.Fprintf(w, "%-10s %-10s IPC %.3f  MPKI %6.2f  cycles %d\n",
 				pol, pf, res.IPC(), res.MPKI(), res.Cycles)
 		}
 	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+	if o.JSON {
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(out)
 	}
 	return nil
-}
-
-// fileHash returns the SHA-256 hex of a file's contents.
-func fileHash(path string) (string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.Sum256(data)
-	return hex.EncodeToString(h[:]), nil
 }
 
 // idealReport is the -ideal result: the Demand-MIN miss count for this
@@ -407,7 +398,7 @@ func idealOf(prog *program.Program, tr blockseq.Source, policy, prefetcher strin
 
 // emitJSON writes the run's metrics as a single JSON object, for scripted
 // consumers (dashboards, regression checks).
-func emitJSON(res frontend.Result, cov *trace.DecodeReport, ideal *idealReport) error {
+func emitJSON(w io.Writer, res frontend.Result, cov *trace.DecodeReport, ideal *idealReport) error {
 	m := withCoverage(resultJSON(res), cov)
 	if ideal != nil {
 		m["ideal_misses"] = ideal.Misses
@@ -416,7 +407,7 @@ func emitJSON(res frontend.Result, cov *trace.DecodeReport, ideal *idealReport) 
 			m["ideal_sample_sets"] = ideal.SampleSets
 		}
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
 }
@@ -446,16 +437,16 @@ func withCoverage(m map[string]interface{}, cov *trace.DecodeReport) map[string]
 }
 
 // printCoverage reports trace damage on the human-readable path.
-func printCoverage(reporter trace.Reporting) {
+func printCoverage(w io.Writer, reporter trace.Reporting) {
 	cov := coverageOf(reporter)
 	if cov == nil {
 		return
 	}
-	fmt.Printf("  trace coverage: %.2f%% of declared profile (%d of %d blocks", cov.Coverage()*100, cov.Decoded, cov.Declared)
+	fmt.Fprintf(w, "  trace coverage: %.2f%% of declared profile (%d of %d blocks", cov.Coverage()*100, cov.Decoded, cov.Declared)
 	if len(cov.Regions) > 0 {
-		fmt.Printf("; %d damaged regions, %d blocks lost", len(cov.Regions), cov.BlocksLost())
+		fmt.Fprintf(w, "; %d damaged regions, %d blocks lost", len(cov.Regions), cov.BlocksLost())
 	}
-	fmt.Println(")")
+	fmt.Fprintln(w, ")")
 }
 
 // resultJSON flattens a result into the JSON schema emitJSON documents.
@@ -485,54 +476,35 @@ func resultJSON(res frontend.Result) map[string]interface{} {
 }
 
 // load reads the simulation image and wires up a streaming source that
-// decodes the trace against the image it was recorded on (block IDs are
-// stable across rewriting, so the block sequence transfers). The trace is
-// never materialized: each simulation pass re-decodes the file, keeping
-// memory O(1) in the trace length. limit >= 0 caps the source to the
-// first limit blocks. With rec the trace decodes in recovery mode and
-// the returned reporter (the unwrapped trace source) publishes the
-// damage accounting once a pass completes; the reporter is nil in
-// strict mode. With indexed the source replays through the .ptidx seek
-// index (rebuilt if missing or stale) — a pure acceleration: the block
-// sequence, and therefore every result, is byte-identical.
-func load(progPath, traceProgPath, ptPath string, limit int, rec, indexed bool, fo trace.FileOptions) (*program.Program, blockseq.Source, trace.Reporting, error) {
-	loadProg := func(path string) (*program.Program, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return program.Load(f)
+// decodes the trace against the image it was recorded on, -trace-prog
+// when given (block IDs are stable across rewriting, so the block
+// sequence transfers). The trace is never materialized: each simulation
+// pass re-decodes the file, keeping memory O(1) in the trace length.
+// Limit >= 0 caps the source to the first Limit blocks. The reporter is
+// the cliflag.Trace loader's: non-nil only with -recover.
+func load(o options) (*program.Program, blockseq.Source, trace.Reporting, error) {
+	if o.ProgPath == "" || o.PTPath == "" {
+		return nil, nil, nil, fmt.Errorf("-prog and -pt are required")
 	}
-	prog, err := loadProg(progPath)
+	t := o.Trace
+	if o.TraceProgPath != "" {
+		t.ProgPath = o.TraceProgPath
+	}
+	decodeProg, src, reporter, err := t.Load()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	decodeProg := prog
-	if traceProgPath != progPath {
-		if decodeProg, err = loadProg(traceProgPath); err != nil {
+	prog := decodeProg
+	if t.ProgPath != o.ProgPath {
+		if prog, err = cliflag.LoadProgram(o.ProgPath); err != nil {
 			return nil, nil, nil, err
 		}
 		if decodeProg.NumBlocks() != prog.NumBlocks() {
 			return nil, nil, nil, fmt.Errorf("-trace-prog has %d blocks, -prog has %d: not the same program", decodeProg.NumBlocks(), prog.NumBlocks())
 		}
 	}
-	var src blockseq.Source
-	var reporter trace.Reporting
-	switch {
-	case rec:
-		fo.Recover = true
-		ts := trace.FileSourceOptions(ptPath, decodeProg, fo)
-		reporter, src = ts.(trace.Reporting), ts
-	case indexed:
-		if src, err = trace.IndexedFileSourceOptions(ptPath, decodeProg, fo); err != nil {
-			return nil, nil, nil, err
-		}
-	default:
-		src = trace.FileSourceOptions(ptPath, decodeProg, fo)
-	}
-	if limit >= 0 {
-		src = blockseq.Limit(src, limit)
+	if o.Limit >= 0 {
+		src = blockseq.Limit(src, o.Limit)
 	}
 	return prog, src, reporter, nil
 }

@@ -1,0 +1,168 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"ripple/internal/cliflag"
+	"ripple/internal/fault"
+	"ripple/internal/trace"
+	"ripple/internal/workload"
+)
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// fixture writes a synthetic app's program image, a sync-pointed trace
+// of it, and a damaged copy of that trace. The app's hot code exceeds
+// the default 32KiB L1I, so every configuration misses.
+func fixture(t *testing.T) (progPath, ptPath, damagedPath string) {
+	t.Helper()
+	app, err := workload.Build(workload.Model{
+		Name: "simgolden", Seed: 41,
+		Funcs: 700, ServiceFuncs: 40, UtilityFuncs: 10, Levels: 6,
+		BlocksMin: 5, BlocksMax: 10, BlockBytesMin: 48, BlockBytesMax: 96,
+		PCond: 0.3, PCall: 0.35, PICall: 0.05, PIJump: 0.03,
+		PLoopBack: 0.1, PBiasStrong: 0.8,
+		CalleeMin: 2, CalleeMax: 5, IndirectFanout: 4,
+		ZipfRequest: 0.4, RequestsPerBurst: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	progPath = filepath.Join(dir, "app.prog")
+	pf, err := os.Create(progPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Prog.Save(pf); err != nil {
+		t.Fatal(err)
+	}
+	if err := pf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := trace.EncodeSourceSync(&buf, app.Prog, app.Stream(0, 20_000), 256); err != nil {
+		t.Fatal(err)
+	}
+	ptPath = filepath.Join(dir, "app.pt")
+	if err := os.WriteFile(ptPath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	damaged, _ := fault.NewInjector(7).Overwrite(buf.Bytes(), 32, buf.Len()/3, buf.Len()/2)
+	damagedPath = filepath.Join(dir, "damaged.pt")
+	if err := os.WriteFile(damagedPath, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return progPath, ptPath, damagedPath
+}
+
+// goldenCases are the invocations the golden pins, in file order.
+func goldenCases(progPath, ptPath, damagedPath string) []struct {
+	name string
+	o    options
+} {
+	base := options{Trace: cliflag.Trace{ProgPath: progPath, PTPath: ptPath}, Policy: "lru", Prefetcher: "fdip", Limit: -1}
+	single := base
+	single.Accuracy, single.Ideal = true, true
+	jsonOut := base
+	jsonOut.Prefetcher, jsonOut.JSON = "nlp", true
+	sweep := base
+	sweep.Policy, sweep.Prefetcher, sweep.Workers = "lru,srrip", "none,fdip", 2
+	recovered := base
+	recovered.PTPath, recovered.Recover = damagedPath, true
+	return []struct {
+		name string
+		o    options
+	}{
+		{"single", single},
+		{"json", jsonOut},
+		{"sweep", sweep},
+		{"recover", recovered},
+	}
+}
+
+func runOutput(t *testing.T, o options) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	o.Stdout = &out
+	if err := run(o); err != nil {
+		t.Fatalf("%+v: %v", o, err)
+	}
+	return out.Bytes()
+}
+
+// TestGoldenOutputs: a fixed (app, seed, trace) must produce the
+// committed report byte-for-byte for a single configuration (with
+// -accuracy and -ideal), -json, a 2x2 sweep, and -recover over a
+// damaged trace. Regenerate after intentional changes with:
+//
+//	go test ./cmd/ripplesim -run Golden -update
+func TestGoldenOutputs(t *testing.T) {
+	progPath, ptPath, damagedPath := fixture(t)
+	var got bytes.Buffer
+	for _, c := range goldenCases(progPath, ptPath, damagedPath) {
+		got.WriteString("== " + c.name + " ==\n")
+		got.Write(runOutput(t, c.o))
+	}
+	golden := filepath.Join("testdata", "outputs.golden")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", golden)
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("outputs diverged from golden (if intentional, regenerate with -update):\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
+	}
+}
+
+// TestIndexedOutputsMatchPlain: -index is a pure acceleration, so every
+// strict golden case prints byte-identical output through the seek index.
+func TestIndexedOutputsMatchPlain(t *testing.T) {
+	progPath, ptPath, damagedPath := fixture(t)
+	for _, c := range goldenCases(progPath, ptPath, damagedPath) {
+		if c.o.Recover {
+			continue
+		}
+		plain := runOutput(t, c.o)
+		c.o.Index = true
+		if indexed := runOutput(t, c.o); !bytes.Equal(plain, indexed) {
+			t.Fatalf("%s: -index changed the output:\nplain:\n%s\nindexed:\n%s", c.name, plain, indexed)
+		}
+	}
+	if _, err := os.Stat(trace.IndexPath(ptPath)); err != nil {
+		t.Fatalf("indexed runs left no sidecar: %v", err)
+	}
+}
+
+// TestRecoverConflictsAndStrictFailure: -index with -recover is
+// rejected up front, and the damaged trace fails in strict mode (with
+// and without -index) with the decoder's offset-and-kind error.
+func TestRecoverConflictsAndStrictFailure(t *testing.T) {
+	progPath, _, damagedPath := fixture(t)
+	o := options{Trace: cliflag.Trace{ProgPath: progPath, PTPath: damagedPath}, Policy: "lru", Prefetcher: "fdip", Limit: -1}
+	o.Recover, o.Index = true, true
+	if err := run(o); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+		t.Fatalf("-index -recover: %v", err)
+	}
+	for _, indexed := range []bool{false, true} {
+		o.Recover, o.Index = false, indexed
+		err := run(o)
+		if err == nil || !strings.Contains(err.Error(), "trace: offset ") {
+			t.Fatalf("strict run over damaged trace (index=%t): %v", indexed, err)
+		}
+	}
+}

@@ -8,10 +8,11 @@
 //
 //	ripplewatch -prog /tmp/fh.prog -pt /tmp/fh.pt -out /tmp/plans
 //
-// The watcher follows the trace file like tail -f: clean truncation at
-// the live edge is "wait for the writer", mid-stream corruption
-// resynchronizes at the next sync point and is accounted in every
-// revision's coverage block. A checkpoint sidecar (-state, default
+// The watcher follows the trace file like tail -f, reading through
+// ReadAt (a memory mapping is a fixed-size snapshot and cannot follow a
+// growing file): clean truncation at the live edge is "wait for the
+// writer", mid-stream corruption resynchronizes at the next sync point
+// and is accounted in every revision's coverage block. A checkpoint sidecar (-state, default
 // <pt>.ptwatch) binds the consumed prefix by content hash; restarting
 // against the same stream resumes and publishes the identical revision
 // tail, byte for byte. SIGINT/SIGTERM stop the tail, flush a final
@@ -34,7 +35,7 @@ import (
 	"syscall"
 	"time"
 
-	"ripple/internal/program"
+	"ripple/internal/cliflag"
 	"ripple/internal/rippled"
 	"ripple/internal/runner"
 	"ripple/internal/watch"
@@ -64,8 +65,6 @@ func main() {
 	flag.StringVar(&o.CacheDir, "cachedir", "", "directory for the persistent result store (default: no persistence)")
 	flag.StringVar(&o.StoreURL, "store", "", "rippled URL for a shared fleet result store; mutually exclusive with -cachedir")
 	flag.IntVar(&o.Retries, "retries", 2, "retry budget for transiently failing simulations")
-	flag.BoolVar(&o.Mmap, "mmap", false, "memory-map the trace (unsupported while tailing: a mapping is a fixed-size snapshot and cannot observe growth; the tail reads through ReadAt by design — see rippleanalyze -mmap for offline passes)")
-	flag.IntVar(&o.Decoders, "decoders", 1, "parallel PSB region decoders (unsupported while tailing: the tail decodes incrementally in stream order; use rippleanalyze -decoders on a complete file)")
 	flag.Parse()
 	if o.CacheDir != "" && o.StoreURL != "" {
 		fmt.Fprintln(os.Stderr, "ripplewatch: -cachedir and -store are mutually exclusive")
@@ -105,8 +104,6 @@ type options struct {
 	Workers                             int
 	CacheDir, StoreURL                  string
 	Retries                             int
-	Mmap                                bool
-	Decoders                            int
 	Done                                <-chan struct{}
 	Stdout                              io.Writer
 }
@@ -119,31 +116,21 @@ func run(o options) (watch.Result, error) {
 	if o.ProgPath == "" || o.PTPath == "" || o.OutDir == "" {
 		return res, fmt.Errorf("-prog, -pt, and -out are required")
 	}
-	if o.Mmap {
-		return res, fmt.Errorf("-mmap is not supported while tailing: a mapping is a fixed-size snapshot and cannot observe file growth (the tail reads through ReadAt; mmap an offline pass with rippleanalyze instead)")
-	}
-	if o.Decoders > 1 {
-		return res, fmt.Errorf("-decoders %d is not supported while tailing: the tail decodes incrementally in stream order (parallel region decode needs a complete file; use rippleanalyze -decoders)", o.Decoders)
-	}
 	if o.Stdout == nil {
 		o.Stdout = io.Discard
 	}
-	pf, err := os.Open(o.ProgPath)
-	if err != nil {
-		return res, err
-	}
-	prog, err := program.Load(pf)
-	pf.Close()
+	prog, err := cliflag.LoadProgram(o.ProgPath)
 	if err != nil {
 		return res, err
 	}
 	if err := os.MkdirAll(o.OutDir, 0o755); err != nil {
 		return res, err
 	}
-	pool, err := buildPool(o)
+	store, err := rippled.OpenStore(o.StoreURL, o.CacheDir, os.Stderr)
 	if err != nil {
 		return res, err
 	}
+	pool := runner.New(runner.Options{Workers: o.Workers, Store: store, Retries: o.Retries})
 	cfg := watch.Config{
 		Prog:            prog,
 		TracePath:       o.PTPath,
@@ -188,25 +175,4 @@ func run(o options) (watch.Result, error) {
 	fmt.Fprintf(o.Stdout, "final: outcome=%s resumed=%v blocks=%d epochs=%d revisions=%d regions=%d\n",
 		res.Outcome, res.Resumed, res.Total, res.Epochs, res.Revisions, res.Regions)
 	return res, nil
-}
-
-// buildPool wires the epoch simulations' execution substrate: a worker
-// pool, optionally backed by a persistent local store (-cachedir) or a
-// shared rippled fleet store (-store).
-func buildPool(o options) (*runner.Pool, error) {
-	var store runner.StoreBackend
-	if o.StoreURL != "" {
-		cl, err := rippled.NewClient(o.StoreURL, rippled.ClientOptions{Log: os.Stderr})
-		if err != nil {
-			return nil, err
-		}
-		store = cl
-	} else if o.CacheDir != "" {
-		st, err := runner.OpenStore(o.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		store = st
-	}
-	return runner.New(runner.Options{Workers: o.Workers, Store: store, Retries: o.Retries}), nil
 }

@@ -149,19 +149,6 @@ func TestRunFlagValidation(t *testing.T) {
 	if _, err := run(o); err == nil || !strings.Contains(err.Error(), "threshold") {
 		t.Fatalf("threshold 2: %v", err)
 	}
-	// The live tail reads through ReadAt by design: a mapping is a
-	// fixed-size snapshot and parallel region decode needs a complete
-	// file, so both knobs are rejected up front rather than ignored.
-	o.Threshold = 0
-	o.Mmap = true
-	if _, err := run(o); err == nil || !strings.Contains(err.Error(), "mmap") {
-		t.Fatalf("-mmap while tailing: %v", err)
-	}
-	o.Mmap = false
-	o.Decoders = 4
-	if _, err := run(o); err == nil || !strings.Contains(err.Error(), "decoders") {
-		t.Fatalf("-decoders while tailing: %v", err)
-	}
 }
 
 func lastLine(s string) string {

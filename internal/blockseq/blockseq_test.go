@@ -115,3 +115,35 @@ func TestLenHintUnknown(t *testing.T) {
 		t.Fatal("Func source should not report a length")
 	}
 }
+
+// hinted is a source that reports an arbitrary LenHint.
+type hinted struct {
+	n  int
+	ok bool
+}
+
+func (h hinted) Open() Seq            { return Of().Open() }
+func (h hinted) LenHint() (int, bool) { return h.n, h.ok }
+
+// TestCapHintClamps: a hint that may come from an unvalidated trace
+// header is clamped to the allocation bound, and unknown or
+// non-positive hints fall back.
+func TestCapHintClamps(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		src  Source
+		want int
+	}{
+		{"hostile", hinted{1 << 60, true}, 1 << 20},
+		{"at-bound", hinted{1 << 20, true}, 1 << 20},
+		{"small", hinted{5000, true}, 5000},
+		{"zero", hinted{0, true}, 7},
+		{"negative", hinted{-3, true}, 7},
+		{"unknown", hinted{42, false}, 7},
+		{"no-counter", Func(func() Seq { return Of(1, 2).Open() }), 7},
+	} {
+		if got := CapHint(c.src, 7); got != c.want {
+			t.Errorf("%s: CapHint = %d, want %d", c.name, got, c.want)
+		}
+	}
+}

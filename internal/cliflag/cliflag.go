@@ -1,5 +1,9 @@
-// Package cliflag holds the one flag-handling discipline the cmd tools
-// share: a configuration field may only be overridden when its flag was
+// Package cliflag holds the flag handling the cmd tools share: the
+// passed-flag discipline (Passed), the trace-input flags and their one
+// loader (Trace), and the input loaders behind them (LoadProgram,
+// FileDigest).
+//
+// A configuration field may only be overridden when its flag was
 // actually passed on the command line. Testing a flag's value against
 // its default is wrong twice — an explicit `-blocks 600000` matching the
 // default should still pin the value into cache signatures, and a

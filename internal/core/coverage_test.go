@@ -47,7 +47,7 @@ func TestAnalyzeRecoveringSourceReportsCoverage(t *testing.T) {
 	}
 
 	// An undamaged recovering source reports full coverage.
-	whole, err := Analyze(app.Prog, trace.RecoverBytesSource(clean, app.Prog), cfg)
+	whole, err := Analyze(app.Prog, trace.BytesSource(clean, app.Prog, trace.FileOptions{Recover: true}), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestAnalyzeRecoveringSourceReportsCoverage(t *testing.T) {
 	// still complete, on a strictly smaller profile, and say how much of
 	// the declared profile survived.
 	damaged, _ := fault.NewInjector(99).Overwrite(clean, 48, len(clean)/3, 2*len(clean)/3)
-	a, err := Analyze(app.Prog, trace.RecoverBytesSource(damaged, app.Prog), cfg)
+	a, err := Analyze(app.Prog, trace.BytesSource(damaged, app.Prog, trace.FileOptions{Recover: true}), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,10 +18,7 @@ func TestWindowReplayAllocs(t *testing.T) {
 	const blocks = 20_000
 	tr := app.Trace(0, blocks)
 	path := writeSyncTrace(t, app, tr)
-	src, err := trace.IndexedFileSource(path, app.Prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := trace.FileSourceOptions(path, app.Prog, trace.FileOptions{Index: true})
 	windows := benchWindows(blocks)
 	run := func() {
 		err := replayWindows(src, windows, 256, func(w window, at func(int32) program.BlockID) {})

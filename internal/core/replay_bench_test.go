@@ -32,15 +32,11 @@ func benchWindowReplay(b *testing.B, indexed bool) {
 	const blocks = 20_000
 	tr := app.Trace(0, blocks)
 	path := writeSyncTrace(b, app, tr)
-	var src blockseq.Source
-	if indexed {
-		isrc, err := trace.IndexedFileSource(path, app.Prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		src = isrc
-	} else {
-		src = trace.FileSource(path, app.Prog)
+	src := trace.FileSourceOptions(path, app.Prog, trace.FileOptions{Index: indexed})
+	// One untimed pass maps the file and, when indexed, builds the seek
+	// index.
+	if _, err := blockseq.Collect(src); err != nil {
+		b.Fatal(err)
 	}
 	windows := benchWindows(blocks)
 	counting := src.(trace.DecodeCounting)

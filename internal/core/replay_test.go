@@ -96,14 +96,11 @@ func TestAnalyzeIndexedMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromFile, err := Analyze(app.Prog, trace.FileSource(path, app.Prog), cfg)
+	fromFile, err := Analyze(app.Prog, trace.FileSourceOptions(path, app.Prog, trace.FileOptions{}), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, err := trace.IndexedFileSource(path, app.Prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	indexed := trace.FileSourceOptions(path, app.Prog, trace.FileOptions{Index: true})
 	fromIndexed, err := Analyze(app.Prog, indexed, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +124,7 @@ func TestAnalyzeOpenCountFlat(t *testing.T) {
 	cfg.L1I.Ways = 2
 
 	before := trace.FileOpens()
-	if _, err := Analyze(app.Prog, trace.FileSource(path, app.Prog), cfg); err != nil {
+	if _, err := Analyze(app.Prog, trace.FileSourceOptions(path, app.Prog, trace.FileOptions{}), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if n := trace.FileOpens() - before; n != 1 {
@@ -144,10 +141,7 @@ func TestWindowReplayDecodeBudget(t *testing.T) {
 	const blocks = 20_000
 	tr := app.Trace(0, blocks)
 	path := writeSyncTrace(t, app, tr)
-	src, err := trace.IndexedFileSource(path, app.Prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := trace.FileSourceOptions(path, app.Prog, trace.FileOptions{Index: true})
 
 	const maxWin, span, stride = 256, 200, 2_000
 	var windows []window
@@ -157,7 +151,7 @@ func TestWindowReplayDecodeBudget(t *testing.T) {
 	counting := src.(trace.DecodeCounting)
 	before := counting.DecodedBlocks()
 	visited := 0
-	err = replayWindows(src, windows, maxWin, func(w window, at func(int32) program.BlockID) {
+	err := replayWindows(src, windows, maxWin, func(w window, at func(int32) program.BlockID) {
 		// The served blocks must be the real trace, not ring leftovers.
 		for ti := w.start + 1; ti <= w.end; ti++ {
 			if at(ti) != tr[ti] {

@@ -151,26 +151,14 @@ type appState struct {
 // New builds a suite. Invalid app names surface on first use.
 func New(cfg Config) *Suite {
 	cfg = cfg.normalize()
-	var store runner.StoreBackend
-	switch {
-	case cfg.StoreURL != "":
-		cl, err := rippled.NewClient(cfg.StoreURL, rippled.ClientOptions{Log: cfg.Log})
-		if err != nil {
-			if cfg.Log != nil {
-				fmt.Fprintf(cfg.Log, "experiment: remote result store disabled: %v\n", err)
-			}
-		} else {
-			store = cl
+	// An unusable store degrades the suite to running without one.
+	store, err := rippled.OpenStore(cfg.StoreURL, cfg.CacheDir, cfg.Log)
+	if err != nil && cfg.Log != nil {
+		what := "result cache"
+		if cfg.StoreURL != "" {
+			what = "remote result store"
 		}
-	case cfg.CacheDir != "":
-		st, err := runner.OpenStore(cfg.CacheDir)
-		if err != nil {
-			if cfg.Log != nil {
-				fmt.Fprintf(cfg.Log, "experiment: result cache disabled: %v\n", err)
-			}
-		} else {
-			store = st
-		}
+		fmt.Fprintf(cfg.Log, "experiment: %s disabled: %v\n", what, err)
 	}
 	pool := runner.New(runner.Options{Workers: cfg.Workers, Store: store, Log: cfg.Log, Retries: cfg.Retries})
 	s := &Suite{

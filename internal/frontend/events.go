@@ -79,8 +79,8 @@ const (
 // AccessEvents exposes the full demand+prefetch access stream of a
 // configured frontend run as a replayable opt.EventSource: each Open
 // re-runs the (deterministic) simulation with fresh policy/prefetcher
-// state from newOpts and streams exactly the post-warmup events that
-// Options.RecordStream would have materialized, batched through a bounded
+// state from newOpts and streams exactly the post-warmup demand accesses
+// and prefetch probes the run's L1I counts, batched through a bounded
 // channel from a producing goroutine. This is what lets the oracle
 // engines replay a simulated access stream twice without ever holding it
 // in memory.
@@ -88,8 +88,8 @@ const (
 // newOpts must return an equivalent, freshly-stateful Options on every
 // call (a shared Policy instance would carry state across passes and
 // break replayability — the engine detects that and reports
-// opt.ErrNotReplayable). RecordStream and the event hooks are overridden
-// by the source itself.
+// opt.ErrNotReplayable). The event hooks are overridden by the source
+// itself.
 //
 // Abandoning a pass without draining it requires calling Stop (the
 // returned sequences implement opt.EventStopper); the oracle engines do
@@ -184,7 +184,6 @@ func (a *accessEvents) produce(q *accessSeq) {
 	}
 	var warm []opt.Event
 
-	opts.RecordStream = false
 	opts.onEvent = func(e opt.Event) {
 		if aborted {
 			return

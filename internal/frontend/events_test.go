@@ -79,7 +79,11 @@ func TestDemandEventsMatchesDemandLines(t *testing.T) {
 	}
 }
 
-func TestAccessEventsMatchesRecordStream(t *testing.T) {
+// TestAccessEventsCountsMatchAccesses: across warmup boundaries, a pass
+// carries exactly the post-warmup demand accesses and prefetch probes
+// the run's L1I counted, and every pass replays the identical stream
+// (replayability is what the two-pass oracle engines rely on).
+func TestAccessEventsCountsMatchAccesses(t *testing.T) {
 	p := smallParams()
 	prog := loopProgram(t)
 	tr := trace(0, 1, 2, 3, 4, 0, 1, 2, 3, 4)
@@ -92,29 +96,37 @@ func TestAccessEventsMatchesRecordStream(t *testing.T) {
 			}, nil
 		}
 		opts, _ := newOpts()
-		opts.RecordStream = true
 		res, err := Run(p, prog, tr, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if warm == 0 && res.L1I.PrefetchProbes == 0 {
+			t.Fatal("test is vacuous: the prefetcher issued nothing")
+		}
 		for _, src := range []blockseq.Source{tr, opaque(tr)} {
 			es := AccessEvents(p, prog, src, newOpts)
-			// Two passes must both reproduce the recorded stream exactly
-			// (replayability is what the two-pass oracle engines rely on).
-			for pass := 0; pass < 2; pass++ {
-				got := drainEvents(t, es)
-				want := res.Stream
-				if len(want) == 0 {
-					want = nil
+			first := drainEvents(t, es)
+			var demand, prefetches uint64
+			for _, e := range first {
+				if e.Prefetch {
+					prefetches++
+				} else {
+					demand++
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("warm=%d pass=%d: stream diverged:\n got %v\nwant %v", warm, pass, got, want)
-				}
+			}
+			if demand != res.L1I.DemandAccesses || prefetches != res.L1I.PrefetchProbes {
+				t.Fatalf("warm=%d: %d demand + %d prefetch events, L1I counted %d + %d",
+					warm, demand, prefetches, res.L1I.DemandAccesses, res.L1I.PrefetchProbes)
+			}
+			if again := drainEvents(t, es); !reflect.DeepEqual(first, again) {
+				t.Fatalf("warm=%d: second pass diverged:\n got %v\nwant %v", warm, again, first)
 			}
 		}
 	}
 }
 
+// TestAccessEventsFeedsOracle: the streaming Demand-MIN engine over
+// AccessEvents matches the slice engine over the same events, drained.
 func TestAccessEventsFeedsOracle(t *testing.T) {
 	p := smallParams()
 	prog := loopProgram(t)
@@ -122,14 +134,9 @@ func TestAccessEventsFeedsOracle(t *testing.T) {
 	newOpts := func() (Options, error) {
 		return Options{Policy: replacement.NewLRU(), Prefetcher: prefetchNLP(prog)}, nil
 	}
-	opts, _ := newOpts()
-	opts.RecordStream = true
-	res, err := Run(p, prog, tr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := opt.Simulate(res.Stream, p.L1I, opt.ModeDemandMIN, false)
-	got, err := opt.SimulateSource(AccessEvents(p, prog, tr, newOpts), p.L1I, opt.ModeDemandMIN, false)
+	events := AccessEvents(p, prog, tr, newOpts)
+	want := opt.Simulate(drainEvents(t, events), p.L1I, opt.ModeDemandMIN, false)
+	got, err := opt.SimulateSource(events, p.L1I, opt.ModeDemandMIN, false)
 	if err != nil {
 		t.Fatal(err)
 	}

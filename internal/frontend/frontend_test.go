@@ -229,20 +229,30 @@ func TestWarmupExcludesCounters(t *testing.T) {
 	}
 }
 
-func TestRecordStreamMatchesAccesses(t *testing.T) {
+// TestAccessEventsWithoutPrefetcherAreDemandLines: with no prefetcher a
+// run's access stream is exactly the demand-line expansion of its trace,
+// one event per L1I demand access.
+func TestAccessEventsWithoutPrefetcherAreDemandLines(t *testing.T) {
 	p := smallParams()
 	prog := loopProgram(t)
 	tr := trace(0, 1, 2, 0, 1)
-	res, err := Run(p, prog, tr, Options{Policy: replacement.NewLRU(), RecordStream: true})
+	newOpts := func() (Options, error) { return Options{Policy: replacement.NewLRU()}, nil }
+	opts, _ := newOpts()
+	res, err := Run(p, prog, tr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if uint64(len(res.Stream)) != res.L1I.DemandAccesses {
-		t.Fatalf("stream %d events, %d demand accesses", len(res.Stream), res.L1I.DemandAccesses)
+	lines, _, err := DemandLines(prog, tr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, e := range res.Stream {
-		if e.Prefetch {
-			t.Fatal("prefetch event without a prefetcher")
+	got := drainEvents(t, AccessEvents(p, prog, tr, newOpts))
+	if len(got) != len(lines) || uint64(len(got)) != res.L1I.DemandAccesses {
+		t.Fatalf("%d events, %d demand lines, %d demand accesses", len(got), len(lines), res.L1I.DemandAccesses)
+	}
+	for i, e := range got {
+		if e.Prefetch || e.Line != lines[i] {
+			t.Fatalf("event %d = %+v, want demand line %#x", i, e, lines[i])
 		}
 	}
 }

@@ -31,13 +31,6 @@ type Options struct {
 	Prefetcher prefetch.Prefetcher
 	// Hints selects invalidate vs. demote execution of injected hints.
 	Hints HintMode
-	// RecordStream materializes the full demand+prefetch line-event
-	// stream on Result.Stream — 16 bytes per post-warmup access, i.e.
-	// O(trace) memory. It is a legacy opt-in for callers that genuinely
-	// need the slice; every oracle consumer should instead replay the
-	// run through AccessEvents, which streams the identical events
-	// without materializing them.
-	RecordStream bool
 	// MeasureAccuracy scores every replacement decision against the
 	// Belady next-use oracle (costs one pass over the trace up front).
 	MeasureAccuracy bool
@@ -91,9 +84,6 @@ type Result struct {
 	PolicyOptimal   uint64
 	HintEvictions   uint64
 	HintOptimal     uint64
-
-	// Stream is the recorded access stream (RecordStream only).
-	Stream []opt.Event
 
 	// BranchMPKI is control-flow mispredictions per kilo-instruction
 	// (FDIP runs only; 0 otherwise).
@@ -241,10 +231,6 @@ func Run(p Params, prog *program.Program, src blockseq.Source, opts Options) (Re
 	if !opts.ColdHierarchy {
 		s.prewarm()
 	}
-	if opts.RecordStream {
-		res.Stream = make([]opt.Event, 0, blockseq.CapHint(src, 512)*2)
-	}
-
 	if err := s.run(src); err != nil {
 		return Result{}, fmt.Errorf("frontend: %w", err)
 	}
@@ -319,12 +305,7 @@ func (s *sim) snapshotWarm() {
 	snap := *s.res
 	snap.Cycles = uint64(s.cycleF)
 	snap.L1I = s.l1i.Stats
-	snap.Stream = nil
 	s.warmSnap = &snap
-	if s.opts.RecordStream {
-		// The oracle replays only the measured region.
-		s.res.Stream = s.res.Stream[:0]
-	}
 	if s.opts.onWarmupEnd != nil {
 		s.opts.onWarmupEnd()
 	}
@@ -374,9 +355,6 @@ func (s *sim) stall(cycles float64) {
 // demandAccess performs one demand instruction-line access, charging the
 // exposed miss latency.
 func (s *sim) demandAccess(l uint64) {
-	if s.opts.RecordStream {
-		s.res.Stream = append(s.res.Stream, opt.Event{Line: l})
-	}
 	if s.opts.onEvent != nil {
 		s.opts.onEvent(opt.Event{Line: l})
 	}
@@ -432,9 +410,6 @@ func (s *sim) issuePrefetch(l uint64) {
 		if s.oracle != nil {
 			s.scoreEviction(r, l, s.pos-1)
 		}
-	}
-	if s.opts.RecordStream {
-		s.res.Stream = append(s.res.Stream, opt.Event{Line: l, Prefetch: true})
 	}
 	if s.opts.onEvent != nil {
 		s.opts.onEvent(opt.Event{Line: l, Prefetch: true})

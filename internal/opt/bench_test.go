@@ -26,10 +26,9 @@ func benchEvents(n int) []Event {
 	return ev
 }
 
-// BenchmarkOracle compares the three oracle paths at two trace lengths.
-// B/op is the point: legacy-slice pays the caller-side []Event
-// materialization plus the index, exact-stream pays the index only, and
-// sampled is flat regardless of trace length.
+// BenchmarkOracle compares the two streaming oracle engines at two
+// trace lengths. B/op is the point: exact-stream pays an 8 B/event
+// next-use index, and sampled is flat regardless of trace length.
 func BenchmarkOracle(b *testing.B) {
 	for _, n := range []int{50000, 500000} {
 		ev := benchEvents(n)
@@ -41,22 +40,6 @@ func BenchmarkOracle(b *testing.B) {
 				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 			})
 		}
-		run("legacy-slice", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// The RecordStream-era shape: materialize the stream,
-				// then hand the slice to the engine.
-				buf := make([]Event, 0, len(ev))
-				seq := src.Open()
-				for {
-					e, ok := seq.Next()
-					if !ok {
-						break
-					}
-					buf = append(buf, e)
-				}
-				Simulate(buf, benchCfg, ModeDemandMIN, false)
-			}
-		})
 		run("exact-stream", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := SimulateSource(src, benchCfg, ModeDemandMIN, false); err != nil {

@@ -134,6 +134,29 @@ func NewClient(baseURL string, opts ClientOptions) (*Client, error) {
 	return c, nil
 }
 
+// OpenStore returns the result store a -store/-cachedir pair names: a
+// client of the rippled server at storeURL (log receives its
+// degradation notices), else the local directory store at cacheDir,
+// else nil — no persistence. storeURL wins when both are set; the CLIs
+// reject that combination before calling.
+func OpenStore(storeURL, cacheDir string, log io.Writer) (runner.StoreBackend, error) {
+	switch {
+	case storeURL != "":
+		cl, err := NewClient(storeURL, ClientOptions{Log: log})
+		if err != nil {
+			return nil, err
+		}
+		return cl, nil
+	case cacheDir != "":
+		st, err := runner.OpenStore(cacheDir)
+		if err != nil {
+			return nil, err
+		}
+		return st, nil
+	}
+	return nil, nil
+}
+
 // Owner returns the identity this client leases under.
 func (c *Client) Owner() string { return c.owner }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"ripple/internal/isa"
 	"ripple/internal/program"
@@ -128,19 +127,11 @@ type Decoder struct {
 	// and records no damage region for them.
 	interrupt func(error) bool
 
-	// stopAtSync makes step return errStopSync at a mid-walk sync point
-	// instead of consuming it: a parallel region worker decodes exactly
-	// one sync region and lets the fan-in splice the next. The run's own
-	// starting sync (cur == NoBlock) is still consumed.
-	stopAtSync bool
-
 	// tipCache memoizes entry-IP → block lookups for the whole-buffer
 	// batch fast path: TIP targets repeat heavily (hot indirect callees,
 	// return sites), and the program's map lookup dominates TIP decode
-	// cost. Allocated on first use, keyed to tipProg so a pooled decoder
-	// reused against a different program cannot serve stale entries.
+	// cost. Allocated on first use.
 	tipCache *[tipCacheSize]tipCacheEnt
-	tipProg  *program.Program
 }
 
 // tipCacheSize is the direct-mapped TIP target cache size (8 KB).
@@ -150,11 +141,6 @@ type tipCacheEnt struct {
 	ip uint64
 	id program.BlockID
 }
-
-// errStopSync is the internal sentinel a stopAtSync decode surfaces at
-// the next mid-walk sync point. It never escapes the package: only the
-// parallel region workers set stopAtSync.
-var errStopSync = errors.New("trace: stopped at sync point")
 
 // NewDecoder opens a packet stream produced by an Encoder over the same
 // (identically laid out) program, in strict (fail-fast) mode.
@@ -183,13 +169,9 @@ func newDecoder(r io.Reader, prog *program.Program, rec bool) (*Decoder, error) 
 	return d, nil
 }
 
-// NewBytesDecoder opens an in-memory packet stream in strict mode,
-// decoding by direct indexing: no internal buffering, no copies. Over a
-// memory-mapped trace file this is the zero-copy decode path.
-func NewBytesDecoder(data []byte, prog *program.Program) (*Decoder, error) {
-	return newBytesDecoder(data, prog, false)
-}
-
+// newBytesDecoder opens an in-memory packet stream, decoding by direct
+// indexing: no internal buffering, no copies. Over a memory-mapped trace
+// file this is the zero-copy decode path.
 func newBytesDecoder(data []byte, prog *program.Program, rec bool) (*Decoder, error) {
 	d := &Decoder{
 		whole: true,
@@ -269,23 +251,6 @@ func ResumeDecoder(r io.Reader, prog *program.Program, spec ResumeSpec) (*Decode
 	return d, nil
 }
 
-// ResumeBytesDecoder is ResumeDecoder over an in-memory stream: buf must
-// begin exactly at the sync point's PSB magic (for a mapped trace file,
-// mapping[spec.Off:]).
-func ResumeBytesDecoder(buf []byte, prog *program.Program, spec ResumeSpec) (*Decoder, error) {
-	if spec.Emitted > spec.Declared {
-		return nil, fmt.Errorf("trace: resume at %d blocks emitted exceeds declared %d", spec.Emitted, spec.Declared)
-	}
-	d := &Decoder{
-		whole: true,
-		buf:   buf,
-		prog:  prog,
-		cur:   program.NoBlock,
-	}
-	d.applySpec(spec)
-	return d, nil
-}
-
 // applySpec positions a freshly reset decoder at a resume point.
 func (d *Decoder) applySpec(spec ResumeSpec) {
 	d.rec = spec.Recover
@@ -297,11 +262,11 @@ func (d *Decoder) applySpec(spec ResumeSpec) {
 }
 
 // Reset repositions d at a sync point of an in-memory stream, exactly
-// like ResumeBytesDecoder but reusing d's allocations — the return
-// stack, damage-region backing, and (in streaming mode) the read buffer
-// are retained — so a steady-state seek restart allocates nothing. buf
-// must begin exactly at the sync point's PSB magic. Observers (OnSync,
-// SetInterrupt) are cleared.
+// like ResumeDecoder over that stream but reusing d's allocations — the
+// return stack, damage-region backing, and (in streaming mode) the read
+// buffer are retained — so a steady-state seek restart allocates
+// nothing. buf must begin exactly at the sync point's PSB magic.
+// Observers (OnSync, SetInterrupt) are cleared.
 func (d *Decoder) Reset(buf []byte, spec ResumeSpec) error {
 	if spec.Emitted > spec.Declared {
 		return fmt.Errorf("trace: resume at %d blocks emitted exceeds declared %d", spec.Emitted, spec.Declared)
@@ -362,35 +327,7 @@ func (d *Decoder) reset() {
 	d.report = DecodeReport{Regions: d.report.Regions[:0]}
 	d.priorDamage = false
 	d.onSync, d.interrupt = nil, nil
-	d.stopAtSync = false
 }
-
-// decoderPool recycles Decoders for short-lived decodes (parallel region
-// workers): a pooled decoder keeps its return-stack and read-buffer
-// capacity, so steady-state cold starts allocate nothing.
-var decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
-
-func getDecoder(prog *program.Program) *Decoder {
-	d := decoderPool.Get().(*Decoder)
-	d.prog = prog
-	return d
-}
-
-// putDecoder returns a decoder to the pool. Input references are dropped
-// so pooling never pins an mmap'd trace or a caller's reader.
-func putDecoder(d *Decoder) {
-	d.reset()
-	d.whole, d.buf, d.pos = false, nil, 0
-	if d.r != nil {
-		d.r.Reset(eofReader{})
-	}
-	d.prog = nil
-	decoderPool.Put(d)
-}
-
-type eofReader struct{}
-
-func (eofReader) Read([]byte) (int, error) { return 0, io.EOF }
 
 // OnSync registers an observer for every sync point the decode passes
 // (see the field's contract). It must be set before the first Next.
@@ -571,14 +508,11 @@ func (d *Decoder) nextTIP() (program.BlockID, error) {
 // lookupEntry is prog.BlockAtEntry through the decoder's direct-mapped
 // TIP cache.
 func (d *Decoder) lookupEntry(ip uint64) (program.BlockID, bool) {
-	if d.tipProg != d.prog {
-		if d.tipCache == nil {
-			d.tipCache = new([tipCacheSize]tipCacheEnt)
-		}
+	if d.tipCache == nil {
+		d.tipCache = new([tipCacheSize]tipCacheEnt)
 		for i := range d.tipCache {
 			d.tipCache[i].id = program.NoBlock
 		}
-		d.tipProg = d.prog
 	}
 	e := &d.tipCache[(ip*0x9E3779B97F4A7C15)>>55%tipCacheSize]
 	if e.ip == ip && e.id != program.NoBlock {
@@ -702,13 +636,6 @@ func (d *Decoder) Next() (program.BlockID, error) {
 				}
 				break
 			}
-			d.err = err
-			return program.NoBlock, err
-		}
-		if err == errStopSync {
-			// A stopAtSync decode reached the next region's sync point:
-			// surface it without consuming the magic or accounting
-			// anything. The decoder is done; d.off names the magic.
 			d.err = err
 			return program.NoBlock, err
 		}
@@ -1053,9 +980,6 @@ func (d *Decoder) step() (program.BlockID, error) {
 	// and must not be consumed yet.
 	if d.nbits == 0 && syncableTerm(b.Term) {
 		if d.peekSync() {
-			if d.stopAtSync {
-				return program.NoBlock, errStopSync
-			}
 			return d.stepSync()
 		}
 		if d.peekSyncTail() {

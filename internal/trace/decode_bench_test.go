@@ -17,16 +17,14 @@ import (
 // The decode benchmarks measure raw trace replay throughput: one full
 // pass over an encoded file, reported as blocks/op so
 // scripts/bench_replay.sh can derive blocks_per_sec (blocks/op divided
-// by ns/op). Four variants bracket the hot path:
+// by ns/op). Three variants bracket the hot path:
 //
 //	DecodeNextLoop  — plain NewDecoder + per-block Next over a buffered
 //	                  reader: the pre-batching baseline shape.
-//	DecodeSerial    — FileSource with mmap disabled: batched decode over
-//	                  the ReadAt fallback.
-//	DecodeMmap      — FileSource default: batched decode over zero-copy
-//	                  slices of the mapping.
-//	DecodeParallel  — 4 region decoders over the mapping, fan-in in
-//	                  stream order.
+//	DecodeSerial    — a file source forced onto the ReadAt fallback:
+//	                  batched decode through the shared descriptor.
+//	DecodeMmap      — a file source as opened: batched decode over
+//	                  zero-copy slices of the mapping.
 //
 // The trace is built once per process. RIPPLE_DECODE_BENCH_BLOCKS scales
 // it (default 200k blocks, a few hundred KB — CI smoke territory);
@@ -149,21 +147,14 @@ func benchDecodeSource(b *testing.B, src blockseq.Source) {
 }
 
 // BenchmarkDecodeSerial is one batched pass over the ReadAt fallback
-// (mmap disabled).
+// (the mapping pre-failed, as on a platform without mmap).
 func BenchmarkDecodeSerial(b *testing.B) {
 	path, prog, _ := decodeBenchTrace(b)
-	benchDecodeSource(b, FileSourceOptions(path, prog, FileOptions{NoMmap: true}))
+	benchDecodeSource(b, readAtSource(path, prog, FileOptions{}))
 }
 
 // BenchmarkDecodeMmap is one batched pass over the file's mapping.
 func BenchmarkDecodeMmap(b *testing.B) {
 	path, prog, _ := decodeBenchTrace(b)
-	benchDecodeSource(b, FileSource(path, prog))
-}
-
-// BenchmarkDecodeParallel decodes PSB regions on 4 workers, fanned back
-// in stream order.
-func BenchmarkDecodeParallel(b *testing.B) {
-	path, prog, _ := decodeBenchTrace(b)
-	benchDecodeSource(b, FileSourceOptions(path, prog, FileOptions{Decoders: 4}))
+	benchDecodeSource(b, FileSourceOptions(path, prog, FileOptions{}))
 }

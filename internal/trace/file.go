@@ -38,7 +38,7 @@ type fileHandle struct {
 	// it with no close hook (a blockseq pass may simply be abandoned),
 	// so unmapping on Close would be a use-after-free hazard. mapErr
 	// caches a failed attempt so the ReadAt fallback is chosen once,
-	// not retried per pass.
+	// not retried per pass; tests preset it to force that fallback.
 	mapped []byte
 	mapErr error
 }
@@ -123,17 +123,6 @@ func (h *fileHandle) ReadAt(p []byte, off int64) (int, error) {
 
 // reader returns an independent reader over the whole file.
 func (h *fileHandle) reader() (*io.SectionReader, error) { return h.readerAt(0) }
-
-// open adapts the handle to the NewSource open-callback shape. The
-// returned closer is a no-op: the underlying descriptor is shared and
-// owned by the handle.
-func (h *fileHandle) open() (io.ReadCloser, error) {
-	r, err := h.reader()
-	if err != nil {
-		return nil, err
-	}
-	return io.NopCloser(r), nil
-}
 
 // sha256 hashes the file's full contents.
 func (h *fileHandle) sha256() ([32]byte, error) {

@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ripple/internal/blockseq"
+	"ripple/internal/program"
 )
 
 import wl "ripple/internal/workload"
@@ -164,6 +166,76 @@ func FuzzDecodeRecover(f *testing.F) {
 				if got[i] != strictBlocks[i] {
 					t.Fatalf("recovery diverges from strict at %d", i)
 				}
+			}
+		}
+	})
+}
+
+// FuzzDecodeSource drives arbitrary bytes through a BytesSource pass —
+// the batched NextBatch fast path behind every trace source, with
+// Collect pre-sizing from the header's declared count (blockseq.CapHint;
+// the committed corpus entry 17128cdf4b3fc0af is a hostile header that
+// once forced an unbounded allocation there). Whatever the input, the
+// pass must reproduce the per-block reference decode exactly: Decode in
+// strict mode, DecodeRecover with rec — same blocks, same error text,
+// same recovery report.
+func FuzzDecodeSource(f *testing.F) {
+	app, err := buildFuzzApp()
+	if err != nil {
+		f.Fatal(err)
+	}
+	var clean bytes.Buffer
+	if _, err := EncodeSourceSync(&clean, app.Prog, blockseq.SliceSource(app.Trace(0, 800)), 64); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(clean.Bytes(), true)
+	dmg := append([]byte(nil), clean.Bytes()...)
+	if len(dmg) > 40 {
+		dmg[len(dmg)/3] ^= 0xA5
+	}
+	f.Add(dmg, true)
+	f.Add(dmg, false)
+	f.Add([]byte{}, false)
+	f.Add(append([]byte{pktPSB, 0x20}, psbMagic[:]...), true)
+
+	f.Fuzz(func(t *testing.T, data []byte, rec bool) {
+		var want []program.BlockID
+		var wantRep DecodeReport
+		var wantErr error
+		if rec {
+			want, wantRep, wantErr = DecodeRecover(bytes.NewReader(data), app.Prog)
+		} else {
+			want, wantErr = Decode(bytes.NewReader(data), app.Prog)
+		}
+		src := BytesSource(data, app.Prog, FileOptions{Recover: rec})
+		got, gotErr := blockseq.Collect(src)
+
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("reference err = %v, source err = %v", wantErr, gotErr)
+		}
+		if wantErr != nil {
+			if wantErr.Error() != gotErr.Error() {
+				t.Fatalf("error text differs:\n  reference: %v\n  source:    %v", wantErr, gotErr)
+			}
+			if !rec {
+				return // strict Decode drops the blocks before the error
+			}
+		}
+		if len(want) != len(got) {
+			t.Fatalf("source decoded %d blocks, reference %d", len(got), len(want))
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("source diverges from reference at block %d", i)
+			}
+		}
+		if rec && wantErr == nil {
+			gotRep, ok := src.(Reporting).DecodeReport()
+			if !ok {
+				t.Fatal("completed recovery pass published no report")
+			}
+			if !reflect.DeepEqual(wantRep, gotRep) {
+				t.Fatalf("reports differ:\n  reference: %+v\n  source:    %+v", wantRep, gotRep)
 			}
 		}
 	})

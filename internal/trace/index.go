@@ -20,7 +20,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"ripple/internal/blockseq"
 	"ripple/internal/program"
@@ -151,8 +150,8 @@ func WriteIndexFile(path string, idx *Index, traceSHA [32]byte, traceLen int64) 
 // does not match, and the underlying error (e.g. fs.ErrNotExist) when
 // the sidecar cannot be read; callers rebuild on any failure. A sidecar
 // covering a verified prefix of a longer trace is also stale to this
-// call — IndexedFileSource additionally tries the cheaper extension path
-// before rebuilding.
+// call — an indexed source (FileOptions.Index) additionally tries the
+// cheaper extension path before rebuilding.
 func LoadIndexFile(path string, traceSHA [32]byte, traceLen int64) (*Index, error) {
 	idx, gotSHA, gotLen, err := readIndexSidecar(path)
 	if err != nil {
@@ -273,60 +272,56 @@ func putUvarint(b *bytes.Buffer, v uint64) {
 	b.Write(buf[:n])
 }
 
-// IndexedFileSource streams an encoded trace file with seek support: its
-// passes implement blockseq.Seeker (SeekBlock repositions at the nearest
-// sync point at or before the target and decodes forward) and
-// blockseq.Checkpointer (marks are block ordinals). One os.File serves
-// every pass via ReadAt.
-//
-// The `.ptidx` sidecar is loaded when present and keyed to the file's
-// current SHA-256 and length; a missing, corrupt, or stale sidecar
-// triggers an index rebuild (one strict decode) and a best-effort
-// rewrite. A sidecar covering a shorter trace whose recorded prefix
-// still hashes clean — the trace only grew since it was written, e.g. by
-// an incremental producer like ripplewatch — is extended instead: the
-// scan resumes at the last recorded sync point, so the cost is the new
-// suffix, not the whole file. The stream must decode cleanly — recovery
-// mode and seeking don't compose, since a seek target inside a damaged
-// region has no well-defined decode.
-//
-// The source also implements DecodeCounting: DecodedBlocks meters total
-// decode work across all passes, including blocks discarded while
-// seeking.
-func IndexedFileSource(path string, prog *program.Program) (blockseq.Source, error) {
-	return IndexedFileSourceOptions(path, prog, FileOptions{})
+// errIndexRecover fails every pass of a source with both Index and
+// Recover set (see FileOptions.Index).
+var errIndexRecover = errors.New("trace: indexed sources decode strictly; recovery and seeking don't compose")
+
+// openIndexed starts a seekable pass at block 0.
+func (s *source) openIndexed() blockseq.Seq {
+	idx, err := s.seekIndex()
+	if err != nil {
+		return &indexedSeq{err: err, done: true}
+	}
+	seq := &indexedSeq{src: s, idx: idx}
+	if err := seq.restart(0); err != nil {
+		return &indexedSeq{err: err, done: true}
+	}
+	return seq
 }
 
-// IndexedFileSourceOptions is IndexedFileSource with explicit read
-// options. Only NoMmap applies: indexed passes restart at arbitrary sync
-// points on every seek, which parallel region decoding cannot serve, so
-// Decoders is ignored; Recover is rejected because recovery and seeking
-// don't compose (see IndexedFileSource).
-func IndexedFileSourceOptions(path string, prog *program.Program, o FileOptions) (blockseq.Source, error) {
-	if o.Recover {
-		return nil, errors.New("trace: indexed sources decode strictly; recovery and seeking don't compose")
+// seekIndex returns the file's seek index, building it on first use
+// (see FileOptions.Index). Only a built index is kept: a failed build
+// is retried by the next pass, like a failed file open.
+func (s *source) seekIndex() (*Index, error) {
+	if s.rec {
+		return nil, errIndexRecover
 	}
-	h := &fileHandle{path: path}
-	sha, err := h.sha256()
+	s.idxMu.Lock()
+	defer s.idxMu.Unlock()
+	if s.idx != nil {
+		return s.idx, nil
+	}
+	sha, err := s.h.sha256()
 	if err != nil {
 		return nil, err
 	}
-	r, err := h.reader()
+	r, err := s.h.reader()
 	if err != nil {
 		return nil, err
 	}
 	size := r.Size()
-	sidecar := IndexPath(path)
-	idx := loadOrExtendIndex(sidecar, h, size, sha, prog)
+	sidecar := IndexPath(s.h.path)
+	idx := loadOrExtendIndex(sidecar, s.h, size, sha, s.prog)
 	if idx == nil {
-		if idx, err = BuildIndex(r, prog); err != nil {
+		if idx, err = BuildIndex(r, s.prog); err != nil {
 			return nil, err
 		}
 		// The sidecar is a cache: failing to persist it (read-only
 		// directory, say) costs the next open a rebuild, nothing more.
 		_ = WriteIndexFile(sidecar, idx, sha, size)
 	}
-	return &indexedSource{h: h, prog: prog, idx: idx, mmapOK: !o.NoMmap}, nil
+	s.idx = idx
+	return idx, nil
 }
 
 // loadOrExtendIndex returns a usable index from the sidecar — loaded
@@ -356,56 +351,14 @@ func loadOrExtendIndex(sidecar string, h *fileHandle, size int64, sha [32]byte, 
 	return ext
 }
 
-type indexedSource struct {
-	h       *fileHandle
-	prog    *program.Program
-	idx     *Index
-	mmapOK  bool
-	decoded atomic.Uint64
-}
-
-// data returns the file's mapping when mmap is enabled and available.
-func (s *indexedSource) data() ([]byte, bool) {
-	if !s.mmapOK {
-		return nil, false
-	}
-	m, err := s.h.data()
-	if err != nil {
-		return nil, false
-	}
-	return m, true
-}
-
-// Open starts a pass at block 0.
-func (s *indexedSource) Open() blockseq.Seq {
-	seq := &indexedSeq{src: s}
-	if err := seq.restart(0); err != nil {
-		return &indexedSeq{err: err, done: true}
-	}
-	return seq
-}
-
-// LenHint reports the header's declared count (indexed streams decode
-// strictly, so the count is exact).
-func (s *indexedSource) LenHint() (int, bool) { return int(s.idx.Declared), true }
-
-// DecodedBlocks implements DecodeCounting.
-func (s *indexedSource) DecodedBlocks() uint64 { return s.decoded.Load() }
-
-// Index exposes the seek table (diagnostics, tests).
-func (s *indexedSource) Index() *Index { return s.idx }
-
-// Close releases the shared file descriptor. Passes opened later reopen
-// it transparently.
-func (s *indexedSource) Close() error { return s.h.Close() }
-
 // indexedSeq is one seekable pass. It owns a single Decoder reused
 // across every restart (a seek may restart at a new sync point many
 // times per pass), so steady-state repositioning allocates nothing:
 // over a mapped file a restart is a pure Reset onto a subslice; over
 // the ReadAt fallback the decoder's read buffer is retained.
 type indexedSeq struct {
-	src  *indexedSource
+	src  *source
+	idx  *Index
 	d    *Decoder
 	pos  uint64 // ordinal of the block the next Next returns
 	done bool
@@ -437,7 +390,7 @@ func (s *indexedSeq) restart(at uint64) error {
 	if s.d == nil {
 		s.d = &Decoder{prog: s.src.prog, cur: program.NoBlock}
 	}
-	data, mapped := s.src.data()
+	data, mapped := s.src.wholeInput()
 	if at == 0 {
 		var err error
 		if mapped {
@@ -454,11 +407,11 @@ func (s *indexedSeq) restart(at uint64) error {
 		s.pos, s.done = 0, false
 		return nil
 	}
-	e, ok := s.src.idx.nearest(at)
+	e, ok := s.idx.nearest(at)
 	if !ok || e.Block != at {
 		return fmt.Errorf("trace: block %d is not a sync point", at)
 	}
-	spec := ResumeSpec{Declared: s.src.idx.Declared, Emitted: e.Block, Off: e.Off}
+	spec := ResumeSpec{Declared: s.idx.Declared, Emitted: e.Block, Off: e.Off}
 	var err error
 	if mapped {
 		err = s.d.Reset(data[e.Off:], spec)
@@ -485,7 +438,7 @@ func (s *indexedSeq) SeekBlock(n int) error {
 	if s.err != nil {
 		return s.err
 	}
-	declared := s.src.idx.Declared
+	declared := s.idx.Declared
 	if n < 0 || uint64(n) > declared {
 		return fmt.Errorf("trace: seek to block %d outside [0, %d]", n, declared)
 	}
@@ -498,7 +451,7 @@ func (s *indexedSeq) SeekBlock(n int) error {
 	}
 	// Cost of restarting at the best sync point (or the header).
 	start := uint64(0)
-	if e, ok := s.src.idx.nearest(target); ok {
+	if e, ok := s.idx.nearest(target); ok {
 		start = e.Block
 	}
 	if forward <= target-start {

@@ -126,21 +126,36 @@ func TestIndexPathNaming(t *testing.T) {
 	}
 }
 
-// --- IndexedFileSource conformance ------------------------------------
+// --- indexed source conformance --------------------------------------
+
+// indexedFileSource opens path with FileOptions.Index and builds its
+// seek index up front, as its first pass would.
+func indexedFileSource(t *testing.T, path string, prog *program.Program) blockseq.Source {
+	t.Helper()
+	src := FileSourceOptions(path, prog, FileOptions{Index: true})
+	if _, err := src.(*source).seekIndex(); err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
 
 func TestIndexedFileSourceConformance(t *testing.T) {
 	path, _, prog := writeTrace(t, t.TempDir(), 256)
 	open := func(*testing.T) blockseq.Source {
-		src, err := IndexedFileSource(path, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return src
+		return FileSourceOptions(path, prog, FileOptions{Index: true})
 	}
 	blockseqtest.TestSource(t, open)
 	blockseqtest.TestSourceSeek(t, open)
 	blockseqtest.TestSourceCheckpoint(t, open)
 	blockseqtest.TestSourceCheckpointDisk(t, open)
+	t.Run("readat", func(t *testing.T) {
+		open := func(*testing.T) blockseq.Source {
+			return readAtSource(path, prog, FileOptions{Index: true})
+		}
+		blockseqtest.TestSource(t, open)
+		blockseqtest.TestSourceSeek(t, open)
+		blockseqtest.TestSourceCheckpoint(t, open)
+	})
 }
 
 // TestIndexedFileSourceNoSyncPoints: a sync-free stream still seeks
@@ -148,11 +163,7 @@ func TestIndexedFileSourceConformance(t *testing.T) {
 func TestIndexedFileSourceNoSyncPoints(t *testing.T) {
 	path, _, prog := writeTrace(t, t.TempDir(), 0)
 	open := func(*testing.T) blockseq.Source {
-		src, err := IndexedFileSource(path, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return src
+		return FileSourceOptions(path, prog, FileOptions{Index: true})
 	}
 	blockseqtest.TestSourceSeek(t, open)
 	blockseqtest.TestSourceCheckpoint(t, open)
@@ -164,10 +175,7 @@ func TestIndexedFileSourceNoSyncPoints(t *testing.T) {
 // discarded blocks, not the n-block prefix.
 func TestIndexedSeekDecodeBudget(t *testing.T) {
 	path, tr, prog := writeTrace(t, t.TempDir(), 256)
-	src, err := IndexedFileSource(path, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := indexedFileSource(t, path, prog)
 	counting := src.(DecodeCounting)
 	target := len(tr) - 100
 	before := counting.DecodedBlocks()
@@ -289,10 +297,7 @@ func TestIndexSidecarExtendVsRebuildByteIdentity(t *testing.T) {
 	}
 
 	// Opening the grown trace extends the sidecar rather than rebuilding.
-	src, err := IndexedFileSource(path, app.Prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := indexedFileSource(t, path, app.Prog)
 	got, err := blockseq.Collect(src)
 	if err != nil || len(got) != len(tr) {
 		t.Fatalf("decode through extended index: %d blocks, err %v", len(got), err)
@@ -306,9 +311,7 @@ func TestIndexSidecarExtendVsRebuildByteIdentity(t *testing.T) {
 	if err := os.Remove(sidecar); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := IndexedFileSource(path, app.Prog); err != nil {
-		t.Fatal(err)
-	}
+	indexedFileSource(t, path, app.Prog)
 	rebuilt, err := os.ReadFile(sidecar)
 	if err != nil {
 		t.Fatal(err)
@@ -323,9 +326,7 @@ func TestIndexSidecarExtendVsRebuildByteIdentity(t *testing.T) {
 	if err := WriteIndexFile(sidecar, partial, [32]byte{0xBA, 0xD0}, cut); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := IndexedFileSource(path, app.Prog); err != nil {
-		t.Fatal(err)
-	}
+	indexedFileSource(t, path, app.Prog)
 	after, err := os.ReadFile(sidecar)
 	if err != nil {
 		t.Fatal(err)
@@ -349,9 +350,7 @@ func TestIndexSidecarStaleAfterRegenerate(t *testing.T) {
 	if err := os.WriteFile(path, encodedSync(t, app.Prog, oldTrace, 256), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := IndexedFileSource(path, app.Prog); err != nil {
-		t.Fatal(err)
-	}
+	indexedFileSource(t, path, app.Prog)
 	sidecar := IndexPath(path)
 	oldSidecar, err := os.ReadFile(sidecar)
 	if err != nil {
@@ -373,10 +372,7 @@ func TestIndexSidecarStaleAfterRegenerate(t *testing.T) {
 		t.Fatalf("old sidecar against regenerated trace: %v, want ErrIndexStale", err)
 	}
 
-	src, err := IndexedFileSource(path, app.Prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := indexedFileSource(t, path, app.Prog)
 	got, err := blockseq.Collect(src)
 	if err != nil {
 		t.Fatal(err)
@@ -427,9 +423,7 @@ func TestIndexSidecarDamageTreatedAsAbsent(t *testing.T) {
 	for _, d := range damages {
 		t.Run(d.name, func(t *testing.T) {
 			path, tr, prog := writeTrace(t, t.TempDir(), 256)
-			if _, err := IndexedFileSource(path, prog); err != nil {
-				t.Fatal(err)
-			}
+			indexedFileSource(t, path, prog)
 			sidecar := IndexPath(path)
 			d.wreck(t, sidecar)
 			h := &fileHandle{path: path}
@@ -448,11 +442,7 @@ func TestIndexSidecarDamageTreatedAsAbsent(t *testing.T) {
 				// must catch that before the hash comparison does.
 				t.Fatalf("damaged sidecar reported stale, want corrupt: %v", err)
 			}
-			src, err := IndexedFileSource(path, prog)
-			if err != nil {
-				t.Fatalf("open with damaged sidecar: %v", err)
-			}
-			got, err := blockseq.Collect(src)
+			got, err := blockseq.Collect(FileSourceOptions(path, prog, FileOptions{Index: true}))
 			if err != nil || len(got) != len(tr) {
 				t.Fatalf("decode after rebuild: %d blocks, err %v", len(got), err)
 			}
@@ -489,7 +479,7 @@ func TestIndexedSeekFaultPoisonsPass(t *testing.T) {
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	src := &indexedSource{h: &fileHandle{path: path}, prog: app.Prog, idx: idx}
+	src := &source{h: &fileHandle{path: path}, prog: app.Prog, index: true, idx: idx}
 	seq := src.Open()
 	if err := seq.(blockseq.Seeker).SeekBlock(int(target.Block) + 10); err == nil {
 		t.Fatal("seek into damaged region succeeded")
@@ -505,12 +495,12 @@ func TestIndexedSeekFaultPoisonsPass(t *testing.T) {
 // --- descriptor reuse --------------------------------------------------
 
 // TestFileSourceReusesDescriptor: multiple passes (and LenHint) over one
-// FileSource must cost exactly one os.Open.
+// file source must cost exactly one os.Open.
 func TestFileSourceReusesDescriptor(t *testing.T) {
 	path, tr, prog := writeTrace(t, t.TempDir(), 0)
 	for name, src := range map[string]blockseq.Source{
-		"strict":  FileSource(path, prog),
-		"recover": RecoverFileSource(path, prog),
+		"strict":  FileSourceOptions(path, prog, FileOptions{}),
+		"recover": FileSourceOptions(path, prog, FileOptions{Recover: true}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			before := FileOpens()
@@ -533,10 +523,7 @@ func TestFileSourceReusesDescriptor(t *testing.T) {
 func TestIndexedFileSourceReusesDescriptor(t *testing.T) {
 	path, tr, prog := writeTrace(t, t.TempDir(), 256)
 	before := FileOpens()
-	src, err := IndexedFileSource(path, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := FileSourceOptions(path, prog, FileOptions{Index: true})
 	for pass := 0; pass < 3; pass++ {
 		got, err := blockseq.Collect(src)
 		if err != nil || len(got) != len(tr) {
@@ -552,7 +539,7 @@ func TestIndexedFileSourceReusesDescriptor(t *testing.T) {
 // exactly the stream length per full pass.
 func TestDecodeCountingMetersPasses(t *testing.T) {
 	path, tr, prog := writeTrace(t, t.TempDir(), 0)
-	src := FileSource(path, prog)
+	src := FileSourceOptions(path, prog, FileOptions{})
 	counting := src.(DecodeCounting)
 	for pass := 1; pass <= 3; pass++ {
 		if _, err := blockseq.Collect(src); err != nil {

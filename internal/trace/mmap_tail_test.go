@@ -40,7 +40,7 @@ func TestMmapSnapshotOfGrowingFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	partial := FileSource(path, app.Prog)
+	partial := FileSourceOptions(path, app.Prog, FileOptions{})
 	defer partial.(io.Closer).Close()
 	if _, err := blockseq.Collect(partial); !errors.Is(err, ErrTruncatedTail) {
 		t.Fatalf("decode of half-written file = %v, want ErrTruncatedTail", err)
@@ -63,7 +63,7 @@ func TestMmapSnapshotOfGrowingFile(t *testing.T) {
 		t.Fatalf("re-pass over stale mapping = %v, want ErrTruncatedTail", err)
 	}
 
-	fresh := FileSource(path, app.Prog)
+	fresh := FileSourceOptions(path, app.Prog, FileOptions{})
 	defer fresh.(io.Closer).Close()
 	got, err := blockseq.Collect(fresh)
 	if err != nil {

@@ -284,10 +284,10 @@ func TestRecoveringSourceConformance(t *testing.T) {
 	damaged[offs[0]+len(psbMagic)] = 0x7F
 
 	blockseqtest.TestSource(t, func(*testing.T) blockseq.Source {
-		return RecoverBytesSource(damaged, app.Prog)
+		return BytesSource(damaged, app.Prog, FileOptions{Recover: true})
 	})
 
-	src := RecoverBytesSource(damaged, app.Prog)
+	src := BytesSource(damaged, app.Prog, FileOptions{Recover: true})
 	if _, ok := src.(Reporting).DecodeReport(); ok {
 		t.Fatal("report available before any pass")
 	}

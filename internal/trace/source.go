@@ -24,102 +24,71 @@ type DecodeCounting interface {
 	DecodedBlocks() uint64
 }
 
-// FileOptions configures how a trace file source reads its file.
+// FileOptions configures a trace source. The zero value decodes strictly
+// with plain (unseekable) passes.
 type FileOptions struct {
-	// NoMmap disables memory-mapped reads: every pass streams through
-	// the shared descriptor (ReadAt section readers), the portable
-	// fallback. The default maps the file once and decodes zero-copy
-	// slices of the mapping, falling back to the reader path
-	// automatically when the platform has no mmap or the map fails.
-	// Live, still-growing traces should be tailed (internal/watch),
-	// which always reads via ReadAt — a mapping is a fixed-size
-	// snapshot, and truncation under it faults.
-	NoMmap bool
-	// Decoders > 1 decodes disjoint PSB sync regions concurrently on a
-	// bounded worker pool and fans the results back in stream order,
-	// bit-identical to serial decode (see ParallelFileSource). <= 1
-	// decodes serially. Parallel decode requires the mapping; without
-	// it (NoMmap, unsupported platform, or a stream with no sync
-	// points) passes decode serially.
-	Decoders int
 	// Recover selects recovery mode: damaged packet regions are skipped
-	// at PSB sync points instead of erroring, and the source implements
-	// Reporting.
+	// at PSB sync points instead of erroring, and DecodeReport publishes
+	// each completed pass's damage accounting (see Reporting). Passes
+	// over a damaged stream are still replayable — recovery decoding is
+	// deterministic for a given byte stream.
 	Recover bool
+	// Index (files only) replays through the `.ptidx` seek index: passes
+	// implement blockseq.Seeker (SeekBlock repositions at the nearest
+	// sync point at or before the target and decodes forward) and
+	// blockseq.Checkpointer (marks are block ordinals).
+	//
+	// The first pass loads the sidecar, keyed to the file's current
+	// SHA-256 and length; a missing, corrupt, or stale sidecar is rebuilt
+	// (one strict decode) and rewritten best-effort. A sidecar covering a
+	// shorter trace whose recorded prefix still hashes clean — the trace
+	// only grew since it was written, e.g. by an incremental producer
+	// like ripplewatch — is extended instead: the scan resumes at the
+	// last recorded sync point, so the cost is the new suffix, not the
+	// whole file. A failed build is that pass's Err, and the next pass
+	// retries it. The stream must decode cleanly, so Index with Recover
+	// fails every pass: a seek target inside a damaged region has no
+	// well-defined decode.
+	Index bool
 }
 
-// NewSource wraps an encoded packet stream as a replayable block source:
-// every Open calls open for a fresh reader and decodes it from the start,
-// so multi-pass consumers replay the file instead of materializing it.
-// The reader is closed when the pass ends (exhaustion or error).
-func NewSource(prog *program.Program, open func() (io.ReadCloser, error)) blockseq.Source {
-	return &readerSource{prog: prog, open: open}
-}
-
-// NewRecoveringSource is NewSource in recovery mode: damaged packet
-// regions are skipped at PSB sync points instead of erroring, and the
-// source additionally implements Reporting. Passes over a damaged stream
-// are still replayable — recovery decoding is deterministic for a given
-// byte stream.
-func NewRecoveringSource(prog *program.Program, open func() (io.ReadCloser, error)) blockseq.Source {
-	return &readerSource{prog: prog, open: open, rec: true}
-}
-
-// FileSource streams an encoded trace file. LenHint reads just the
-// stream header, so consumers can pre-size buffers without a full pass.
-// The file is memory-mapped when the platform allows (zero-copy decode;
-// ReadAt fallback otherwise), and all passes share one os.File, so
-// re-opening the source for multi-pass analysis does not churn file
-// descriptors; Close (optional) releases it.
-func FileSource(path string, prog *program.Program) blockseq.Source {
-	return FileSourceOptions(path, prog, FileOptions{})
-}
-
-// RecoverFileSource streams an encoded trace file in recovery mode (see
-// NewRecoveringSource). Like FileSource, all passes share one os.File.
-func RecoverFileSource(path string, prog *program.Program) blockseq.Source {
-	return FileSourceOptions(path, prog, FileOptions{Recover: true})
-}
-
-// FileSourceOptions streams an encoded trace file with explicit read
-// options (see FileOptions). The zero options value is FileSource.
+// FileSourceOptions streams an encoded trace file. Every Open decodes
+// the file from the start, so multi-pass consumers replay it instead of
+// materializing it. LenHint reads just the stream header, so consumers
+// can pre-size buffers without a full pass.
+//
+// The file is memory-mapped on first use and passes decode zero-copy
+// slices of the mapping; when the platform has no mmap or the map fails,
+// passes read through ReadAt on the shared descriptor instead, with
+// identical results. All passes share one os.File, so re-opening the
+// source for multi-pass analysis does not churn file descriptors; Close
+// (optional) releases it. A mapping is a fixed-size snapshot: live,
+// still-growing traces should be tailed (internal/watch), which reads
+// via ReadAt.
 func FileSourceOptions(path string, prog *program.Program, o FileOptions) blockseq.Source {
-	h := &fileHandle{path: path}
-	rs := &readerSource{prog: prog, open: h.open, closer: h, rec: o.Recover}
-	if !o.NoMmap {
-		rs.h = h
-	}
-	if o.Decoders > 1 && !o.NoMmap {
-		return newParallelSource(rs, o.Decoders)
-	}
-	return rs
+	return &source{prog: prog, rec: o.Recover, h: &fileHandle{path: path}, index: o.Index}
 }
 
-// BytesSource streams an in-memory encoded trace (tests, benchmarks).
-// Decoding indexes the slice directly — the same zero-copy path a
-// mapped file uses.
-func BytesSource(data []byte, prog *program.Program) blockseq.Source {
-	return &readerSource{prog: prog, inMemory: true, data: data}
+// BytesSource streams an in-memory encoded trace (tests, benchmarks,
+// fuzzing). Decoding indexes the slice directly — the same zero-copy
+// path a mapped file uses. o.Index does not apply.
+func BytesSource(data []byte, prog *program.Program, o FileOptions) blockseq.Source {
+	return &source{prog: prog, rec: o.Recover, data: data}
 }
 
-// RecoverBytesSource streams an in-memory encoded trace in recovery mode
-// (see NewRecoveringSource).
-func RecoverBytesSource(data []byte, prog *program.Program) blockseq.Source {
-	return &readerSource{prog: prog, inMemory: true, data: data, rec: true}
-}
-
-type readerSource struct {
+// source is the one trace source: a file (h) or an in-memory stream
+// (data), decoded strictly or in recovery mode, with plain or seekable
+// (index) passes. It implements blockseq.Counter, DecodeCounting,
+// Reporting, and io.Closer.
+type source struct {
 	prog *program.Program
-	open func() (io.ReadCloser, error)
 	rec  bool
-	// inMemory selects whole-buffer decoding of data (BytesSource).
-	inMemory bool
-	data     []byte
-	// h, when set, offers the file's mmap to passes; a failed map falls
-	// back to open.
-	h *fileHandle
-	// closer, when set, releases the shared file handle behind open.
-	closer io.Closer
+	// h serves every pass over a trace file; nil for an in-memory stream.
+	h    *fileHandle
+	data []byte
+	// index selects seekable passes over the sidecar seek index.
+	index bool
+
 	// decoded meters decode work across all passes (see DecodeCounting).
 	decoded atomic.Uint64
 
@@ -133,40 +102,47 @@ type readerSource struct {
 	mu         sync.Mutex
 	report     DecodeReport
 	haveReport bool
+
+	// idxMu guards idx, the seek index, built by the first indexed pass.
+	idxMu sync.Mutex
+	idx   *Index
 }
 
 // wholeInput returns the stream bytes when the source can decode
-// zero-copy: an explicit in-memory slice, or the file's mapping.
-func (s *readerSource) wholeInput() ([]byte, bool) {
-	if s.inMemory {
+// zero-copy: the in-memory stream, or the file's mapping.
+func (s *source) wholeInput() ([]byte, bool) {
+	if s.h == nil {
 		return s.data, true
 	}
-	if s.h != nil {
-		if m, err := s.h.data(); err == nil {
-			return m, true
-		}
+	if m, err := s.h.data(); err == nil {
+		return m, true
 	}
 	return nil, false
 }
 
-func (s *readerSource) Open() blockseq.Seq {
+// newDecoder opens a decoder at the start of the stream: over the
+// mapping when there is one, else through a reader on the shared
+// descriptor.
+func (s *source) newDecoder(rec bool) (*Decoder, error) {
 	if data, ok := s.wholeInput(); ok {
-		d, err := newBytesDecoder(data, s.prog, s.rec)
-		if err != nil {
-			return &decodeSeq{err: err}
-		}
-		return &decodeSeq{d: d, src: s}
+		return newBytesDecoder(data, s.prog, rec)
 	}
-	rc, err := s.open()
+	r, err := s.h.reader()
+	if err != nil {
+		return nil, err
+	}
+	return newDecoder(r, s.prog, rec)
+}
+
+func (s *source) Open() blockseq.Seq {
+	if s.index {
+		return s.openIndexed()
+	}
+	d, err := s.newDecoder(s.rec)
 	if err != nil {
 		return &decodeSeq{err: err}
 	}
-	d, err := newDecoder(rc, s.prog, s.rec)
-	if err != nil {
-		rc.Close()
-		return &decodeSeq{err: err}
-	}
-	return &decodeSeq{rc: rc, d: d, src: s}
+	return &decodeSeq{d: d, src: s}
 }
 
 // LenHint opens the stream just long enough to read the header's
@@ -174,55 +150,40 @@ func (s *readerSource) Open() blockseq.Seq {
 // recovery mode no hint is given: a damaged stream may decode fewer
 // blocks than the header declares, and the hint contract requires
 // exactness.
-func (s *readerSource) LenHint() (int, bool) {
+func (s *source) LenHint() (int, bool) {
 	if s.rec {
 		return 0, false
 	}
 	s.hintOnce.Do(func() {
-		if data, ok := s.wholeInput(); ok {
-			d, err := NewBytesDecoder(data, s.prog)
-			if err != nil {
-				return
-			}
+		if d, err := s.newDecoder(false); err == nil {
 			s.hint, s.hintOK = int(d.Declared()), true
-			return
 		}
-		rc, err := s.open()
-		if err != nil {
-			return
-		}
-		defer rc.Close()
-		d, err := NewDecoder(rc, s.prog)
-		if err != nil {
-			return
-		}
-		s.hint, s.hintOK = int(d.Declared()), true
 	})
 	return s.hint, s.hintOK
 }
 
 // DecodeReport implements Reporting: the damage accounting of the most
 // recently completed recovery pass.
-func (s *readerSource) DecodeReport() (DecodeReport, bool) {
+func (s *source) DecodeReport() (DecodeReport, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.report, s.haveReport
 }
 
 // DecodedBlocks implements DecodeCounting.
-func (s *readerSource) DecodedBlocks() uint64 { return s.decoded.Load() }
+func (s *source) DecodedBlocks() uint64 { return s.decoded.Load() }
 
 // Close releases the shared file handle, when the source has one.
 // Later passes reopen it transparently.
-func (s *readerSource) Close() error {
-	if s.closer != nil {
-		return s.closer.Close()
+func (s *source) Close() error {
+	if s.h != nil {
+		return s.h.Close()
 	}
 	return nil
 }
 
 // setReport publishes a completed pass's report.
-func (s *readerSource) setReport(rep DecodeReport) {
+func (s *source) setReport(rep DecodeReport) {
 	s.mu.Lock()
 	s.report = rep
 	s.haveReport = true
@@ -234,11 +195,10 @@ func (s *readerSource) setReport(rep DecodeReport) {
 // the per-block dispatch.
 const decodeBatch = 512
 
-// decodeSeq is one decoding pass over the packet stream.
+// decodeSeq is one plain decoding pass over the packet stream.
 type decodeSeq struct {
-	rc  io.ReadCloser
 	d   *Decoder
-	src *readerSource
+	src *source
 	err error
 
 	batch  []program.BlockID
@@ -263,7 +223,10 @@ func (s *decodeSeq) Next() (program.BlockID, bool) {
 			if s.fin != io.EOF {
 				s.err = s.fin
 			}
-			s.close()
+			if s.src.rec {
+				s.src.setReport(s.d.Report())
+			}
+			s.d = nil
 			return 0, false
 		}
 		if s.batch == nil {
@@ -276,23 +239,8 @@ func (s *decodeSeq) Next() (program.BlockID, bool) {
 		} else if n == 0 {
 			s.fin = io.EOF // defensive: NextBatch always progresses or errors
 		}
-		if s.src != nil && n > 0 {
-			s.src.decoded.Add(uint64(n))
-		}
+		s.src.decoded.Add(uint64(n))
 	}
 }
 
 func (s *decodeSeq) Err() error { return s.err }
-
-func (s *decodeSeq) close() {
-	if s.src != nil && s.src.rec && s.d != nil {
-		s.src.setReport(s.d.Report())
-	}
-	if s.rc != nil {
-		if cerr := s.rc.Close(); cerr != nil && s.err == nil {
-			s.err = cerr
-		}
-		s.rc = nil
-	}
-	s.d = nil
-}

@@ -3,8 +3,11 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -28,7 +31,7 @@ func TestBytesSourceReplaysDecode(t *testing.T) {
 	app := tinyApp(t)
 	want := app.Trace(0, 5000)
 	raw := encoded(t, app.Prog, want)
-	src := BytesSource(raw, app.Prog)
+	src := BytesSource(raw, app.Prog, FileOptions{})
 	if n, ok := blockseq.LenHint(src); !ok || n != len(want) {
 		t.Fatalf("LenHint = %d,%v, want %d", n, ok, len(want))
 	}
@@ -50,7 +53,7 @@ func TestBytesSourceReplaysDecode(t *testing.T) {
 
 func TestSourceSurfacesOpenError(t *testing.T) {
 	app := tinyApp(t)
-	src := FileSource("/nonexistent/trace.pt", app.Prog)
+	src := FileSourceOptions("/nonexistent/trace.pt", app.Prog, FileOptions{})
 	seq := src.Open()
 	if _, ok := seq.Next(); ok {
 		t.Fatal("Next succeeded on unopenable file")
@@ -66,7 +69,7 @@ func TestSourceSurfacesOpenError(t *testing.T) {
 func TestSourceSurfacesDecodeError(t *testing.T) {
 	app := tinyApp(t)
 	raw := encoded(t, app.Prog, app.Trace(0, 2000))
-	src := BytesSource(raw[:len(raw)-3], app.Prog)
+	src := BytesSource(raw[:len(raw)-3], app.Prog, FileOptions{})
 	_, err := blockseq.Collect(src)
 	if err == nil {
 		t.Fatal("truncated stream decoded cleanly through the source")
@@ -250,7 +253,12 @@ func TestFileSourceConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	blockseqtest.TestSource(t, func(*testing.T) blockseq.Source {
-		return FileSource(path, app.Prog)
+		return FileSourceOptions(path, app.Prog, FileOptions{})
+	})
+	t.Run("readat", func(t *testing.T) {
+		blockseqtest.TestSource(t, func(*testing.T) blockseq.Source {
+			return readAtSource(path, app.Prog, FileOptions{})
+		})
 	})
 }
 
@@ -258,7 +266,7 @@ func TestBytesSourceConformance(t *testing.T) {
 	app := tinyApp(t)
 	raw := encoded(t, app.Prog, app.Trace(0, 3000))
 	blockseqtest.TestSource(t, func(*testing.T) blockseq.Source {
-		return BytesSource(raw, app.Prog)
+		return BytesSource(raw, app.Prog, FileOptions{})
 	})
 }
 
@@ -272,7 +280,7 @@ func TestEncodeSourceStreamConformance(t *testing.T) {
 	if _, err := EncodeSource(&buf, app.Prog, blockseq.SliceSource(want)); err != nil {
 		t.Fatal(err)
 	}
-	src := BytesSource(buf.Bytes(), app.Prog)
+	src := BytesSource(buf.Bytes(), app.Prog, FileOptions{})
 	got, err := blockseq.Collect(src)
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +294,7 @@ func TestEncodeSourceStreamConformance(t *testing.T) {
 		}
 	}
 	blockseqtest.TestSource(t, func(*testing.T) blockseq.Source {
-		return BytesSource(buf.Bytes(), app.Prog)
+		return BytesSource(buf.Bytes(), app.Prog, FileOptions{})
 	})
 }
 
@@ -297,7 +305,7 @@ func TestTruncatedSourceErrorConformance(t *testing.T) {
 	raw := encoded(t, app.Prog, app.Trace(0, 3000))
 	trunc := raw[:len(raw)/2]
 	blockseqtest.TestSourceError(t, func(*testing.T) blockseq.Source {
-		return BytesSource(trunc, app.Prog)
+		return BytesSource(trunc, app.Prog, FileOptions{})
 	})
 }
 
@@ -309,7 +317,7 @@ func TestTraceSourceFaultConformance(t *testing.T) {
 	raw := encoded(t, app.Prog, app.Trace(0, 3000))
 	t.Run("bytes", func(t *testing.T) {
 		blockseqtest.TestSourceFault(t, func(*testing.T) blockseq.Source {
-			return BytesSource(raw, app.Prog)
+			return BytesSource(raw, app.Prog, FileOptions{})
 		})
 	})
 	path := filepath.Join(t.TempDir(), "trace.pt")
@@ -318,12 +326,140 @@ func TestTraceSourceFaultConformance(t *testing.T) {
 	}
 	t.Run("file", func(t *testing.T) {
 		blockseqtest.TestSourceFault(t, func(*testing.T) blockseq.Source {
-			return FileSource(path, app.Prog)
+			return FileSourceOptions(path, app.Prog, FileOptions{})
 		})
 	})
 	t.Run("recovering", func(t *testing.T) {
 		blockseqtest.TestSourceFault(t, func(*testing.T) blockseq.Source {
-			return RecoverBytesSource(raw, app.Prog)
+			return BytesSource(raw, app.Prog, FileOptions{Recover: true})
 		})
 	})
+}
+
+// --- the ReadAt fallback -------------------------------------------------
+
+// readAtSource is FileSourceOptions with the file's mapping pre-failed:
+// every pass takes the ReadAt fallback a platform without mmap takes.
+func readAtSource(path string, prog *program.Program, o FileOptions) blockseq.Source {
+	src := FileSourceOptions(path, prog, o).(*source)
+	src.h.mapErr = errors.New("mmap disabled by test")
+	return src
+}
+
+// TestMmapFileSourceIdentity pins the mmap fast path against the ReadAt
+// fallback byte-for-byte, including the recovery report on damaged
+// input.
+func TestMmapFileSourceIdentity(t *testing.T) {
+	app := tinyApp(t)
+	blocks := app.Trace(0, 6000)
+	data, stats := encodeSync(t, app.Prog, blocks, 256)
+	offs := syncOffsets(t, data, stats.Syncs)
+	damaged := append([]byte(nil), data...)
+	damaged[offs[1]+len(psbMagic)] = 0x7F
+
+	dir := t.TempDir()
+	clean := filepath.Join(dir, "clean.pt")
+	dmg := filepath.Join(dir, "damaged.pt")
+	for p, b := range map[string][]byte{clean: data, dmg: damaged} {
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("clean", func(t *testing.T) {
+		want, err := blockseq.Collect(readAtSource(clean, app.Prog, FileOptions{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := blockseq.Collect(FileSourceOptions(clean, app.Prog, FileOptions{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalBlocks(want, got) {
+			t.Fatal("mmap decode diverges from ReadAt decode")
+		}
+	})
+	t.Run("damaged-recovery", func(t *testing.T) {
+		serial := readAtSource(dmg, app.Prog, FileOptions{Recover: true})
+		want, err := blockseq.Collect(serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped := FileSourceOptions(dmg, app.Prog, FileOptions{Recover: true})
+		got, err := blockseq.Collect(mapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalBlocks(want, got) {
+			t.Fatal("mmap recovery diverges from ReadAt recovery")
+		}
+		wantRep, _ := serial.(Reporting).DecodeReport()
+		gotRep, ok := mapped.(Reporting).DecodeReport()
+		if !ok {
+			t.Fatal("mmap recovery pass published no report")
+		}
+		if !reflect.DeepEqual(wantRep, gotRep) {
+			t.Fatalf("reports differ: mmap %+v, ReadAt %+v", gotRep, wantRep)
+		}
+	})
+}
+
+func equalBlocks(a, b []program.BlockID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSourceCapabilities pins what consumers probe for. Every source
+// counts (LenHint), meters decode work, reports recovery, and closes;
+// only passes over a file opened with Index seek and checkpoint, so
+// plain passes keep the consumers' sequential paths. Index with Recover
+// fails every pass.
+func TestSourceCapabilities(t *testing.T) {
+	path, tr, prog := writeTrace(t, t.TempDir(), 256)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		src      blockseq.Source
+		seekable bool
+	}{
+		{"file", FileSourceOptions(path, prog, FileOptions{}), false},
+		{"file-recover", FileSourceOptions(path, prog, FileOptions{Recover: true}), false},
+		{"bytes", BytesSource(raw, prog, FileOptions{}), false},
+		{"bytes-index-ignored", BytesSource(raw, prog, FileOptions{Index: true}), false},
+		{"indexed", FileSourceOptions(path, prog, FileOptions{Index: true}), true},
+	} {
+		_, counter := c.src.(blockseq.Counter)
+		_, counting := c.src.(DecodeCounting)
+		_, reporting := c.src.(Reporting)
+		_, closer := c.src.(io.Closer)
+		if !counter || !counting || !reporting || !closer {
+			t.Errorf("%s: Counter %t, DecodeCounting %t, Reporting %t, Closer %t; want all",
+				c.name, counter, counting, reporting, closer)
+		}
+		seq := c.src.Open()
+		_, seeker := seq.(blockseq.Seeker)
+		_, checkpointer := seq.(blockseq.Checkpointer)
+		if seeker != c.seekable || checkpointer != c.seekable {
+			t.Errorf("%s: pass Seeker %t, Checkpointer %t; want %t", c.name, seeker, checkpointer, c.seekable)
+		}
+		if got, err := blockseq.Collect(c.src); err != nil || len(got) != len(tr) {
+			t.Errorf("%s: %d blocks, err %v", c.name, len(got), err)
+		}
+	}
+	both := FileSourceOptions(path, prog, FileOptions{Index: true, Recover: true})
+	for pass := 0; pass < 2; pass++ {
+		if _, err := blockseq.Collect(both); !errors.Is(err, errIndexRecover) {
+			t.Fatalf("pass %d with Index and Recover: %v", pass, err)
+		}
+	}
 }

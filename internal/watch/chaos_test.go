@@ -262,7 +262,7 @@ func TestChaosMmapSnapshotsOfLiveTail(t *testing.T) {
 			time.Sleep(time.Millisecond) // writer has not created the file yet
 			continue
 		}
-		snap := trace.FileSource(path, prog)
+		snap := trace.FileSourceOptions(path, prog, trace.FileOptions{})
 		got, err := blockseq.Collect(snap)
 		if c, ok := snap.(io.Closer); ok {
 			c.Close()

@@ -113,8 +113,8 @@ type (
 	// recovering sources (Analysis.Coverage).
 	SourceCoverage = core.SourceCoverage
 
-	// AccessEvent is one recorded cache-line access (demand or prefetch);
-	// Result.Stream holds these when Options.RecordStream is set.
+	// AccessEvent is one cache-line access (demand or prefetch) of a
+	// simulated run; AccessEventSource streams them.
 	AccessEvent = opt.Event
 	// EventSource is a replayable iterator factory over access events —
 	// the oracle engines' streaming input (see SliceEventSource,
@@ -268,19 +268,9 @@ func (o ParallelOptions) resolve() (core.ParallelOptions, error) {
 	if o.CacheDir != "" && o.StoreURL != "" {
 		return core.ParallelOptions{}, fmt.Errorf("ripple: CacheDir and StoreURL are mutually exclusive")
 	}
-	var store runner.StoreBackend
-	if o.StoreURL != "" {
-		cl, err := rippled.NewClient(o.StoreURL, rippled.ClientOptions{Log: o.Log})
-		if err != nil {
-			return core.ParallelOptions{}, err
-		}
-		store = cl
-	} else if o.CacheDir != "" {
-		st, err := runner.OpenStore(o.CacheDir)
-		if err != nil {
-			return core.ParallelOptions{}, err
-		}
-		store = st
+	store, err := rippled.OpenStore(o.StoreURL, o.CacheDir, o.Log)
+	if err != nil {
+		return core.ParallelOptions{}, err
 	}
 	pool := runner.New(runner.Options{
 		Workers:      o.Workers,
@@ -361,7 +351,7 @@ func DecodeTraceRecover(r io.Reader, prog *Program) ([]BlockID, DecodeReport, er
 // BlockSource: each pass re-opens and re-decodes the file, so even
 // multi-pass analyses never materialize the trace.
 func TraceFileSource(path string, prog *Program) BlockSource {
-	return trace.FileSource(path, prog)
+	return trace.FileSourceOptions(path, prog, trace.FileOptions{})
 }
 
 // RecoverTraceFileSource is TraceFileSource in recovery mode: damaged
@@ -369,7 +359,7 @@ func TraceFileSource(path string, prog *Program) BlockSource {
 // pass, and AnalyzeSource surfaces the aggregate damage accounting as
 // Analysis.Coverage.
 func RecoverTraceFileSource(path string, prog *Program) BlockSource {
-	return trace.RecoverFileSource(path, prog)
+	return trace.FileSourceOptions(path, prog, trace.FileOptions{Recover: true})
 }
 
 // EncodeTraceSource writes a block source as a PT-like packet stream in
@@ -391,13 +381,6 @@ func CollectSource(src BlockSource) ([]BlockID, error) {
 	return blockseq.Collect(src)
 }
 
-// IdealMisses replays the prefetch-aware ideal replacement policy
-// (Demand-MIN) over a recorded access stream (Options.RecordStream) and
-// returns the demand misses an ideal cache replacement would incur.
-func IdealMisses(stream []AccessEvent, l1i CacheConfig) uint64 {
-	return opt.Simulate(stream, l1i, opt.ModeDemandMIN, false).DemandMisses
-}
-
 // SliceEventSource adapts a materialized access stream to a replayable
 // EventSource.
 func SliceEventSource(stream []AccessEvent) EventSource { return opt.SliceEvents(stream) }
@@ -405,14 +388,15 @@ func SliceEventSource(stream []AccessEvent) EventSource { return opt.SliceEvents
 // AccessEventSource exposes a configured simulation's full demand+
 // prefetch access stream as a replayable EventSource: each pass re-runs
 // the deterministic simulation with fresh state from newOpts instead of
-// materializing the stream (the streaming replacement for
-// Options.RecordStream). See frontend.AccessEvents.
+// materializing the stream. See frontend.AccessEvents.
 func AccessEventSource(p Params, prog *Program, src BlockSource, newOpts func() (Options, error)) EventSource {
 	return frontend.AccessEvents(p, prog, src, newOpts)
 }
 
-// IdealMissesSource is IdealMisses over a replayable event source,
-// holding O(events) index state but never the events themselves.
+// IdealMissesSource replays the prefetch-aware ideal replacement policy
+// (Demand-MIN) over a replayable access stream (AccessEventSource) and
+// returns the demand misses an ideal cache replacement would incur. It
+// holds O(events) index state but never the events themselves.
 func IdealMissesSource(src EventSource, l1i CacheConfig) (uint64, error) {
 	r, err := opt.SimulateSource(src, l1i, opt.ModeDemandMIN, false)
 	if err != nil {

@@ -93,14 +93,18 @@ func TestPublicIdealMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ripple.Simulate(params, app.Prog, tr, ripple.Options{
-		Policy:       pol,
-		RecordStream: true,
-	})
+	res, err := ripple.Simulate(params, app.Prog, tr, ripple.Options{Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal := ripple.IdealMisses(res.Stream, params.L1I)
+	events := ripple.AccessEventSource(params, app.Prog, ripple.SliceSource(tr), func() (ripple.Options, error) {
+		pol, err := ripple.NewPolicy("lru")
+		return ripple.Options{Policy: pol}, err
+	})
+	ideal, err := ripple.IdealMissesSource(events, params.L1I)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ideal > res.L1I.DemandMisses {
 		t.Fatalf("ideal misses %d exceed LRU misses %d", ideal, res.L1I.DemandMisses)
 	}

@@ -5,8 +5,7 @@
 #
 # The committed file documents what each engine costs on this codebase:
 # bytes/op is the headline metric — the exact streaming engine holds
-# 8 B/event of next-use index (vs 24 B/event for the retired
-# materialized slice path), and the sampled OPTGen engine is
+# 8 B/event of next-use index, and the sampled OPTGen engine is
 # O(sample-sets x history), flat from 50k to 500k events. Rerun after
 # touching internal/opt:
 #
@@ -39,7 +38,7 @@ END {
 	if (n == 0) { print "bench_oracle: no benchmark lines parsed" > "/dev/stderr"; exit 1 }
 	print "{"
 	printf "  \"benchtime\": \"%s\",\n", benchtime
-	print "  \"metric_note\": \"bytes_per_op is the headline number: legacy-slice materializes 24 B/event, exact-stream keeps an 8 B/event next-use index, sampled is O(sample-sets x history) and flat in event count\","
+	print "  \"metric_note\": \"bytes_per_op is the headline number: exact-stream keeps an 8 B/event next-use index, sampled is O(sample-sets x history) and flat in event count\","
 	print "  \"benchmarks\": {"
 	for (i = 1; i <= n; i++) {
 		name = order[i]

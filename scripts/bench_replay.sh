@@ -7,8 +7,8 @@
 # — the accelerations cut decode work, not just wall clock, which
 # varies with the host); "decode_throughput" is the end-to-end hot-path
 # headline, one full pass over a generated trace reported as
-# blocks_per_sec for the unbatched baseline, the ReadAt fallback, the
-# mmap fast path, and 4-way parallel region decode.
+# blocks_per_sec for the unbatched baseline, the ReadAt fallback (forced
+# by the tests' mapping seam), and the mmap fast path.
 #
 # RIPPLE_DECODE_BENCH_BLOCKS sizes the generated trace (default
 # 300000000 blocks ~= 270 MB at ~0.9 bytes/block; the multi-hundred-MB
@@ -73,7 +73,7 @@ END {
 END {
 	if (n == 0) { print "bench_replay: no decode benchmark lines parsed" > "/dev/stderr"; exit 1 }
 	printf "  \"decode_trace_blocks\": %s,\n", blocks
-	print "  \"decode_note\": \"one full strict decode pass over the generated trace; blocks_per_sec = blocks_per_op / ns_per_op * 1e9. NextLoop is the unbatched per-block baseline, Serial the batched ReadAt fallback, Mmap the zero-copy mapped fast path, Parallel 4 region decoders fanned in stream order (wall-clock wins need spare cores; the rendezvous test proves the concurrency)\","
+	print "  \"decode_note\": \"one full strict decode pass over the generated trace; blocks_per_sec = blocks_per_op / ns_per_op * 1e9. NextLoop is the unbatched per-block baseline, Serial the batched ReadAt fallback, Mmap the zero-copy mapped fast path\","
 	print "  \"decode_throughput\": {"
 	for (i = 1; i <= n; i++) {
 		name = order[i]
