@@ -20,13 +20,6 @@
 // and the report carries the decoded coverage. Transient simulation
 // failures retry with deterministic backoff (-retries).
 //
-// With -index the trace replays through its .ptidx seek index (written
-// by ripplegen -index, rebuilt automatically when missing or stale), so
-// windowed replay decodes roughly each window plus one sync interval
-// instead of the window's whole prefix. Every output is byte-identical
-// to an unindexed run; -index conflicts with -recover because the index
-// is only defined over a cleanly decoding trace.
-//
 // The trace is memory-mapped, or read through ReadAt where the platform
 // cannot map it; the output is identical either way.
 package main

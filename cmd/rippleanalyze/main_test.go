@@ -173,91 +173,11 @@ func TestWarmCacheRerunSkipsSimulation(t *testing.T) {
 	}
 }
 
-// TestIndexedReportByteIdentical: -index must be a pure acceleration —
-// the JSON report and the plan file are byte-identical with and without
-// it, the first indexed run materializes the .ptidx sidecar, and a rerun
-// over the existing sidecar still matches.
-func TestIndexedReportByteIdentical(t *testing.T) {
-	app, err := workload.Build(goldenModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	progPath := filepath.Join(dir, "app.prog")
-	pf, err := os.Create(progPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := app.Prog.Save(pf); err != nil {
-		t.Fatal(err)
-	}
-	pf.Close()
-	var buf bytes.Buffer
-	if _, err := trace.EncodeSourceSync(&buf, app.Prog, app.Stream(0, 30_000), 256); err != nil {
-		t.Fatal(err)
-	}
-	ptPath := filepath.Join(dir, "app.pt")
-	if err := os.WriteFile(ptPath, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	runOnce := func(tag string, indexed bool) (reportRaw, planRaw []byte) {
-		t.Helper()
-		o := baseOptions(progPath, ptPath, dir, tag)
-		o.Workers = 4
-		o.Index = indexed
-		o.JSONOut = filepath.Join(dir, "report-"+tag+".json")
-		if _, err := run(o); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := os.ReadFile(o.JSONOut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := os.ReadFile(o.Out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, plan
-	}
-
-	plainRep, plainPlan := runOnce("plain", false)
-	if _, err := os.Stat(trace.IndexPath(ptPath)); !os.IsNotExist(err) {
-		t.Fatalf("unindexed run touched the sidecar: %v", err)
-	}
-	idxRep, idxPlan := runOnce("indexed", true)
-	if !bytes.Equal(plainRep, idxRep) {
-		t.Fatalf("-index changed the report:\nplain: %s\nindexed: %s", plainRep, idxRep)
-	}
-	if !bytes.Equal(plainPlan, idxPlan) {
-		t.Fatal("-index changed the plan file")
-	}
-	if _, err := os.Stat(trace.IndexPath(ptPath)); err != nil {
-		t.Fatalf("indexed run left no sidecar: %v", err)
-	}
-	// Rerun over the now-existing sidecar.
-	againRep, againPlan := runOnce("indexed2", true)
-	if !bytes.Equal(plainRep, againRep) || !bytes.Equal(plainPlan, againPlan) {
-		t.Fatal("rerun over the existing sidecar diverged")
-	}
-}
-
-// TestIndexConflictsWithRecover: the two decode modes are mutually
-// exclusive at the CLI surface.
-func TestIndexConflictsWithRecover(t *testing.T) {
-	progPath, ptPath := fixture(t)
-	o := baseOptions(progPath, ptPath, t.TempDir(), "conflict")
-	o.Index = true
-	o.Recover = true
-	if _, err := run(o); err == nil {
-		t.Fatal("run accepted -index with -recover")
-	}
-}
-
 // TestRecoverDamagedTrace: with -recover, a corrupted sync-point trace
 // analyzes end to end — the plan is produced from the surviving profile
 // and the JSON report carries a sub-1 coverage figure. The same damaged
-// input must fail in the default strict mode.
+// input must fail in the default strict mode, with the decoder's
+// offset-and-kind error.
 func TestRecoverDamagedTrace(t *testing.T) {
 	app, err := workload.Build(goldenModel())
 	if err != nil {
@@ -287,16 +207,9 @@ func TestRecoverDamagedTrace(t *testing.T) {
 	o := baseOptions(progPath, ptPath, dir, "recover")
 	o.Threshold = 0.5 // fixed threshold: no sweep, keep the test fast
 	o.JSONOut = filepath.Join(dir, "report.json")
-	if _, err := run(o); err == nil {
-		t.Fatal("strict mode accepted a damaged trace")
-	}
-	// -index builds its seek index from a strict decode, which fails
-	// with the decoder's offset-and-kind error.
-	o.Index = true
 	if _, err := run(o); err == nil || !strings.Contains(err.Error(), "trace: offset ") {
-		t.Fatalf("-index over a damaged trace: %v", err)
+		t.Fatalf("strict mode over a damaged trace: %v", err)
 	}
-	o.Index = false
 	o.Recover = true
 	if _, err := run(o); err != nil {
 		t.Fatalf("recover mode failed: %v", err)

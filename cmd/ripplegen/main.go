@@ -11,55 +11,62 @@
 package main
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"ripple/internal/program"
 	"ripple/internal/trace"
 	"ripple/internal/workload"
 )
 
 func main() {
-	appName := flag.String("app", "finagle-http", "application model ("+strings.Join(workload.Names(), ", ")+")")
-	blocks := flag.Int("blocks", 600_000, "minimum trace length in executed basic blocks")
-	input := flag.Int("input", 0, "input configuration (0-3)")
-	out := flag.String("out", "", "output path prefix (required)")
-	syncEvery := flag.Int("syncevery", 0, "emit a resynchronization point roughly every N blocks so damaged traces recover with bounded loss (0: none)")
-	index := flag.Bool("index", false, "also write a .ptidx seek-index sidecar so consumers can replay windows without decoding each window's full prefix")
+	var o options
+	flag.StringVar(&o.App, "app", "finagle-http", "application model ("+strings.Join(workload.Names(), ", ")+")")
+	flag.IntVar(&o.Blocks, "blocks", 600_000, "minimum trace length in executed basic blocks")
+	flag.IntVar(&o.Input, "input", 0, "input configuration (0-3)")
+	flag.StringVar(&o.Out, "out", "", "output path prefix (required)")
+	flag.IntVar(&o.SyncEvery, "syncevery", 0, "emit a resynchronization point roughly every N blocks so damaged traces recover with bounded loss (0: none)")
 	flag.Parse()
 
-	if err := run(*appName, *blocks, *input, *syncEvery, *out, *index); err != nil {
+	if err := run(o, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ripplegen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(appName string, blocks, input, syncEvery int, out string, index bool) error {
-	if out == "" {
+// options carries one invocation's inputs; tests drive run directly.
+type options struct {
+	App                      string
+	Blocks, Input, SyncEvery int
+	Out                      string
+}
+
+// run validates the options, writes <Out>.prog and <Out>.pt, and prints
+// a summary of both to w.
+func run(o options, w io.Writer) error {
+	if o.Out == "" {
 		return fmt.Errorf("-out prefix is required")
 	}
-	if blocks < 1 {
-		return fmt.Errorf("-blocks must be positive (got %d)", blocks)
+	if o.Blocks < 1 {
+		return fmt.Errorf("-blocks must be positive (got %d)", o.Blocks)
 	}
-	if input < 0 {
-		return fmt.Errorf("-input must be non-negative (got %d)", input)
+	if o.Input < 0 {
+		return fmt.Errorf("-input must be non-negative (got %d)", o.Input)
 	}
-	if syncEvery < 0 {
-		return fmt.Errorf("-syncevery must be non-negative (got %d)", syncEvery)
+	if o.SyncEvery < 0 {
+		return fmt.Errorf("-syncevery must be non-negative (got %d)", o.SyncEvery)
 	}
-	m, ok := workload.ByName(appName)
+	m, ok := workload.ByName(o.App)
 	if !ok {
-		return fmt.Errorf("unknown app %q (have %s)", appName, strings.Join(workload.Names(), ", "))
+		return fmt.Errorf("unknown app %q (have %s)", o.App, strings.Join(workload.Names(), ", "))
 	}
 	app, err := workload.Build(m)
 	if err != nil {
 		return err
 	}
-	progF, err := os.Create(out + ".prog")
+	progF, err := os.Create(o.Out + ".prog")
 	if err != nil {
 		return err
 	}
@@ -68,50 +75,22 @@ func run(appName string, blocks, input, syncEvery int, out string, index bool) e
 		return err
 	}
 
-	ptF, err := os.Create(out + ".pt")
+	ptF, err := os.Create(o.Out + ".pt")
 	if err != nil {
 		return err
 	}
 	defer ptF.Close()
-	stats, err := trace.EncodeSourceSync(ptF, app.Prog, app.Stream(input, blocks), syncEvery)
+	stats, err := trace.EncodeSourceSync(ptF, app.Prog, app.Stream(o.Input, o.Blocks), o.SyncEvery)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d funcs, %d blocks, %.1fKB text\n",
+	fmt.Fprintf(w, "%s: %d funcs, %d blocks, %.1fKB text\n",
 		m.Name, len(app.Prog.Funcs), app.Prog.NumBlocks(), float64(app.Prog.TotalBytes())/1024)
-	fmt.Printf("trace: %d blocks, %d TNT bits, %d TIPs, %d/%d rets compressed, %.2f bits/block (%.1fKB)\n",
+	fmt.Fprintf(w, "trace: %d blocks, %d TNT bits, %d TIPs, %d/%d rets compressed, %.2f bits/block (%.1fKB)\n",
 		stats.Blocks, stats.TNTBits, stats.TIPs, stats.RetsCompressed, stats.RetsTotal,
 		stats.BitsPerBlock(), float64(stats.Bytes)/1024)
 	if stats.Syncs > 0 {
-		fmt.Printf("sync: %d resynchronization points (every ~%d blocks)\n", stats.Syncs, syncEvery)
-	}
-	if index {
-		entries, err := writeIndex(out+".pt", app.Prog)
-		if err != nil {
-			return fmt.Errorf("writing seek index: %w", err)
-		}
-		fmt.Printf("index: %d seek points -> %s\n", entries, trace.IndexPath(out+".pt"))
-		if entries == 0 && syncEvery == 0 {
-			fmt.Println("index: note: without -syncevery the trace has no interior seek points")
-		}
+		fmt.Fprintf(w, "sync: %d resynchronization points (every ~%d blocks)\n", stats.Syncs, o.SyncEvery)
 	}
 	return nil
-}
-
-// writeIndex builds the .ptidx sidecar for a freshly written trace: one
-// strict decode collects the sync-point table, keyed by the trace file's
-// content hash so consumers detect a regenerated trace.
-func writeIndex(ptPath string, prog *program.Program) (int, error) {
-	data, err := os.ReadFile(ptPath)
-	if err != nil {
-		return 0, err
-	}
-	idx, err := trace.BuildIndex(bytes.NewReader(data), prog)
-	if err != nil {
-		return 0, err
-	}
-	if err := trace.WriteIndexFile(trace.IndexPath(ptPath), idx, sha256.Sum256(data), int64(len(data))); err != nil {
-		return 0, err
-	}
-	return len(idx.Entries), nil
 }

@@ -14,7 +14,6 @@ import (
 	"os"
 
 	"ripple/internal/cliflag"
-	"ripple/internal/core"
 )
 
 func main() {
@@ -37,12 +36,7 @@ func run(progPath, planPath, out string) error {
 	if err != nil {
 		return err
 	}
-	lf, err := os.Open(planPath)
-	if err != nil {
-		return err
-	}
-	plan, err := core.LoadPlan(lf)
-	lf.Close()
+	plan, err := cliflag.LoadPlan(planPath, prog)
 	if err != nil {
 		return err
 	}

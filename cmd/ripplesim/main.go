@@ -15,14 +15,8 @@
 // streaming oracle engine selected by -oracle (exact two-pass Belady, or
 // a single-pass sampled-set OPTGen estimate with -oracle sampled).
 //
-// With -index the trace replays through its .ptidx seek index (written
-// by ripplegen -index, rebuilt automatically when missing or stale),
-// exposing seek and checkpoint capabilities to any consumer that probes
-// for them. Results are byte-identical with or without it, and store
-// entries are shared between the two modes. -index conflicts with
-// -recover because the index is only defined over a cleanly decoding
-// trace. The trace is memory-mapped, or read through ReadAt where the
-// platform cannot map it; the output is identical either way.
+// The trace is memory-mapped, or read through ReadAt where the platform
+// cannot map it; the output is identical either way.
 //
 // Usage:
 //
@@ -143,12 +137,7 @@ func simulate(o options) error {
 	}
 	w := o.Stdout
 	if o.PlanPath != "" {
-		f, err := os.Open(o.PlanPath)
-		if err != nil {
-			return err
-		}
-		plan, err := core.LoadPlan(f)
-		f.Close()
+		plan, err := cliflag.LoadPlan(o.PlanPath, prog)
 		if err != nil {
 			return err
 		}
@@ -235,12 +224,7 @@ func sweep(o options, policies, prefetchers []string) error {
 	}
 	planHash := "none"
 	if o.PlanPath != "" {
-		f, err := os.Open(o.PlanPath)
-		if err != nil {
-			return err
-		}
-		plan, err := core.LoadPlan(f)
-		f.Close()
+		plan, err := cliflag.LoadPlan(o.PlanPath, prog)
 		if err != nil {
 			return err
 		}

@@ -3,13 +3,16 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"ripple/internal/cliflag"
+	"ripple/internal/core"
 	"ripple/internal/fault"
+	"ripple/internal/program"
 	"ripple/internal/trace"
 	"ripple/internal/workload"
 )
@@ -129,40 +132,48 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 }
 
-// TestIndexedOutputsMatchPlain: -index is a pure acceleration, so every
-// strict golden case prints byte-identical output through the seek index.
-func TestIndexedOutputsMatchPlain(t *testing.T) {
-	progPath, ptPath, damagedPath := fixture(t)
-	for _, c := range goldenCases(progPath, ptPath, damagedPath) {
-		if c.o.Recover {
-			continue
-		}
-		plain := runOutput(t, c.o)
-		c.o.Index = true
-		if indexed := runOutput(t, c.o); !bytes.Equal(plain, indexed) {
-			t.Fatalf("%s: -index changed the output:\nplain:\n%s\nindexed:\n%s", c.name, plain, indexed)
-		}
-	}
-	if _, err := os.Stat(trace.IndexPath(ptPath)); err != nil {
-		t.Fatalf("indexed runs left no sidecar: %v", err)
-	}
-}
-
-// TestRecoverConflictsAndStrictFailure: -index with -recover is
-// rejected up front, and the damaged trace fails in strict mode (with
-// and without -index) with the decoder's offset-and-kind error.
+// TestRecoverConflictsAndStrictFailure: the damaged trace fails in
+// strict mode with the decoder's offset-and-kind error.
 func TestRecoverConflictsAndStrictFailure(t *testing.T) {
 	progPath, _, damagedPath := fixture(t)
 	o := options{Trace: cliflag.Trace{ProgPath: progPath, PTPath: damagedPath}, Policy: "lru", Prefetcher: "fdip", Limit: -1}
-	o.Recover, o.Index = true, true
-	if err := run(o); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("-index -recover: %v", err)
+	if err := run(o); err == nil || !strings.Contains(err.Error(), "trace: offset ") {
+		t.Fatalf("strict run over damaged trace: %v", err)
 	}
-	for _, indexed := range []bool{false, true} {
-		o.Recover, o.Index = false, indexed
+}
+
+// TestPlanForAnotherProgramFails: -plan with a cue block outside the
+// simulated program fails with an error naming the block and the
+// program's size, in single-configuration and sweep mode alike.
+func TestPlanForAnotherProgramFails(t *testing.T) {
+	progPath, ptPath, _ := fixture(t)
+	prog, err := cliflag.LoadProgram(progPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := prog.NumBlocks()
+	plan := &core.Plan{Program: "other", Threshold: 0.5, Injections: map[program.BlockID][]uint64{
+		0:                       {1},
+		program.BlockID(n + 17): {1},
+	}}
+	planPath := filepath.Join(t.TempDir(), "other.plan")
+	f, err := os.Create(planPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	single := options{Trace: cliflag.Trace{ProgPath: progPath, PTPath: ptPath}, PlanPath: planPath, Policy: "lru", Prefetcher: "fdip", Limit: -1}
+	sweep := single
+	sweep.Policy = "lru,srrip"
+	for name, o := range map[string]options{"single": single, "sweep": sweep} {
 		err := run(o)
-		if err == nil || !strings.Contains(err.Error(), "trace: offset ") {
-			t.Fatalf("strict run over damaged trace (index=%t): %v", indexed, err)
+		want := fmt.Sprintf("cue block %d is outside program %q (%d blocks)", n+17, prog.Name, n)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: run returned %v, want an error containing %q", name, err, want)
 		}
 	}
 }

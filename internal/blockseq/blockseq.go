@@ -88,15 +88,6 @@ func (it *sliceSeq) Next() (program.BlockID, bool) {
 
 func (it *sliceSeq) Err() error { return nil }
 
-// SeekBlock implements Seeker: position so the next block is s[n].
-func (it *sliceSeq) SeekBlock(n int) error {
-	if n < 0 || n > len(it.s) {
-		return fmt.Errorf("blockseq: seek to block %d outside [0, %d]", n, len(it.s))
-	}
-	it.i = n
-	return nil
-}
-
 // Checkpoint implements Checkpointer: the mark is the position.
 func (it *sliceSeq) Checkpoint() (Mark, error) { return markInt(it.i), nil }
 
@@ -106,7 +97,11 @@ func (it *sliceSeq) Restore(m Mark) error {
 	if err != nil {
 		return err
 	}
-	return it.SeekBlock(n)
+	if n < 0 || n > len(it.s) {
+		return fmt.Errorf("blockseq: mark at block %d outside [0, %d]", n, len(it.s))
+	}
+	it.i = n
+	return nil
 }
 
 // Of builds a SliceSource from literal blocks (test convenience).
@@ -186,7 +181,7 @@ func (l limitSource) LenHint() (int, bool) {
 type limitSeq struct {
 	seq  Seq
 	left int
-	max  int // the pass's cap, for seek/checkpoint bookkeeping
+	max  int // the pass's cap, for validating restored marks
 }
 
 func (it *limitSeq) Next() (program.BlockID, bool) {
@@ -203,23 +198,6 @@ func (it *limitSeq) Next() (program.BlockID, bool) {
 }
 
 func (it *limitSeq) Err() error { return it.seq.Err() }
-
-// SeekBlock forwards to the wrapped pass when it can seek, keeping the
-// cap consistent with the new position.
-func (it *limitSeq) SeekBlock(n int) error {
-	sk, ok := it.seq.(Seeker)
-	if !ok {
-		return ErrNotSeekable
-	}
-	if n < 0 || n > it.max {
-		return fmt.Errorf("blockseq: seek to block %d outside [0, %d]", n, it.max)
-	}
-	if err := sk.SeekBlock(n); err != nil {
-		return err
-	}
-	it.left = it.max - n
-	return nil
-}
 
 // Checkpoint composes the remaining cap with the wrapped pass's mark.
 func (it *limitSeq) Checkpoint() (Mark, error) {
@@ -241,7 +219,7 @@ func (it *limitSeq) Restore(m Mark) error {
 		return ErrNoCheckpoint
 	}
 	left, k := binary.Uvarint(m)
-	if k <= 0 || int(left) > it.max {
+	if k <= 0 || left > uint64(it.max) {
 		return fmt.Errorf("blockseq: malformed limit mark")
 	}
 	if err := cp.Restore(Mark(m[k:])); err != nil {

@@ -31,12 +31,6 @@ func TestLimitSourceConformance(t *testing.T) {
 	})
 }
 
-func TestSliceSourceSeekConformance(t *testing.T) {
-	blockseqtest.TestSourceSeek(t, func(*testing.T) blockseq.Source {
-		return blockseq.Of(3, 1, 4, 1, 5, 9, 2, 6, 5, 3)
-	})
-}
-
 func TestSliceSourceCheckpointConformance(t *testing.T) {
 	blockseqtest.TestSourceCheckpoint(t, func(*testing.T) blockseq.Source {
 		return blockseq.Of(3, 1, 4, 1, 5, 9, 2, 6, 5, 3)
@@ -46,28 +40,19 @@ func TestSliceSourceCheckpointConformance(t *testing.T) {
 	})
 }
 
-func TestLimitSourceSeekConformance(t *testing.T) {
-	blockseqtest.TestSourceSeek(t, func(*testing.T) blockseq.Source {
-		return blockseq.Limit(blockseq.Of(3, 1, 4, 1, 5, 9, 2, 6, 5, 3), 7)
-	})
-}
-
 func TestLimitSourceCheckpointConformance(t *testing.T) {
 	blockseqtest.TestSourceCheckpoint(t, func(*testing.T) blockseq.Source {
 		return blockseq.Limit(blockseq.Of(3, 1, 4, 1, 5, 9, 2, 6, 5, 3), 7)
 	})
 }
 
-// A Limit over a pass with no capabilities must refuse, not lie: the
-// sentinel errors are what replayWindows and warmupSource probe for.
+// A Limit over a pass with no checkpoint capability must refuse, not
+// lie: the sentinel error is what warmupSource probes for.
 func TestLimitWithoutCapabilities(t *testing.T) {
 	src := blockseq.Limit(blockseq.Func(func() blockseq.Seq {
 		return blockseqtest.OpaqueSource{Src: blockseq.Of(1, 2, 3)}.Open()
 	}), 2)
 	seq := src.Open()
-	if err := seq.(blockseq.Seeker).SeekBlock(1); !errors.Is(err, blockseq.ErrNotSeekable) {
-		t.Fatalf("SeekBlock over an opaque inner pass: %v, want ErrNotSeekable", err)
-	}
 	if _, err := seq.(blockseq.Checkpointer).Checkpoint(); !errors.Is(err, blockseq.ErrNoCheckpoint) {
 		t.Fatalf("Checkpoint over an opaque inner pass: %v, want ErrNoCheckpoint", err)
 	}

@@ -12,7 +12,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -201,54 +200,26 @@ func gatherCoverage(sources []blockseq.Source) *SourceCoverage {
 	return &cov
 }
 
-// teeBufBlocks bounds how far the Tee'd analysis branches may run apart:
-// big enough that the branches rarely stall on each other, small enough
-// to stay cache-resident.
-const teeBufBlocks = 4096
-
 // analyzeOne expands one source into its demand line stream (identical to
 // what the simulator fetches — Sec. III-A: no speculative accesses),
 // replays Belady's MIN over it logging evictions, and accumulates window
 // membership counts. It returns the source's block count.
 //
-// The source is streamed twice: one shared decode feeds both the
-// execution-count scan and the demand-line expansion (whose output the
-// MIN oracle inherently needs in full) through a bounded-buffer Tee, and
-// a ring-buffered replay then serves every window's block range without
-// the materialized trace — seeking past unneeded gaps when the pass
-// supports it.
+// The source is streamed twice: the demand-line expansion (whose output
+// the MIN oracle inherently needs in full) counts executions as it
+// pulls, and a ring-buffered replay then serves every window's block
+// range without the materialized trace.
 func (a *Analysis) analyzeOne(traceIdx int32, src blockseq.Source) (int, error) {
 	blocksHint := 0
 	if n, ok := blockseq.LenHint(src); ok {
 		blocksHint = n
 	}
-	branches := blockseq.Tee(src.Open(), 2, teeBufBlocks)
-	var (
-		length   int
-		countErr error
-		done     = make(chan struct{})
-	)
-	go func() {
-		defer close(done)
-		counts := branches[0]
-		for {
-			bid, ok := counts.Next()
-			if !ok {
-				countErr = counts.Err()
-				return
-			}
-			a.execCount[bid]++
-			length++
-		}
-	}()
-	lines, blockOf, lineErr := frontend.DemandLinesSeq(a.Prog, branches[1], blocksHint)
-	<-done
-	if countErr != nil {
-		return 0, fmt.Errorf("core: %w", countErr)
+	seq := &countingSeq{Seq: src.Open(), execCount: a.execCount}
+	lines, blockOf, err := frontend.DemandLinesSeq(a.Prog, seq, blocksHint)
+	if err != nil {
+		return 0, fmt.Errorf("core: %w", err)
 	}
-	if lineErr != nil {
-		return 0, fmt.Errorf("core: %w", lineErr)
-	}
+	length := seq.n
 	if length == 0 {
 		return 0, nil
 	}
@@ -292,20 +263,29 @@ func (a *Analysis) analyzeOne(traceIdx int32, src blockseq.Source) (int, error) 
 	return length, nil
 }
 
+// countingSeq counts each block's executions as a pass is pulled through
+// it.
+type countingSeq struct {
+	blockseq.Seq
+	execCount []uint32
+	n         int
+}
+
+func (s *countingSeq) Next() (program.BlockID, bool) {
+	bid, ok := s.Seq.Next()
+	if ok {
+		s.execCount[bid]++
+		s.n++
+	}
+	return bid, ok
+}
+
 // replayWindows streams src once and visits each window with an accessor
 // for the blocks in its (start, end] range. It relies on two invariants:
 // windows are ordered by non-decreasing end (the eviction log is in
 // eviction-time order and blockOf is monotone), and every window spans at
 // most maxWin blocks (Analyze clamps longer ones) — so a ring of the last
 // maxWin blocks always covers the visited window.
-//
-// When the pass supports blockseq.Seeker, gaps between windows are
-// skipped instead of decoded: an indexed trace pass restarts at a sync
-// point, so each window costs at most its span plus one sync interval of
-// decode work instead of the whole prefix. Window starts are not
-// monotone (a later window can reach further back than the current one),
-// so a seek may only skip to the earliest start any remaining window
-// still reads past — the suffix minimum below.
 func replayWindows(src blockseq.Source, windows []window, maxWin int, visit func(w window, at func(int32) program.BlockID)) error {
 	if len(windows) == 0 {
 		return nil
@@ -313,33 +293,8 @@ func replayWindows(src blockseq.Source, windows []window, maxWin int, visit func
 	ring := make([]program.BlockID, maxWin)
 	at := func(ti int32) program.BlockID { return ring[int(ti)%maxWin] }
 	seq := src.Open()
-	sk, seekable := seq.(blockseq.Seeker)
-	var minStart []int32
-	if seekable {
-		minStart = make([]int32, len(windows))
-		m := int32(1<<31 - 1)
-		for i := len(windows) - 1; i >= 0; i-- {
-			if windows[i].start < m {
-				m = windows[i].start
-			}
-			minStart[i] = m
-		}
-	}
 	pos := int32(-1) // index of the last block read
-	for i, w := range windows {
-		if seekable && minStart[i] > pos {
-			// Blocks (pos, minStart[i]] fall inside no remaining window;
-			// skipping them never starves the ring: every block a later
-			// window reads is > its start >= minStart[i].
-			if err := sk.SeekBlock(int(minStart[i]) + 1); err != nil {
-				if !errors.Is(err, blockseq.ErrNotSeekable) {
-					return fmt.Errorf("core: %w", err)
-				}
-				seekable = false // wrapper without a seekable inner pass
-			} else {
-				pos = minStart[i]
-			}
-		}
+	for _, w := range windows {
 		for pos < w.end {
 			bid, ok := seq.Next()
 			if !ok {

@@ -7,26 +7,24 @@ import (
 	"ripple/internal/trace"
 )
 
-// TestWindowReplayAllocs locks in the pooled-seek-decoder win: replaying
-// a sparse window list through the seek index must stay allocation-free
-// per seek in steady state (one reused decoder, restarted over the
-// mapping). The bound is ≤ 12 allocs per replayWindows call — the
-// handful of fixed per-pass objects — where the pre-pooling decoder
-// cold-starts cost 62. Guarded here so it cannot creep back.
+// TestWindowReplayAllocs: replaying a window list allocates a fixed
+// handful of per-pass objects (the ring, the pass, its decoder and
+// decode batch), however many windows it serves. Guarded here so a
+// per-window allocation cannot creep in.
 func TestWindowReplayAllocs(t *testing.T) {
 	app := replayApp(t)
 	const blocks = 20_000
 	tr := app.Trace(0, blocks)
 	path := writeSyncTrace(t, app, tr)
-	src := trace.FileSourceOptions(path, app.Prog, trace.FileOptions{Index: true})
-	windows := benchWindows(blocks)
+	src := trace.FileSourceOptions(path, app.Prog, trace.FileOptions{})
+	windows := windowList(blocks)
 	run := func() {
 		err := replayWindows(src, windows, 256, func(w window, at func(int32) program.BlockID) {})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the mapping, index state, and pass machinery once
+	run() // warm the mapping once
 
 	avg := testing.AllocsPerRun(10, run)
 	if avg > 12 {

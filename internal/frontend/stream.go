@@ -25,9 +25,10 @@ func DemandLines(prog *program.Program, src blockseq.Source) (lines []uint64, bl
 }
 
 // DemandLinesSeq is DemandLines over an already-open pass, so a consumer
-// holding one branch of a shared decode (blockseq.Tee) can expand it
-// without re-opening the source. blocksHint, when positive, pre-sizes
-// the output for a stream of that many blocks.
+// that wraps the pass (the eviction analysis counts executions as the
+// expansion pulls blocks) can expand it without re-opening the source.
+// blocksHint, when positive, pre-sizes the output for a stream of that
+// many blocks.
 func DemandLinesSeq(prog *program.Program, seq blockseq.Seq, blocksHint int) (lines []uint64, blockOf []int32, err error) {
 	capHint := 1024
 	if blocksHint > 0 {

@@ -96,6 +96,12 @@ func TestGroupErrorSkipsPending(t *testing.T) {
 		ran.Store(true)
 		return &intRec{}, nil
 	}))
+	// The first Submit spawned the pool's one worker, which claims "fail"
+	// (the oldest queued job). Wait drains the queue inline on this
+	// goroutine, so calling it while that worker still runs "fail" would
+	// start "pending" concurrently, before any failure exists to stop it.
+	// Let the failure land first.
+	<-ff.ready
 	err := g.Wait()
 	if !errors.Is(err, boom) {
 		t.Fatalf("Wait = %v, want wrapped boom", err)

@@ -114,11 +114,11 @@ type Decoder struct {
 	// onSync, when set, observes every sync point the decode passes: the
 	// byte offset of its PSB magic and the count of blocks emitted before
 	// it. For a clean decode that count is the 0-based ordinal of the
-	// block the sync's TIP re-establishes (the index builder uses it to
-	// record seek targets in a single scan); a recovery decode fires it
-	// at resync-resume points too, where the count is the emitted total,
-	// not a stream ordinal. A decode may resume at any observed offset
-	// (see ResumeDecoder) — a PSB resets all decoder state.
+	// block the sync's TIP re-establishes; a recovery decode fires it at
+	// resync-resume points too, where the count is the emitted total, not
+	// a stream ordinal. A decode may resume at any observed offset (see
+	// ResumeDecoder) — a PSB resets all decoder state — which is how a
+	// tailing reader checkpoints a live trace.
 	onSync func(off int64, block uint64)
 
 	// interrupt, when set, classifies reader errors that pause rather
@@ -234,99 +234,25 @@ type ResumeSpec struct {
 }
 
 // ResumeDecoder resumes a decode in the middle of a stream at a sync
-// point previously observed via OnSync (or an Index entry): a PSB resets
-// all decoder state, so nothing before the sync is needed. The caller
-// owns reader placement; spec.Off only names the position for error
-// reporting and region accounting.
+// point previously observed via OnSync: a PSB resets all decoder state,
+// so nothing before the sync is needed. The caller owns reader
+// placement; spec.Off only names the position for error reporting and
+// region accounting.
 func ResumeDecoder(r io.Reader, prog *program.Program, spec ResumeSpec) (*Decoder, error) {
 	if spec.Emitted > spec.Declared {
 		return nil, fmt.Errorf("trace: resume at %d blocks emitted exceeds declared %d", spec.Emitted, spec.Declared)
 	}
-	d := &Decoder{
-		r:    bufio.NewReaderSize(r, 1<<16),
-		prog: prog,
-		cur:  program.NoBlock,
-	}
-	d.applySpec(spec)
-	return d, nil
-}
-
-// applySpec positions a freshly reset decoder at a resume point.
-func (d *Decoder) applySpec(spec ResumeSpec) {
-	d.rec = spec.Recover
-	d.off = spec.Off
-	d.declared = spec.Declared
-	d.remaining = spec.Declared - spec.Emitted
-	d.priorDamage = spec.PriorDamage
-	d.report.Declared = spec.Declared
-}
-
-// Reset repositions d at a sync point of an in-memory stream, exactly
-// like ResumeDecoder over that stream but reusing d's allocations — the
-// return stack, damage-region backing, and (in streaming mode) the read
-// buffer are retained — so a steady-state seek restart allocates
-// nothing. buf must begin exactly at the sync point's PSB magic.
-// Observers (OnSync, SetInterrupt) are cleared.
-func (d *Decoder) Reset(buf []byte, spec ResumeSpec) error {
-	if spec.Emitted > spec.Declared {
-		return fmt.Errorf("trace: resume at %d blocks emitted exceeds declared %d", spec.Emitted, spec.Declared)
-	}
-	d.reset()
-	d.whole, d.buf, d.pos = true, buf, 0
-	d.applySpec(spec)
-	return nil
-}
-
-// resetReader is Reset over a streaming reader: the decoder's internal
-// read buffer is reused instead of reallocated.
-func (d *Decoder) resetReader(r io.Reader, spec ResumeSpec) error {
-	if spec.Emitted > spec.Declared {
-		return fmt.Errorf("trace: resume at %d blocks emitted exceeds declared %d", spec.Emitted, spec.Declared)
-	}
-	d.reset()
-	d.setReader(r)
-	d.applySpec(spec)
-	return nil
-}
-
-// resetStart repositions d at the start of a whole in-memory stream,
-// re-reading the header, in strict mode.
-func (d *Decoder) resetStart(data []byte) error {
-	d.reset()
-	d.whole, d.buf, d.pos = true, data, 0
-	return d.readHeader()
-}
-
-// resetReaderStart is resetStart over a streaming reader.
-func (d *Decoder) resetReaderStart(r io.Reader) error {
-	d.reset()
-	d.setReader(r)
-	return d.readHeader()
-}
-
-// setReader switches d to streaming mode over r, reusing the buffer.
-func (d *Decoder) setReader(r io.Reader) {
-	d.whole, d.buf, d.pos = false, nil, 0
-	if d.r == nil {
-		d.r = bufio.NewReaderSize(r, 1<<16)
-	} else {
-		d.r.Reset(r)
-	}
-}
-
-// reset clears all decode state back to that of a fresh decoder while
-// retaining allocated capacity. d.prog is kept.
-func (d *Decoder) reset() {
-	d.rec, d.off = false, 0
-	d.remaining, d.declared = 0, 0
-	d.bits, d.nbits = 0, 0
-	d.lastIP = 0
-	d.stack = d.stack[:0]
-	d.cur = program.NoBlock
-	d.done, d.err = false, nil
-	d.report = DecodeReport{Regions: d.report.Regions[:0]}
-	d.priorDamage = false
-	d.onSync, d.interrupt = nil, nil
+	return &Decoder{
+		r:           bufio.NewReaderSize(r, 1<<16),
+		prog:        prog,
+		cur:         program.NoBlock,
+		rec:         spec.Recover,
+		off:         spec.Off,
+		declared:    spec.Declared,
+		remaining:   spec.Declared - spec.Emitted,
+		priorDamage: spec.PriorDamage,
+		report:      DecodeReport{Declared: spec.Declared},
+	}, nil
 }
 
 // OnSync registers an observer for every sync point the decode passes

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"crypto/sha256"
-	"fmt"
 	"io"
 	"os"
 	"sync"
@@ -99,64 +97,14 @@ func (h *fileHandle) data() ([]byte, error) {
 	return m, nil
 }
 
-// readerAt returns an independent reader over the file from byte off to
-// EOF. Readers from the same handle may be used concurrently.
-func (h *fileHandle) readerAt(off int64) (*io.SectionReader, error) {
+// reader returns an independent reader over the whole file. Readers
+// from the same handle may be used concurrently.
+func (h *fileHandle) reader() (*io.SectionReader, error) {
 	f, size, err := h.file()
 	if err != nil {
 		return nil, err
 	}
-	if off > size {
-		off = size
-	}
-	return io.NewSectionReader(f, off, size-off), nil
-}
-
-// ReadAt implements io.ReaderAt over the shared descriptor.
-func (h *fileHandle) ReadAt(p []byte, off int64) (int, error) {
-	f, _, err := h.file()
-	if err != nil {
-		return 0, err
-	}
-	return f.ReadAt(p, off)
-}
-
-// reader returns an independent reader over the whole file.
-func (h *fileHandle) reader() (*io.SectionReader, error) { return h.readerAt(0) }
-
-// sha256 hashes the file's full contents.
-func (h *fileHandle) sha256() ([32]byte, error) {
-	var sum [32]byte
-	r, err := h.reader()
-	if err != nil {
-		return sum, err
-	}
-	hsh := sha256.New()
-	if _, err := io.Copy(hsh, r); err != nil {
-		return sum, err
-	}
-	copy(sum[:], hsh.Sum(nil))
-	return sum, nil
-}
-
-// sha256N hashes the file's first n bytes (a prefix-staleness check for
-// sidecars built over a still-growing trace).
-func (h *fileHandle) sha256N(n int64) ([32]byte, error) {
-	var sum [32]byte
-	r, err := h.reader()
-	if err != nil {
-		return sum, err
-	}
-	hsh := sha256.New()
-	copied, err := io.Copy(hsh, io.LimitReader(r, n))
-	if err != nil {
-		return sum, err
-	}
-	if copied != n {
-		return sum, fmt.Errorf("trace: file is %d bytes, shorter than the %d-byte prefix to hash", copied, n)
-	}
-	copy(sum[:], hsh.Sum(nil))
-	return sum, nil
+	return io.NewSectionReader(f, 0, size), nil
 }
 
 // Close releases the shared descriptor; a later pass reopens it (or,

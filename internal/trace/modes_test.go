@@ -15,9 +15,8 @@ import (
 )
 
 // TestDecodeModesPlanIdentity: every way of opening a trace — mapped,
-// the ReadAt fallback, seek-indexed over either read path, and recovery
-// mode over a clean stream — drives Analyze and Tune to the
-// byte-identical tuned plan.
+// the ReadAt fallback, and recovery mode over a clean stream — drives
+// Analyze and Tune to the byte-identical tuned plan.
 func TestDecodeModesPlanIdentity(t *testing.T) {
 	app, err := workload.Build(workload.Model{
 		Name: "trace-modes", Seed: 23,
@@ -71,8 +70,6 @@ func TestDecodeModesPlanIdentity(t *testing.T) {
 		src  blockseq.Source
 	}{
 		{"readat", trace.ReadAtSource(path, app.Prog, trace.FileOptions{})},
-		{"indexed", trace.FileSourceOptions(path, app.Prog, trace.FileOptions{Index: true})},
-		{"indexed-readat", trace.ReadAtSource(path, app.Prog, trace.FileOptions{Index: true})},
 		{"recover-clean", trace.FileSourceOptions(path, app.Prog, trace.FileOptions{Recover: true})},
 	} {
 		if got := planDigest(m.src); got != want {

@@ -18,14 +18,14 @@ type Reporting interface {
 
 // DecodeCounting is implemented by trace sources that meter decode work:
 // DecodedBlocks returns the total number of blocks decoded across all
-// passes of the source so far, including blocks discarded while seeking.
-// Perf tests assert replay-cost bounds against it.
+// passes of the source so far. Perf tests assert replay-cost bounds
+// against it.
 type DecodeCounting interface {
 	DecodedBlocks() uint64
 }
 
-// FileOptions configures a trace source. The zero value decodes strictly
-// with plain (unseekable) passes.
+// FileOptions configures a trace source. The zero value decodes
+// strictly.
 type FileOptions struct {
 	// Recover selects recovery mode: damaged packet regions are skipped
 	// at PSB sync points instead of erroring, and DecodeReport publishes
@@ -33,23 +33,6 @@ type FileOptions struct {
 	// over a damaged stream are still replayable — recovery decoding is
 	// deterministic for a given byte stream.
 	Recover bool
-	// Index (files only) replays through the `.ptidx` seek index: passes
-	// implement blockseq.Seeker (SeekBlock repositions at the nearest
-	// sync point at or before the target and decodes forward) and
-	// blockseq.Checkpointer (marks are block ordinals).
-	//
-	// The first pass loads the sidecar, keyed to the file's current
-	// SHA-256 and length; a missing, corrupt, or stale sidecar is rebuilt
-	// (one strict decode) and rewritten best-effort. A sidecar covering a
-	// shorter trace whose recorded prefix still hashes clean — the trace
-	// only grew since it was written, e.g. by an incremental producer
-	// like ripplewatch — is extended instead: the scan resumes at the
-	// last recorded sync point, so the cost is the new suffix, not the
-	// whole file. A failed build is that pass's Err, and the next pass
-	// retries it. The stream must decode cleanly, so Index with Recover
-	// fails every pass: a seek target inside a damaged region has no
-	// well-defined decode.
-	Index bool
 }
 
 // FileSourceOptions streams an encoded trace file. Every Open decodes
@@ -66,28 +49,25 @@ type FileOptions struct {
 // still-growing traces should be tailed (internal/watch), which reads
 // via ReadAt.
 func FileSourceOptions(path string, prog *program.Program, o FileOptions) blockseq.Source {
-	return &source{prog: prog, rec: o.Recover, h: &fileHandle{path: path}, index: o.Index}
+	return &source{prog: prog, rec: o.Recover, h: &fileHandle{path: path}}
 }
 
 // BytesSource streams an in-memory encoded trace (tests, benchmarks,
 // fuzzing). Decoding indexes the slice directly — the same zero-copy
-// path a mapped file uses. o.Index does not apply.
+// path a mapped file uses.
 func BytesSource(data []byte, prog *program.Program, o FileOptions) blockseq.Source {
 	return &source{prog: prog, rec: o.Recover, data: data}
 }
 
 // source is the one trace source: a file (h) or an in-memory stream
-// (data), decoded strictly or in recovery mode, with plain or seekable
-// (index) passes. It implements blockseq.Counter, DecodeCounting,
-// Reporting, and io.Closer.
+// (data), decoded strictly or in recovery mode. It implements
+// blockseq.Counter, DecodeCounting, Reporting, and io.Closer.
 type source struct {
 	prog *program.Program
 	rec  bool
 	// h serves every pass over a trace file; nil for an in-memory stream.
 	h    *fileHandle
 	data []byte
-	// index selects seekable passes over the sidecar seek index.
-	index bool
 
 	// decoded meters decode work across all passes (see DecodeCounting).
 	decoded atomic.Uint64
@@ -102,29 +82,16 @@ type source struct {
 	mu         sync.Mutex
 	report     DecodeReport
 	haveReport bool
-
-	// idxMu guards idx, the seek index, built by the first indexed pass.
-	idxMu sync.Mutex
-	idx   *Index
-}
-
-// wholeInput returns the stream bytes when the source can decode
-// zero-copy: the in-memory stream, or the file's mapping.
-func (s *source) wholeInput() ([]byte, bool) {
-	if s.h == nil {
-		return s.data, true
-	}
-	if m, err := s.h.data(); err == nil {
-		return m, true
-	}
-	return nil, false
 }
 
 // newDecoder opens a decoder at the start of the stream: over the
-// mapping when there is one, else through a reader on the shared
-// descriptor.
+// in-memory stream or the file's mapping when there is one, else
+// through a reader on the shared descriptor.
 func (s *source) newDecoder(rec bool) (*Decoder, error) {
-	if data, ok := s.wholeInput(); ok {
+	if s.h == nil {
+		return newBytesDecoder(s.data, s.prog, rec)
+	}
+	if data, err := s.h.data(); err == nil {
 		return newBytesDecoder(data, s.prog, rec)
 	}
 	r, err := s.h.reader()
@@ -135,9 +102,6 @@ func (s *source) newDecoder(rec bool) (*Decoder, error) {
 }
 
 func (s *source) Open() blockseq.Seq {
-	if s.index {
-		return s.openIndexed()
-	}
 	d, err := s.newDecoder(s.rec)
 	if err != nil {
 		return &decodeSeq{err: err}

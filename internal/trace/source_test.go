@@ -27,6 +27,31 @@ func encoded(t *testing.T, prog *program.Program, blocks []program.BlockID) []by
 	return buf.Bytes()
 }
 
+// encodedSync returns a packet stream with a sync point roughly every
+// `every` blocks.
+func encodedSync(t *testing.T, prog *program.Program, blocks []program.BlockID, every int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := EncodeSourceSync(&buf, prog, blockseq.SliceSource(blocks), every); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// writeTrace writes an encoded, sync-pointed trace file and returns its
+// path alongside the reference block sequence.
+func writeTrace(t *testing.T, dir string, every int) (string, []program.BlockID, *program.Program) {
+	t.Helper()
+	app := tinyApp(t)
+	tr := app.Trace(0, 6000)
+	raw := encodedSync(t, app.Prog, tr, every)
+	path := filepath.Join(dir, "trace.pt")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path, tr, app.Prog
+}
+
 func TestBytesSourceReplaysDecode(t *testing.T) {
 	app := tinyApp(t)
 	want := app.Trace(0, 5000)
@@ -417,10 +442,9 @@ func equalBlocks(a, b []program.BlockID) bool {
 }
 
 // TestSourceCapabilities pins what consumers probe for. Every source
-// counts (LenHint), meters decode work, reports recovery, and closes;
-// only passes over a file opened with Index seek and checkpoint, so
-// plain passes keep the consumers' sequential paths. Index with Recover
-// fails every pass.
+// counts (LenHint), meters decode work, reports recovery, and closes.
+// No pass implements blockseq.Checkpointer: trace passes only read
+// forward; the live-trace tail (internal/watch) checkpoints instead.
 func TestSourceCapabilities(t *testing.T) {
 	path, tr, prog := writeTrace(t, t.TempDir(), 256)
 	raw, err := os.ReadFile(path)
@@ -428,15 +452,14 @@ func TestSourceCapabilities(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name     string
-		src      blockseq.Source
-		seekable bool
+		name string
+		src  blockseq.Source
 	}{
-		{"file", FileSourceOptions(path, prog, FileOptions{}), false},
-		{"file-recover", FileSourceOptions(path, prog, FileOptions{Recover: true}), false},
-		{"bytes", BytesSource(raw, prog, FileOptions{}), false},
-		{"bytes-index-ignored", BytesSource(raw, prog, FileOptions{Index: true}), false},
-		{"indexed", FileSourceOptions(path, prog, FileOptions{Index: true}), true},
+		{"file", FileSourceOptions(path, prog, FileOptions{})},
+		{"file-recover", FileSourceOptions(path, prog, FileOptions{Recover: true})},
+		{"file-readat", readAtSource(path, prog, FileOptions{})},
+		{"bytes", BytesSource(raw, prog, FileOptions{})},
+		{"bytes-recover", BytesSource(raw, prog, FileOptions{Recover: true})},
 	} {
 		_, counter := c.src.(blockseq.Counter)
 		_, counting := c.src.(DecodeCounting)
@@ -446,20 +469,53 @@ func TestSourceCapabilities(t *testing.T) {
 			t.Errorf("%s: Counter %t, DecodeCounting %t, Reporting %t, Closer %t; want all",
 				c.name, counter, counting, reporting, closer)
 		}
-		seq := c.src.Open()
-		_, seeker := seq.(blockseq.Seeker)
-		_, checkpointer := seq.(blockseq.Checkpointer)
-		if seeker != c.seekable || checkpointer != c.seekable {
-			t.Errorf("%s: pass Seeker %t, Checkpointer %t; want %t", c.name, seeker, checkpointer, c.seekable)
+		if seq, ok := c.src.Open().(blockseq.Checkpointer); ok {
+			t.Errorf("%s: pass %T implements blockseq.Checkpointer", c.name, seq)
 		}
 		if got, err := blockseq.Collect(c.src); err != nil || len(got) != len(tr) {
 			t.Errorf("%s: %d blocks, err %v", c.name, len(got), err)
 		}
 	}
-	both := FileSourceOptions(path, prog, FileOptions{Index: true, Recover: true})
-	for pass := 0; pass < 2; pass++ {
-		if _, err := blockseq.Collect(both); !errors.Is(err, errIndexRecover) {
-			t.Fatalf("pass %d with Index and Recover: %v", pass, err)
+}
+
+// --- descriptor reuse and decode metering -------------------------------
+
+// TestFileSourceReusesDescriptor: multiple passes (and LenHint) over one
+// file source must cost exactly one os.Open.
+func TestFileSourceReusesDescriptor(t *testing.T) {
+	path, tr, prog := writeTrace(t, t.TempDir(), 0)
+	for name, src := range map[string]blockseq.Source{
+		"strict":  FileSourceOptions(path, prog, FileOptions{}),
+		"recover": FileSourceOptions(path, prog, FileOptions{Recover: true}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			before := FileOpens()
+			for pass := 0; pass < 5; pass++ {
+				blockseq.LenHint(src)
+				got, err := blockseq.Collect(src)
+				if err != nil || len(got) != len(tr) {
+					t.Fatalf("pass %d: %d blocks, err %v", pass, len(got), err)
+				}
+			}
+			if n := FileOpens() - before; n != 1 {
+				t.Fatalf("5 passes performed %d opens, want 1", n)
+			}
+		})
+	}
+}
+
+// TestDecodeCountingMetersPasses: the decoded-block counter advances by
+// exactly the stream length per full pass.
+func TestDecodeCountingMetersPasses(t *testing.T) {
+	path, tr, prog := writeTrace(t, t.TempDir(), 0)
+	src := FileSourceOptions(path, prog, FileOptions{})
+	counting := src.(DecodeCounting)
+	for pass := 1; pass <= 3; pass++ {
+		if _, err := blockseq.Collect(src); err != nil {
+			t.Fatal(err)
+		}
+		if n := counting.DecodedBlocks(); n != uint64(pass*len(tr)) {
+			t.Fatalf("after %d passes DecodedBlocks = %d, want %d", pass, n, pass*len(tr))
 		}
 	}
 }
