@@ -124,12 +124,12 @@ func BenchmarkWorkloadTrace(b *testing.B) {
 // BenchmarkTraceEncode measures PT-packet encoding of a 50k-block trace.
 func BenchmarkTraceEncode(b *testing.B) {
 	app := benchApp(b)
-	tr := app.Trace(0, 50_000)
+	tr := ripple.SliceSource(app.Trace(0, 50_000))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if _, err := ripple.EncodeTrace(&buf, app.Prog, tr); err != nil {
+		if _, err := ripple.EncodeTrace(&buf, app.Prog, tr, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -138,9 +138,9 @@ func BenchmarkTraceEncode(b *testing.B) {
 // BenchmarkTraceDecode measures CFG-walking decode of the same trace.
 func BenchmarkTraceDecode(b *testing.B) {
 	app := benchApp(b)
-	tr := app.Trace(0, 50_000)
+	tr := ripple.SliceSource(app.Trace(0, 50_000))
 	var buf bytes.Buffer
-	if _, err := ripple.EncodeTrace(&buf, app.Prog, tr); err != nil {
+	if _, err := ripple.EncodeTrace(&buf, app.Prog, tr, 0); err != nil {
 		b.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -157,7 +157,7 @@ func BenchmarkTraceDecode(b *testing.B) {
 // prefetching.
 func BenchmarkSimulateLRU(b *testing.B) {
 	app := benchApp(b)
-	tr := app.Trace(0, 50_000)
+	tr := ripple.SliceSource(app.Trace(0, 50_000))
 	params := ripple.DefaultParams()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -173,7 +173,7 @@ func BenchmarkSimulateLRU(b *testing.B) {
 // prefetcher attached.
 func BenchmarkSimulateFDIP(b *testing.B) {
 	app := benchApp(b)
-	tr := app.Trace(0, 50_000)
+	tr := ripple.SliceSource(app.Trace(0, 50_000))
 	params := ripple.DefaultParams()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -190,7 +190,7 @@ func BenchmarkSimulateFDIP(b *testing.B) {
 // window scan + probability tables).
 func BenchmarkAnalyze(b *testing.B) {
 	app := benchApp(b)
-	tr := app.Trace(0, 50_000)
+	tr := ripple.SliceSource(app.Trace(0, 50_000))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -213,7 +213,7 @@ func benchSimStream(b *testing.B, blocks int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pol, _ := ripple.NewPolicy("lru")
-		if _, err := ripple.SimulateSource(params, app.Prog, app.Stream(0, blocks), ripple.Options{Policy: pol}); err != nil {
+		if _, err := ripple.Simulate(params, app.Prog, app.Stream(0, blocks), ripple.Options{Policy: pol}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -229,7 +229,7 @@ func benchSimSlice(b *testing.B, blocks int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pol, _ := ripple.NewPolicy("lru")
-		tr := app.Trace(0, blocks)
+		tr := ripple.SliceSource(app.Trace(0, blocks))
 		if _, err := ripple.Simulate(params, app.Prog, tr, ripple.Options{Policy: pol}); err != nil {
 			b.Fatal(err)
 		}

@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -42,63 +43,74 @@ import (
 	"ripple/internal/experiment"
 )
 
-func main() {
-	list := flag.Bool("list", false, "list experiment IDs and exit")
-	run := flag.String("run", "", "experiment ID to reproduce (or 'all')")
-	check := flag.Bool("check", false, "after running, validate the paper's qualitative claims against the results")
-	blocks := flag.Int("blocks", 0, "trace length in basic blocks (default 600000)")
-	warmup := flag.Int("warmup", 0, "warmup blocks excluded from measurement (default blocks/3)")
-	apps := flag.String("apps", "", "comma-separated application subset (default: all nine)")
-	workers := flag.Int("j", 0, "number of parallel simulation workers (default GOMAXPROCS)")
-	cachedir := flag.String("cachedir", "", "directory for the persistent result store (default: no persistence)")
-	storeURL := flag.String("store", "", "rippled URL for a shared fleet result store (e.g. http://127.0.0.1:8344); mutually exclusive with -cachedir")
-	cacheMode := flag.String("cache", "on", "result store mode: on or off (off ignores -cachedir and -store)")
-	oracle := flag.String("oracle", "", "oracle engine: exact (two-pass streaming Belady, default) or sampled (single-pass sampled-set OPTGen estimate)")
-	oracleSets := flag.Int("oracle-sets", 0, "sampled-set budget for -oracle sampled (default 64)")
-	quiet := flag.Bool("q", false, "suppress progress logging")
-	jsonOut := flag.String("json", "", "write a JSON run summary (experiments + job-runner counters) to this path")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args, runs the requested experiments, and returns the exit
+// status: 2 for bad arguments, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rippleexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list experiment IDs and exit")
+	runID := fs.String("run", "", "experiment ID to reproduce (or 'all')")
+	check := fs.Bool("check", false, "after running, validate the paper's qualitative claims against the results")
+	blocks := fs.Int("blocks", 0, "trace length in basic blocks (default 600000)")
+	warmup := fs.Int("warmup", 0, "warmup blocks excluded from measurement (default blocks/3)")
+	apps := fs.String("apps", "", "comma-separated application subset (default: all nine)")
+	workers := fs.Int("j", 0, "number of parallel simulation workers (default GOMAXPROCS)")
+	cachedir := fs.String("cachedir", "", "directory for the persistent result store (default: no persistence)")
+	storeURL := fs.String("store", "", "rippled URL for a shared fleet result store (e.g. http://127.0.0.1:8344); mutually exclusive with -cachedir")
+	cacheMode := fs.String("cache", "on", "result store mode: on or off (off ignores -cachedir and -store)")
+	oracle := fs.String("oracle", "", "oracle engine: exact (two-pass streaming Belady, default) or sampled (single-pass sampled-set OPTGen estimate)")
+	oracleSets := fs.Int("oracle-sets", 0, "sampled-set budget for -oracle sampled (default 64)")
+	quiet := fs.Bool("q", false, "suppress progress logging")
+	jsonOut := fs.String("json", "", "write a JSON run summary (experiments + job-runner counters) to this path")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, id := range experiment.IDs() {
 			desc, _ := experiment.Describe(id)
-			fmt.Printf("%-12s %s\n", id, desc)
+			fmt.Fprintf(stdout, "%-12s %s\n", id, desc)
 		}
-		return
+		return 0
 	}
-	if *run == "" && !*check {
-		fmt.Fprintln(os.Stderr, "rippleexp: -run <id>, -check, or -list required")
-		flag.Usage()
-		os.Exit(2)
+	if *runID == "" && !*check {
+		fmt.Fprintln(stderr, "rippleexp: -run <id>, -check, or -list required")
+		fs.Usage()
+		return 2
 	}
 	if *cacheMode != "on" && *cacheMode != "off" {
-		fmt.Fprintln(os.Stderr, "rippleexp: -cache must be 'on' or 'off'")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "rippleexp: -cache must be 'on' or 'off'")
+		return 2
 	}
 	if *cachedir != "" && *storeURL != "" {
-		fmt.Fprintln(os.Stderr, "rippleexp: -cachedir and -store are mutually exclusive")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "rippleexp: -cachedir and -store are mutually exclusive")
+		return 2
 	}
 	if *oracle != "" && *oracle != experiment.OracleExact && *oracle != experiment.OracleSampled {
-		fmt.Fprintln(os.Stderr, "rippleexp: -oracle must be 'exact' or 'sampled'")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "rippleexp: -oracle must be 'exact' or 'sampled'")
+		return 2
 	}
 
 	// Leave unset fields zero: experiment.New centralizes the defaults.
 	// Only flags the user actually passed override the config, so e.g.
 	// `-apps x` does not silently reset the trace length.
-	cfg := experiment.Config{Log: os.Stderr, Workers: *workers}
-	if cliflag.Passed("blocks") {
+	cfg := experiment.Config{Log: stderr, Workers: *workers}
+	if cliflag.PassedIn(fs, "blocks") {
 		cfg.TraceBlocks = *blocks
 	}
-	if cliflag.Passed("warmup") {
+	if cliflag.PassedIn(fs, "warmup") {
 		cfg.WarmupBlocks = *warmup
 	}
 	if *apps != "" {
 		cfg.Apps = strings.Split(*apps, ",")
 	}
 	cfg.Oracle = *oracle
-	if cliflag.Passed("oracle-sets") {
+	if cliflag.PassedIn(fs, "oracle-sets") {
 		cfg.OracleSampleSets = *oracleSets
 	}
 	if *cacheMode == "on" {
@@ -109,31 +121,32 @@ func main() {
 		cfg.Log = nil
 	}
 	suite := experiment.New(cfg)
-	if *run != "" {
-		if err := suite.Run(*run, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "rippleexp:", err)
-			os.Exit(1)
+	if *runID != "" {
+		if err := suite.Run(*runID, stdout); err != nil {
+			fmt.Fprintln(stderr, "rippleexp:", err)
+			return 1
 		}
 	}
 	if *jsonOut != "" {
-		if err := writeSummary(*jsonOut, *run, suite); err != nil {
-			fmt.Fprintln(os.Stderr, "rippleexp:", err)
-			os.Exit(1)
+		if err := writeSummary(*jsonOut, *runID, suite); err != nil {
+			fmt.Fprintln(stderr, "rippleexp:", err)
+			return 1
 		}
 	}
 	if *check {
-		fmt.Println("\nshape check (paper's qualitative claims):")
-		violations, err := suite.ShapeCheck(os.Stdout)
+		fmt.Fprintln(stdout, "\nshape check (paper's qualitative claims):")
+		violations, err := suite.ShapeCheck(stdout)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rippleexp: check:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "rippleexp: check:", err)
+			return 1
 		}
 		if len(violations) > 0 {
-			fmt.Fprintf(os.Stderr, "rippleexp: %d claim(s) violated\n", len(violations))
-			os.Exit(1)
+			fmt.Fprintf(stderr, "rippleexp: %d claim(s) violated\n", len(violations))
+			return 1
 		}
-		fmt.Println("all claims hold")
+		fmt.Fprintln(stdout, "all claims hold")
 	}
+	return 0
 }
 
 // writeSummary emits the run's machine-readable wrap-up: which

@@ -11,7 +11,7 @@ import (
 // through the Table II frontend under LRU.
 func ExampleSimulate() {
 	app, _ := ripple.BuildWorkload(ripple.MustWorkload("kafka"))
-	trace := app.Trace(0, 20_000)
+	trace := ripple.SliceSource(app.Trace(0, 20_000))
 
 	pol, _ := ripple.NewPolicy("lru")
 	res, _ := ripple.Simulate(ripple.DefaultParams(), app.Prog, trace, ripple.Options{Policy: pol})
@@ -26,7 +26,7 @@ func ExampleSimulate() {
 // ExampleAnalyze profiles an app and inspects Ripple's eviction analysis.
 func ExampleAnalyze() {
 	app, _ := ripple.BuildWorkload(ripple.MustWorkload("tomcat"))
-	profile := app.Trace(0, 60_000)
+	profile := ripple.SliceSource(app.Trace(0, 60_000))
 
 	analysis, _ := ripple.Analyze(app.Prog, profile, ripple.DefaultAnalysisConfig())
 	plan := analysis.PlanAt(0.55)
@@ -43,10 +43,10 @@ func ExampleAnalyze() {
 // ExampleEncodeTrace round-trips a profile through the PT-like codec.
 func ExampleEncodeTrace() {
 	app, _ := ripple.BuildWorkload(ripple.MustWorkload("cassandra"))
-	trace := app.Trace(0, 10_000)
+	trace := ripple.SliceSource(app.Trace(0, 10_000))
 
 	var buf bytes.Buffer
-	stats, _ := ripple.EncodeTrace(&buf, app.Prog, trace)
+	stats, _ := ripple.EncodeTrace(&buf, app.Prog, trace, 0)
 	decoded, _ := ripple.DecodeTrace(&buf, app.Prog)
 
 	fmt.Println("lossless:", len(decoded) == len(trace))
@@ -60,9 +60,9 @@ func ExampleEncodeTrace() {
 // using the same profile Ripple consumes.
 func ExampleOptimizeLayout() {
 	app, _ := ripple.BuildWorkload(ripple.MustWorkload("verilator"))
-	trace := app.Trace(0, 30_000)
+	trace := ripple.SliceSource(app.Trace(0, 30_000))
 
-	prof := ripple.ProfileLayout(app.Prog, trace)
+	prof, _ := ripple.ProfileLayout(app.Prog, trace)
 	optimized, _ := ripple.OptimizeLayout(app.Prog, prof, ripple.DefaultLayoutOptions())
 
 	fmt.Println("same program shape:", optimized.NumBlocks() == app.Prog.NumBlocks())

@@ -66,7 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	profile := app.Trace(0, traceBlocks)
+	profile := ripple.SliceSource(app.Trace(0, traceBlocks))
 
 	// Baseline: plain FIFO.
 	pf, err := ripple.NewPrefetcher("none", app.Prog)

@@ -26,7 +26,7 @@ func run(m ripple.Model, label string) error {
 	if err != nil {
 		return err
 	}
-	profile := app.Trace(0, traceBlocks)
+	profile := ripple.SliceSource(app.Trace(0, traceBlocks))
 	tcfg := ripple.TuneConfig{
 		Params:       ripple.DefaultParams(),
 		Policy:       "lru",

@@ -25,7 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	profile := app.Trace(0, traceBlocks)
+	profile := ripple.SliceSource(app.Trace(0, traceBlocks))
 	tcfg := ripple.TuneConfig{
 		Params:       ripple.DefaultParams(),
 		Policy:       "lru",
@@ -44,7 +44,10 @@ func main() {
 	report("baseline", base)
 
 	// 1. BOLT/C3-style layout from the same profile.
-	lprof := ripple.ProfileLayout(app.Prog, profile)
+	lprof, err := ripple.ProfileLayout(app.Prog, profile)
+	if err != nil {
+		log.Fatal(err)
+	}
 	optimized, err := ripple.OptimizeLayout(app.Prog, lprof, ripple.DefaultLayoutOptions())
 	if err != nil {
 		log.Fatal(err)

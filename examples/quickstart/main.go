@@ -32,7 +32,7 @@ func main() {
 
 	// 1. Profile: record the basic-block execution sequence (in
 	//    production this is an Intel PT capture; see ripple.EncodeTrace).
-	profile := app.Trace(0, traceBlocks)
+	profile := ripple.SliceSource(app.Trace(0, traceBlocks))
 	fmt.Printf("profiled %d block executions\n", len(profile))
 
 	// 2-3. Analyze + tune + inject: replay the ideal replacement policy,

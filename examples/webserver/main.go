@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	profile := app.Trace(0, traceBlocks)
+	profile := ripple.SliceSource(app.Trace(0, traceBlocks))
 
 	analysis, err := ripple.Analyze(app.Prog, profile, ripple.DefaultAnalysisConfig())
 	if err != nil {

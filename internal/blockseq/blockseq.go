@@ -20,12 +20,7 @@
 // trace length.
 package blockseq
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"ripple/internal/program"
-)
+import "ripple/internal/program"
 
 // Seq is a single pass over a block stream: a pull iterator.
 type Seq interface {
@@ -88,22 +83,6 @@ func (it *sliceSeq) Next() (program.BlockID, bool) {
 
 func (it *sliceSeq) Err() error { return nil }
 
-// Checkpoint implements Checkpointer: the mark is the position.
-func (it *sliceSeq) Checkpoint() (Mark, error) { return markInt(it.i), nil }
-
-// Restore implements Checkpointer.
-func (it *sliceSeq) Restore(m Mark) error {
-	n, err := unmarkInt(m)
-	if err != nil {
-		return err
-	}
-	if n < 0 || n > len(it.s) {
-		return fmt.Errorf("blockseq: mark at block %d outside [0, %d]", n, len(it.s))
-	}
-	it.i = n
-	return nil
-}
-
 // Of builds a SliceSource from literal blocks (test convenience).
 func Of(blocks ...program.BlockID) SliceSource { return SliceSource(blocks) }
 
@@ -156,13 +135,7 @@ type limitSource struct {
 	max int
 }
 
-func (l limitSource) Open() Seq {
-	max := l.max
-	if max < 0 {
-		max = 0
-	}
-	return &limitSeq{seq: l.src.Open(), left: max, max: max}
-}
+func (l limitSource) Open() Seq { return &limitSeq{seq: l.src.Open(), left: l.max} }
 
 func (l limitSource) LenHint() (int, bool) {
 	n, ok := LenHint(l.src)
@@ -181,7 +154,6 @@ func (l limitSource) LenHint() (int, bool) {
 type limitSeq struct {
 	seq  Seq
 	left int
-	max  int // the pass's cap, for validating restored marks
 }
 
 func (it *limitSeq) Next() (program.BlockID, bool) {
@@ -198,33 +170,3 @@ func (it *limitSeq) Next() (program.BlockID, bool) {
 }
 
 func (it *limitSeq) Err() error { return it.seq.Err() }
-
-// Checkpoint composes the remaining cap with the wrapped pass's mark.
-func (it *limitSeq) Checkpoint() (Mark, error) {
-	cp, ok := it.seq.(Checkpointer)
-	if !ok {
-		return nil, ErrNoCheckpoint
-	}
-	inner, err := cp.Checkpoint()
-	if err != nil {
-		return nil, err
-	}
-	return append(markInt(it.left), inner...), nil
-}
-
-// Restore implements Checkpointer.
-func (it *limitSeq) Restore(m Mark) error {
-	cp, ok := it.seq.(Checkpointer)
-	if !ok {
-		return ErrNoCheckpoint
-	}
-	left, k := binary.Uvarint(m)
-	if k <= 0 || left > uint64(it.max) {
-		return fmt.Errorf("blockseq: malformed limit mark")
-	}
-	if err := cp.Restore(Mark(m[k:])); err != nil {
-		return err
-	}
-	it.left = int(left)
-	return nil
-}

@@ -31,41 +31,6 @@ func TestLimitSourceConformance(t *testing.T) {
 	})
 }
 
-func TestSliceSourceCheckpointConformance(t *testing.T) {
-	blockseqtest.TestSourceCheckpoint(t, func(*testing.T) blockseq.Source {
-		return blockseq.Of(3, 1, 4, 1, 5, 9, 2, 6, 5, 3)
-	})
-	blockseqtest.TestSourceCheckpointDisk(t, func(*testing.T) blockseq.Source {
-		return blockseq.Of(3, 1, 4, 1, 5, 9, 2, 6, 5, 3)
-	})
-}
-
-func TestLimitSourceCheckpointConformance(t *testing.T) {
-	blockseqtest.TestSourceCheckpoint(t, func(*testing.T) blockseq.Source {
-		return blockseq.Limit(blockseq.Of(3, 1, 4, 1, 5, 9, 2, 6, 5, 3), 7)
-	})
-}
-
-// A Limit over a pass with no checkpoint capability must refuse, not
-// lie: the sentinel error is what warmupSource probes for.
-func TestLimitWithoutCapabilities(t *testing.T) {
-	src := blockseq.Limit(blockseq.Func(func() blockseq.Seq {
-		return blockseqtest.OpaqueSource{Src: blockseq.Of(1, 2, 3)}.Open()
-	}), 2)
-	seq := src.Open()
-	if _, err := seq.(blockseq.Checkpointer).Checkpoint(); !errors.Is(err, blockseq.ErrNoCheckpoint) {
-		t.Fatalf("Checkpoint over an opaque inner pass: %v, want ErrNoCheckpoint", err)
-	}
-	if err := seq.(blockseq.Checkpointer).Restore(blockseq.Mark{0}); !errors.Is(err, blockseq.ErrNoCheckpoint) {
-		t.Fatalf("Restore over an opaque inner pass: %v, want ErrNoCheckpoint", err)
-	}
-	// The probing must not have disturbed the pass.
-	got, err := blockseq.Collect(blockseq.Func(func() blockseq.Seq { return seq }))
-	if err != nil || len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("pass after rejected capability calls: %v, %v", got, err)
-	}
-}
-
 var errTruncated = errors.New("truncated mid-stream")
 
 // failingSeq yields three blocks, then fails.

@@ -10,11 +10,9 @@ import (
 	"testing"
 
 	"ripple/internal/blockseq"
-	"ripple/internal/blockseq/blockseqtest"
 	"ripple/internal/fault"
 	"ripple/internal/frontend"
 	"ripple/internal/program"
-	"ripple/internal/runner"
 	"ripple/internal/trace"
 	"ripple/internal/workload"
 )
@@ -214,93 +212,5 @@ func TestWindowReplayDecodeBudget(t *testing.T) {
 	prefix := uint64(windows[len(windows)-1].end) + 1
 	if decoded := counting.DecodedBlocks(); decoded < prefix || decoded >= prefix+512 {
 		t.Fatalf("replay decoded %d blocks, want the %d-block prefix plus less than one 512-block batch", decoded, prefix)
-	}
-}
-
-// TestTuneCheckpointedMatchesOpaque: tuning with a checkpoint-capable
-// source and with the same source stripped of all capabilities must be
-// byte-identical — the warmup split is a pure acceleration.
-func TestTuneCheckpointedMatchesOpaque(t *testing.T) {
-	app := replayApp(t)
-	const blocks = 6_000
-	cfg := AnalysisConfig{L1I: frontend.DefaultParams().L1I, MaxWindowBlocks: 64}
-	cfg.L1I.SizeBytes = 1 << 10
-	cfg.L1I.Ways = 2
-	a, err := Analyze(app.Prog, app.Stream(0, blocks), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcfg := TuneConfig{
-		Params:       frontend.DefaultParams(),
-		Thresholds:   []float64{0.1, 0.3, 0.5, 0.7, 0.9},
-		WarmupBlocks: 1_000,
-	}
-	tcfg.Params.L1I = cfg.L1I
-
-	capable, err := Tune(a, app.Stream(0, blocks), tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opaque, err := Tune(a, blockseqtest.OpaqueSource{Src: app.Stream(0, blocks)}, tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(capable, opaque) {
-		t.Fatalf("checkpointed tune diverged from opaque:\ncapable: %+v\nopaque: %+v", capable, opaque)
-	}
-	// And the parallel sweep over the checkpointed source matches both.
-	pool := runner.New(runner.Options{Workers: 8})
-	par, err := TuneParallel(a, app.Stream(0, blocks), tcfg, ParallelOptions{Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(capable, par) {
-		t.Fatalf("parallel checkpointed tune diverged from serial:\nserial: %+v\nparallel: %+v", capable, par)
-	}
-}
-
-// TestCheckpointedTuningDecodesWarmupOnce is the acceptance accounting:
-// across a baseline plus >= 8 threshold candidates, the warmup prefix is
-// generated exactly once, and every run re-generates only the tail.
-func TestCheckpointedTuningDecodesWarmupOnce(t *testing.T) {
-	app := replayApp(t)
-	const blocks, warmup = 6_000, 1_000
-	// The walker may overshoot the requested minimum; measure the true
-	// pass length first, outside the counted source.
-	full, err := blockseq.Collect(app.Stream(0, blocks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := uint64(len(full))
-
-	cfg := AnalysisConfig{L1I: frontend.DefaultParams().L1I, MaxWindowBlocks: 64}
-	cfg.L1I.SizeBytes = 1 << 10
-	cfg.L1I.Ways = 2
-	a, err := Analyze(app.Prog, app.Stream(0, blocks), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	thresholds := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
-	tcfg := TuneConfig{
-		Params:       frontend.DefaultParams(),
-		Thresholds:   thresholds,
-		WarmupBlocks: warmup,
-	}
-	tcfg.Params.L1I = cfg.L1I
-
-	counted := blockseqtest.Count(app.Stream(0, blocks))
-	if _, err := Tune(a, counted, tcfg); err != nil {
-		t.Fatal(err)
-	}
-	runs := uint64(len(thresholds) + 1) // baseline + one per threshold
-	want := warmup + runs*(n-warmup)
-	if got := counted.Blocks(); got != want {
-		t.Fatalf("tuning generated %d blocks, want %d (warmup %d once + %d runs x %d tail)",
-			got, want, warmup, runs, n-warmup)
-	}
-	// The seed path would have generated runs * n.
-	if seed := runs * n; counted.Blocks() >= seed {
-		t.Fatalf("tuning generated %d blocks, no better than the seed's %d", counted.Blocks(), seed)
 	}
 }

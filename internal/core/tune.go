@@ -145,61 +145,22 @@ func TuneParallel(a *Analysis, src blockseq.Source, cfg TuneConfig, opts Paralle
 		plans[i] = a.PlanAt(th)
 	}
 
-	// Pay the warmup prefix once: a checkpoint-capable source splits into
-	// a buffered prefix plus a resumable tail, so the baseline and every
-	// threshold run re-generate only the tail. The split changes the
-	// source object captured in the run closures, never the block sequence
-	// or the content identity, so job signatures — and warm stores keyed
-	// by them — are untouched.
-	runSrc := warmupSource(src, cfg.WarmupBlocks)
-
 	var baseline frontend.Result
 	results := make([]frontend.Result, len(thresholds))
 	if opts.Pool == nil {
 		var err error
-		if baseline, err = RunPlan(a.Prog, runSrc, cfg, nil); err != nil {
+		if baseline, err = RunPlan(a.Prog, src, cfg, nil); err != nil {
 			return nil, err
 		}
 		for i, plan := range plans {
-			if results[i], err = RunPlan(a.Prog, runSrc, cfg, plan); err != nil {
+			if results[i], err = RunPlan(a.Prog, src, cfg, plan); err != nil {
 				return nil, err
 			}
 		}
-	} else if err := runSweepJobs(a, runSrc, cfg, opts, thresholds, plans, &baseline, results); err != nil {
+	} else if err := runSweepJobs(a, src, cfg, opts, thresholds, plans, &baseline, results); err != nil {
 		return nil, err
 	}
 	return assembleTune(a, thresholds, plans, baseline, results), nil
-}
-
-// warmupSource returns a source equivalent to src whose passes pay the
-// warmup-prefix cost once: the first warmup blocks are read eagerly into
-// a slice, a checkpoint is taken at the split, and every pass replays
-// the buffered prefix then resumes the tail from the serialized mark.
-// Capability probing keeps the seed behavior for everything else: a
-// source whose passes don't checkpoint, a source shorter than the
-// warmup, or a failing checkpoint all return src unchanged.
-func warmupSource(src blockseq.Source, warmup int) blockseq.Source {
-	if warmup <= 0 {
-		return src
-	}
-	seq := src.Open()
-	cp, ok := seq.(blockseq.Checkpointer)
-	if !ok {
-		return src
-	}
-	warm := make([]program.BlockID, 0, warmup)
-	for len(warm) < warmup {
-		bid, ok := seq.Next()
-		if !ok {
-			return src // shorter than the warmup (or failing): seed path defines both
-		}
-		warm = append(warm, bid)
-	}
-	mark, err := cp.Checkpoint()
-	if err != nil {
-		return src
-	}
-	return blockseq.Concat(blockseq.SliceSource(warm), blockseq.Resume(src, mark))
 }
 
 // runSweepJobs fans the sweep out across the pool and collects every

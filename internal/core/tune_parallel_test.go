@@ -12,8 +12,9 @@ import (
 )
 
 // TestTuneParallelMatchesSerial: the parallel sweep must be byte-identical
-// to the serial one across several policy/prefetcher combinations — same
-// Curve, same Best index, same BestPlan.
+// to the serial one across several policy/prefetcher combinations, with
+// and without a warmup prefix — same Curve, same Best index, same
+// BestPlan.
 func TestTuneParallelMatchesSerial(t *testing.T) {
 	prog, tr := smallTuneSetup(t)
 	a, err := Analyze(prog, blockseq.SliceSource(tr), acfg(64))
@@ -23,21 +24,24 @@ func TestTuneParallelMatchesSerial(t *testing.T) {
 	params := frontend.DefaultParams()
 	params.L1I = oneSet
 	combos := []struct {
-		policy, prefetcher string
-		accuracy           bool
+		name, policy, prefetcher string
+		accuracy                 bool
+		warmup                   int
 	}{
-		{"lru", "none", false},
-		{"srrip", "nlp", false},
-		{"random", "fdip", true},
+		{"lru/none", "lru", "none", false, 0},
+		{"srrip/nlp", "srrip", "nlp", false, 0},
+		{"random/fdip", "random", "fdip", true, 0},
+		{"lru/none/warmup", "lru", "none", false, len(tr) / 3},
 	}
 	for _, c := range combos {
-		t.Run(c.policy+"/"+c.prefetcher, func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			cfg := TuneConfig{
 				Params:          params,
 				Policy:          c.policy,
 				Prefetcher:      c.prefetcher,
 				Thresholds:      []float64{0.1, 0.3, 0.5, 0.9},
 				MeasureAccuracy: c.accuracy,
+				WarmupBlocks:    c.warmup,
 			}
 			serial, err := Tune(a, blockseq.SliceSource(tr), cfg)
 			if err != nil {

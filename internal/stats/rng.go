@@ -39,15 +39,6 @@ func (r *RNG) Fork() *RNG {
 	return NewRNG(r.Uint64())
 }
 
-// State returns the generator's internal state, for checkpointing a
-// stream mid-flight. Restoring it with SetState resumes the identical
-// draw sequence.
-func (r *RNG) State() [4]uint64 { return r.s }
-
-// SetState overwrites the generator's internal state with a snapshot
-// taken by State.
-func (r *RNG) SetState(s [4]uint64) { r.s = s }
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits.

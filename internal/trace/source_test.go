@@ -443,8 +443,6 @@ func equalBlocks(a, b []program.BlockID) bool {
 
 // TestSourceCapabilities pins what consumers probe for. Every source
 // counts (LenHint), meters decode work, reports recovery, and closes.
-// No pass implements blockseq.Checkpointer: trace passes only read
-// forward; the live-trace tail (internal/watch) checkpoints instead.
 func TestSourceCapabilities(t *testing.T) {
 	path, tr, prog := writeTrace(t, t.TempDir(), 256)
 	raw, err := os.ReadFile(path)
@@ -468,9 +466,6 @@ func TestSourceCapabilities(t *testing.T) {
 		if !counter || !counting || !reporting || !closer {
 			t.Errorf("%s: Counter %t, DecodeCounting %t, Reporting %t, Closer %t; want all",
 				c.name, counter, counting, reporting, closer)
-		}
-		if seq, ok := c.src.Open().(blockseq.Checkpointer); ok {
-			t.Errorf("%s: pass %T implements blockseq.Checkpointer", c.name, seq)
 		}
 		if got, err := blockseq.Collect(c.src); err != nil || len(got) != len(tr) {
 			t.Errorf("%s: %d blocks, err %v", c.name, len(got), err)

@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 
-	"ripple/internal/blockseq"
 	"ripple/internal/program"
 	"ripple/internal/trace"
 )
@@ -47,7 +46,7 @@ type State struct {
 	// Declared is the block count the stream header promises.
 	Declared uint64
 	// Mark is the TailSeq checkpoint: sync anchor plus discard count.
-	Mark blockseq.Mark
+	Mark []byte
 	// Total is the absolute number of trace blocks consumed; it always
 	// equals the position Mark names.
 	Total uint64
@@ -74,19 +73,15 @@ type State struct {
 	LastDamageTotal uint64
 }
 
-// SaveState atomically writes the checkpoint sidecar: magic, gob body,
-// SHA-256 trailer, via tmp+rename so a crash mid-write never leaves a
-// half-written checkpoint at path.
+// SaveState atomically writes the checkpoint sidecar via tmp+rename, so
+// a crash mid-write never leaves a half-written checkpoint at path.
 func SaveState(path string, st *State) error {
-	var body bytes.Buffer
-	body.WriteString(stateMagic)
-	if err := gob.NewEncoder(&body).Encode(st); err != nil {
-		return fmt.Errorf("watch: encode checkpoint: %w", err)
+	raw, err := encodeState(st)
+	if err != nil {
+		return err
 	}
-	sum := sha256.Sum256(body.Bytes())
-	body.Write(sum[:])
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, body.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -94,6 +89,17 @@ func SaveState(path string, st *State) error {
 		return err
 	}
 	return nil
+}
+
+// encodeState seals a checkpoint: magic, gob body, SHA-256 trailer.
+func encodeState(st *State) ([]byte, error) {
+	var body bytes.Buffer
+	body.WriteString(stateMagic)
+	if err := gob.NewEncoder(&body).Encode(st); err != nil {
+		return nil, fmt.Errorf("watch: encode checkpoint: %w", err)
+	}
+	sum := sha256.Sum256(body.Bytes())
+	return append(body.Bytes(), sum[:]...), nil
 }
 
 // LoadState reads a checkpoint sidecar. Structural damage of any kind
@@ -104,6 +110,12 @@ func LoadState(path string) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeState(raw, path)
+}
+
+// decodeState checks a sealed checkpoint read from path and decodes its
+// body.
+func decodeState(raw []byte, path string) (*State, error) {
 	if len(raw) < len(stateMagic)+sha256.Size || string(raw[:len(stateMagic)]) != stateMagic {
 		return nil, fmt.Errorf("%w: %s is not a watch checkpoint", ErrStateCorrupt, path)
 	}
@@ -118,11 +130,22 @@ func LoadState(path string) (*State, error) {
 	return &st, nil
 }
 
-// Validate checks the checkpoint against the trace file it claims to
-// continue: the file must still contain the checkpointed prefix,
-// byte-identical. A rotated or regenerated trace fails with
+// Validate checks the checkpoint against itself and against the trace
+// file it claims to continue. A mark that does not parse, names another
+// position than Total or another declared count than Declared, or
+// anchors past the bound prefix fails with ErrStateCorrupt: resuming it
+// would misplace the pass. The file must still contain the checkpointed
+// prefix, byte-identical; a rotated or regenerated trace fails with
 // ErrStateStale.
 func (st *State) Validate(tracePath string) error {
+	mk, err := parseMark(st.Mark)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrStateCorrupt, err)
+	}
+	if mk.position() != st.Total || mk.declared != st.Declared || mk.anchorOff > st.PrefixLen {
+		return fmt.Errorf("%w: mark (block %d of %d, anchor at byte %d) disagrees with state (block %d of %d, %d-byte prefix)",
+			ErrStateCorrupt, mk.position(), mk.declared, mk.anchorOff, st.Total, st.Declared, st.PrefixLen)
+	}
 	sum, err := hashPrefix(tracePath, st.PrefixLen)
 	if err != nil {
 		if os.IsNotExist(err) || err == io.ErrUnexpectedEOF {

@@ -243,11 +243,11 @@ func (r *tailReader) Read(p []byte) (int, error) {
 }
 
 // TailSeq is one tailing pass: a recovery-mode decode over the growing
-// file. It implements blockseq.Checkpointer with marks that survive
-// serialization across process boundaries: a mark names the pass's last
-// sync anchor (a PSB byte offset plus the absolute block count emitted
-// before it) and how many blocks to discard past it, so a fresh process
-// restores by re-decoding only from the anchor, never the whole prefix.
+// file. Its Checkpoint/Restore marks survive serialization across
+// process boundaries: a mark names the pass's last sync anchor (a PSB
+// byte offset plus the absolute block count emitted before it) and how
+// many blocks to discard past it, so a fresh process restores by
+// re-decoding only from the anchor, never the whole prefix.
 type TailSeq struct {
 	src *TailSource
 	tr  *tailReader
@@ -273,7 +273,7 @@ type TailSeq struct {
 	// origMark holds the restored mark until its re-decode completes, so
 	// a checkpoint taken mid-restore cannot name a regressed position.
 	restored bool
-	origMark blockseq.Mark
+	origMark []byte
 
 	// regions accumulates damage regions deduplicated by offset: a
 	// restored pass re-detects (deterministically) any damage between
@@ -448,77 +448,106 @@ const (
 	markVersion    = 1
 	markFlagPrior  = 1 << 0
 	markFlagHeader = 1 << 1 // the pass had read the stream header
+	markFields     = 6
 )
 
-// Checkpoint implements blockseq.Checkpointer. The mark encodes the last
-// consistent position — the sync anchor plus the blocks consumed past it
-// — and remains valid even after an interrupt: the interrupted suffix is
-// simply re-decoded on restore. Marks are plain bytes and survive disk
-// round-trips across process boundaries.
-func (s *TailSeq) Checkpoint() (blockseq.Mark, error) {
-	if s.origMark != nil {
-		// The restore's re-decode has not completed: the original mark is
-		// still the last consistent position.
-		return append(blockseq.Mark(nil), s.origMark...), nil
-	}
-	flags := uint64(0)
-	if s.anchorPrior {
-		flags |= markFlagPrior
-	}
-	if s.started || s.restored {
-		flags |= markFlagHeader
-	}
-	m := make([]byte, 0, 6*binary.MaxVarintLen64)
-	m = binary.AppendUvarint(m, markVersion)
-	m = binary.AppendUvarint(m, flags)
-	m = binary.AppendUvarint(m, uint64(s.anchorOff))
-	m = binary.AppendUvarint(m, s.anchorEmitted)
-	m = binary.AppendUvarint(m, s.skip)
-	m = binary.AppendUvarint(m, s.declared)
-	return m, nil
+// tailMark is a parsed Checkpoint mark.
+type tailMark struct {
+	flags         uint64
+	anchorOff     int64
+	anchorEmitted uint64
+	skip          uint64
+	declared      uint64
 }
 
-// Restore implements blockseq.Checkpointer: it positions a fresh pass at
-// a mark taken by Checkpoint (in this or any earlier process). The
-// actual re-decode from the anchor happens lazily on the first Next.
-func (s *TailSeq) Restore(m blockseq.Mark) error {
-	if s.started {
-		return fmt.Errorf("watch: restore on a started pass")
+// position is the absolute number of blocks consumed at the mark.
+func (m tailMark) position() uint64 { return m.anchorEmitted + m.skip }
+
+// encode writes the mark in its wire layout.
+func (m tailMark) encode() []byte {
+	b := make([]byte, 0, markFields*binary.MaxVarintLen64)
+	for _, v := range [markFields]uint64{markVersion, m.flags, uint64(m.anchorOff), m.anchorEmitted, m.skip, m.declared} {
+		b = binary.AppendUvarint(b, v)
 	}
-	fields := make([]uint64, 6)
-	rest := []byte(m)
+	return b
+}
+
+// parseMark decodes a mark taken by Checkpoint, rejecting anything
+// Checkpoint cannot have written: another version, unknown flag bits, a
+// position past the declared count, or a position without the header
+// flag.
+func parseMark(raw []byte) (tailMark, error) {
+	var fields [markFields]uint64
+	rest := raw
 	for i := range fields {
 		v, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return fmt.Errorf("watch: corrupt tail mark (field %d)", i)
+			return tailMark{}, fmt.Errorf("watch: corrupt tail mark (field %d)", i)
 		}
 		fields[i], rest = v, rest[n:]
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("watch: corrupt tail mark (%d trailing bytes)", len(rest))
+		return tailMark{}, fmt.Errorf("watch: corrupt tail mark (%d trailing bytes)", len(rest))
 	}
-	version, flags := fields[0], fields[1]
-	if version != markVersion {
-		return fmt.Errorf("watch: tail mark version %d (want %d)", version, markVersion)
+	if fields[0] != markVersion {
+		return tailMark{}, fmt.Errorf("watch: tail mark version %d (want %d)", fields[0], markVersion)
 	}
-	anchorOff, anchorEmitted, skip, declared := int64(fields[2]), fields[3], fields[4], fields[5]
-	if anchorEmitted+skip > declared {
-		return fmt.Errorf("watch: tail mark position %d exceeds declared %d", anchorEmitted+skip, declared)
+	m := tailMark{flags: fields[1], anchorOff: int64(fields[2]), anchorEmitted: fields[3], skip: fields[4], declared: fields[5]}
+	if m.flags&^(markFlagPrior|markFlagHeader) != 0 {
+		return tailMark{}, fmt.Errorf("watch: tail mark has unknown flags %#x", m.flags)
 	}
-	if flags&markFlagHeader == 0 {
+	if m.anchorOff < 0 || m.anchorEmitted > m.declared || m.skip > m.declared-m.anchorEmitted {
+		return tailMark{}, fmt.Errorf("watch: tail mark position %d+%d exceeds declared %d", m.anchorEmitted, m.skip, m.declared)
+	}
+	if m.flags&markFlagHeader == 0 && (m.anchorOff != 0 || m.position() != 0) {
+		return tailMark{}, fmt.Errorf("watch: tail mark mixes unstarted flag with a position")
+	}
+	return m, nil
+}
+
+// Checkpoint returns a mark for the last consistent position — the sync
+// anchor plus the blocks consumed past it. The mark remains valid even
+// after an interrupt: the interrupted suffix is simply re-decoded on
+// restore. Marks are plain bytes and survive disk round-trips across
+// process boundaries.
+func (s *TailSeq) Checkpoint() []byte {
+	if s.origMark != nil {
+		// The restore's re-decode has not completed: the original mark is
+		// still the last consistent position.
+		return append([]byte(nil), s.origMark...)
+	}
+	m := tailMark{anchorOff: s.anchorOff, anchorEmitted: s.anchorEmitted, skip: s.skip, declared: s.declared}
+	if s.anchorPrior {
+		m.flags |= markFlagPrior
+	}
+	if s.started || s.restored {
+		m.flags |= markFlagHeader
+	}
+	return m.encode()
+}
+
+// Restore positions a fresh pass at a mark taken by Checkpoint (in this
+// or any earlier process). The actual re-decode from the anchor happens
+// lazily on the first Next.
+func (s *TailSeq) Restore(m []byte) error {
+	if s.started {
+		return fmt.Errorf("watch: restore on a started pass")
+	}
+	mk, err := parseMark(m)
+	if err != nil {
+		return err
+	}
+	if mk.flags&markFlagHeader == 0 {
 		// Checkpoint of a never-started pass: restoring it is a no-op.
-		if anchorOff != 0 || anchorEmitted != 0 || skip != 0 {
-			return fmt.Errorf("watch: tail mark mixes unstarted flag with a position")
-		}
 		return nil
 	}
 	s.restored = true
-	s.origMark = append(blockseq.Mark(nil), m...)
-	s.anchorOff = anchorOff
-	s.anchorEmitted = anchorEmitted
-	s.skip = skip
-	s.declared = declared
-	s.anchorPrior = flags&markFlagPrior != 0
-	s.emitted = anchorEmitted + skip
+	s.origMark = append([]byte(nil), m...)
+	s.anchorOff = mk.anchorOff
+	s.anchorEmitted = mk.anchorEmitted
+	s.skip = mk.skip
+	s.declared = mk.declared
+	s.anchorPrior = mk.flags&markFlagPrior != 0
+	s.emitted = mk.position()
 	return nil
 }

@@ -73,12 +73,12 @@ func drainTail(seq *TailSeq) []program.BlockID {
 func TestTailSourceConformance(t *testing.T) {
 	prog, _, data := makeTrace(t, 2000, 128)
 	path := writeFile(t, t.TempDir(), "trace.pt", data)
-	open := func(*testing.T) blockseq.Source {
+	open := func(*testing.T) *TailSource {
 		return NewTailSource(path, prog, TailConfig{Follow: false})
 	}
-	blockseqtest.TestSource(t, open)
-	blockseqtest.TestSourceCheckpoint(t, open)
-	blockseqtest.TestSourceCheckpointDisk(t, open)
+	blockseqtest.TestSource(t, func(t *testing.T) blockseq.Source { return open(t) })
+	testTailCheckpoint(t, open)
+	testTailCheckpointDisk(t, open)
 }
 
 // TestTailFollowsAppender: a follow pass racing a seeded bursty appender
@@ -201,10 +201,7 @@ func TestTailStallAndResume(t *testing.T) {
 	if len(first) == 0 || len(first) >= len(ref) {
 		t.Fatalf("stalled after %d of %d blocks", len(first), len(ref))
 	}
-	mark, err := seq.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	mark := seq.Checkpoint()
 
 	// The writer recovers and finishes the stream.
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -310,10 +307,7 @@ func TestTailCheckpointEveryBlock(t *testing.T) {
 
 	seq := src.OpenTail()
 	for n := 0; ; n++ {
-		mark, err := seq.Checkpoint()
-		if err != nil {
-			t.Fatalf("Checkpoint at %d: %v", n, err)
-		}
+		mark := seq.Checkpoint()
 		fresh := src.OpenTail()
 		if err := fresh.Restore(mark); err != nil {
 			t.Fatalf("Restore at %d: %v", n, err)

@@ -464,11 +464,7 @@ func (w *watcher) publish(point core.ThresholdPoint, plan *core.Plan, digest str
 // checkpoint persists the current state, binding it to the trace content
 // read so far.
 func (w *watcher) checkpoint() error {
-	mark, err := w.seq.Checkpoint()
-	if err != nil {
-		return err
-	}
-	w.st.Mark = mark
+	w.st.Mark = w.seq.Checkpoint()
 	w.st.Declared = w.seq.Declared()
 	// Bind the full prefix consumed so far: in an append-only trace these
 	// bytes never change, so any mismatch on reload means rotation.

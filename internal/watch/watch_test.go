@@ -461,7 +461,9 @@ func TestStateRoundtrip(t *testing.T) {
 	}
 	st := &State{
 		PrefixLen: 16, PrefixSHA: sum,
-		Declared: 100, Mark: []byte{1, 2, 3}, Total: 42,
+		// Mark: version 1, header flag, anchor at the stream start, 40
+		// blocks + 2 skipped of 100 declared — the position Total names.
+		Declared: 100, Mark: []byte{1, 2, 0, 40, 2, 100}, Total: 42,
 		Window: []program.BlockID{7, 8, 9}, Epoch: 3, Revision: 2,
 		PublishedScore: 1.5, PublishedHash: "abc", Pending: 1,
 		DamageEver: true, LastDamageTotal: 40,
@@ -480,6 +482,25 @@ func TestStateRoundtrip(t *testing.T) {
 	}
 	if err := got.Validate(tracePath); err != nil {
 		t.Fatalf("valid state rejected: %v", err)
+	}
+
+	// A mark that disagrees with its own state is corrupt, whatever the
+	// trace holds: resuming it would misplace the pass.
+	for name, mark := range map[string][]byte{
+		"position":           tailMark{flags: markFlagHeader, anchorEmitted: 40, skip: 3, declared: 100}.encode(),
+		"declared":           tailMark{flags: markFlagHeader, anchorEmitted: 40, skip: 2, declared: 42}.encode(),
+		"anchor-past-prefix": tailMark{flags: markFlagHeader, anchorOff: 17, anchorEmitted: 40, skip: 2, declared: 100}.encode(),
+		"unknown-flag":       tailMark{flags: markFlagHeader | 1<<2, anchorEmitted: 40, skip: 2, declared: 100}.encode(),
+		"unparsable":         {1, 2, 3},
+	} {
+		bad := *got
+		bad.Mark = mark
+		if err := bad.Validate(tracePath); !errors.Is(err, ErrStateCorrupt) {
+			t.Fatalf("%s mark: %v, want ErrStateCorrupt", name, err)
+		}
+	}
+	if err := new(TailSeq).Restore(tailMark{flags: markFlagHeader | 1<<2, declared: 100}.encode()); err == nil {
+		t.Fatal("Restore accepted a mark with an unknown flag bit")
 	}
 
 	// Staleness: the trace prefix changed, or the file shrank.

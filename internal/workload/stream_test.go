@@ -73,50 +73,6 @@ func TestStreamSourceConformance(t *testing.T) {
 	}
 }
 
-// TestStreamSourceCheckpointConformance proves the synthetic walker's
-// checkpoints (RNG states, permutation, call stack, burst/request
-// bookkeeping) restore byte-identically onto fresh passes — including
-// marks taken mid-request and at both ends of the pass.
-func TestStreamSourceCheckpointConformance(t *testing.T) {
-	app, err := Build(tinyModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for input := 0; input < 2; input++ {
-		t.Run(fmt.Sprintf("input%d", input), func(t *testing.T) {
-			blockseqtest.TestSourceCheckpoint(t, func(*testing.T) blockseq.Source {
-				return app.Stream(input, 3000)
-			})
-			blockseqtest.TestSourceCheckpointDisk(t, func(*testing.T) blockseq.Source {
-				return app.Stream(input, 3000)
-			})
-		})
-	}
-}
-
-// TestStreamCheckpointRejectsForeignMark: a mark from one app must not
-// restore onto another app's walker.
-func TestStreamCheckpointRejectsForeignMark(t *testing.T) {
-	app, err := Build(tinyModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := tinyModel()
-	other.Name = "other-app"
-	app2, err := Build(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := app.Stream(0, 1000).Open().(blockseq.Checkpointer)
-	mark, err := seq.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := app2.Stream(0, 1000).Open().(blockseq.Checkpointer).Restore(mark); err == nil {
-		t.Fatal("mark from a different app restored without error")
-	}
-}
-
 // TestStreamSourceFaultConformance: injected faults on a workload stream
 // must not poison later replays (the walker re-derives its RNG state per
 // Open).

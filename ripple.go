@@ -9,17 +9,17 @@
 // The pipeline, end to end:
 //
 //	app, _ := ripple.BuildWorkload(ripple.MustWorkload("finagle-http"))
-//	profile := app.Stream(0, 600_000)                   // replayable PT-style profile
-//	out, _ := ripple.OptimizeSource(app.Prog, profile,  // analyze+tune+inject
+//	profile := app.Stream(0, 600_000)             // replayable PT-style profile
+//	out, _ := ripple.Optimize(app.Prog, profile,  // analyze+tune+inject
 //	    ripple.DefaultAnalysisConfig(),
 //	    ripple.TuneConfig{Params: ripple.DefaultParams(), Policy: "lru", Prefetcher: "fdip"})
-//	fmt.Println(out.Tune.BestPoint().SpeedupPct)        // % IPC gain over LRU
+//	fmt.Println(out.Tune.BestPoint().SpeedupPct)  // % IPC gain over LRU
 //
 // Traces flow through the pipeline as replayable BlockSource iterators:
 // multi-pass consumers (the Belady oracles, tuning) re-Open the source
 // instead of holding a materialized []BlockID, so steady-state memory is
-// O(1) in the trace length. Slice-based entry points remain as thin
-// wrappers over SliceSource for small traces and tests.
+// O(1) in the trace length. A materialized trace enters as
+// SliceSource(tr).
 //
 // Everything is deterministic: identical seeds produce identical programs,
 // traces, analyses, and simulation results.
@@ -186,15 +186,9 @@ func NewPrefetcher(name string, prog *Program) (Prefetcher, error) {
 func PrefetcherNames() []string { return prefetch.Names() }
 
 // Simulate drives a basic-block trace through the configured frontend and
-// returns its measurements.
-func Simulate(p Params, prog *Program, tr []BlockID, opts Options) (Result, error) {
-	return frontend.Run(p, prog, blockseq.SliceSource(tr), opts)
-}
-
-// SimulateSource is Simulate over a replayable block source: the
-// simulation streams the source in O(1) memory (plus one oracle pre-pass
-// when Options.MeasureAccuracy is set).
-func SimulateSource(p Params, prog *Program, src BlockSource, opts Options) (Result, error) {
+// returns its measurements. The simulation streams the source in O(1)
+// memory (plus one oracle pre-pass when Options.MeasureAccuracy is set).
+func Simulate(p Params, prog *Program, src BlockSource, opts Options) (Result, error) {
 	return frontend.Run(p, prog, src, opts)
 }
 
@@ -202,27 +196,17 @@ func SimulateSource(p Params, prog *Program, src BlockSource, opts Options) (Res
 func Speedup(baseline, r Result) float64 { return frontend.Speedup(baseline, r) }
 
 // Analyze replays the ideal replacement policy over a profiled trace and
-// computes Ripple's eviction windows and cue-block probabilities.
-func Analyze(prog *Program, tr []BlockID, cfg AnalysisConfig) (*Analysis, error) {
-	return core.Analyze(prog, blockseq.SliceSource(tr), cfg)
-}
-
-// AnalyzeSource is Analyze over a replayable block source; the analysis
-// makes several streaming passes, holding O(windows) state rather than
-// the trace.
-func AnalyzeSource(prog *Program, src BlockSource, cfg AnalysisConfig) (*Analysis, error) {
+// computes Ripple's eviction windows and cue-block probabilities. The
+// analysis makes several streaming passes, holding O(windows) state
+// rather than the trace.
+func Analyze(prog *Program, src BlockSource, cfg AnalysisConfig) (*Analysis, error) {
 	return core.Analyze(prog, src, cfg)
 }
 
 // Tune sweeps the invalidation threshold and returns the best plan for the
-// configured policy and prefetcher.
-func Tune(a *Analysis, tr []BlockID, cfg TuneConfig) (*TuneResult, error) {
-	return core.Tune(a, blockseq.SliceSource(tr), cfg)
-}
-
-// TuneSource is Tune over a replayable block source (one simulation pass
-// per candidate threshold).
-func TuneSource(a *Analysis, src BlockSource, cfg TuneConfig) (*TuneResult, error) {
+// configured policy and prefetcher (one simulation pass per candidate
+// threshold).
+func Tune(a *Analysis, src BlockSource, cfg TuneConfig) (*TuneResult, error) {
 	return core.Tune(a, src, cfg)
 }
 
@@ -282,7 +266,7 @@ func (o ParallelOptions) resolve() (core.ParallelOptions, error) {
 	return core.ParallelOptions{Pool: pool, SourceID: o.SourceID}, nil
 }
 
-// TuneParallel is TuneSource with the sweep's simulations (baseline plus
+// TuneParallel is Tune with the sweep's simulations (baseline plus
 // one per threshold) fanned out across a worker pool and memoized by
 // content signature. The result is byte-identical to Tune for any worker
 // count.
@@ -294,7 +278,7 @@ func TuneParallel(a *Analysis, src BlockSource, cfg TuneConfig, opts ParallelOpt
 	return core.TuneParallel(a, src, cfg, copts)
 }
 
-// OptimizeParallel is OptimizeSource with the tuning sweep parallelized
+// OptimizeParallel is Optimize with the tuning sweep parallelized
 // (see TuneParallel); the analysis itself stays inline.
 func OptimizeParallel(prog *Program, src BlockSource, acfg AnalysisConfig, tcfg TuneConfig, opts ParallelOptions) (*Outcome, error) {
 	copts, err := opts.resolve()
@@ -305,23 +289,14 @@ func OptimizeParallel(prog *Program, src BlockSource, acfg AnalysisConfig, tcfg 
 }
 
 // RunPlan simulates a (possibly nil) plan applied to prog over the trace.
-func RunPlan(prog *Program, tr []BlockID, cfg TuneConfig, plan *Plan) (Result, error) {
-	return core.RunPlan(prog, blockseq.SliceSource(tr), cfg, plan)
-}
-
-// RunPlanSource is RunPlan over a replayable block source.
-func RunPlanSource(prog *Program, src BlockSource, cfg TuneConfig, plan *Plan) (Result, error) {
+func RunPlan(prog *Program, src BlockSource, cfg TuneConfig, plan *Plan) (Result, error) {
 	return core.RunPlan(prog, src, cfg, plan)
 }
 
-// Optimize runs the whole Ripple pipeline: analysis, tuning, injection.
-func Optimize(prog *Program, tr []BlockID, acfg AnalysisConfig, tcfg TuneConfig) (*Outcome, error) {
-	return core.Optimize(prog, blockseq.SliceSource(tr), acfg, tcfg)
-}
-
-// OptimizeSource is Optimize over a replayable block source, e.g. a
-// workload stream (App.Stream) or an on-disk trace (TraceFileSource).
-func OptimizeSource(prog *Program, src BlockSource, acfg AnalysisConfig, tcfg TuneConfig) (*Outcome, error) {
+// Optimize runs the whole Ripple pipeline — analysis, tuning, injection —
+// over a replayable block source, e.g. a workload stream (App.Stream) or
+// an on-disk trace (TraceFileSource).
+func Optimize(prog *Program, src BlockSource, acfg AnalysisConfig, tcfg TuneConfig) (*Outcome, error) {
 	return core.Optimize(prog, src, acfg, tcfg)
 }
 
@@ -329,9 +304,13 @@ func OptimizeSource(prog *Program, src BlockSource, acfg AnalysisConfig, tcfg Tu
 // spent on injected hints (Fig. 12).
 func DynamicOverheadPct(r Result) float64 { return core.DynamicOverheadPct(r) }
 
-// EncodeTrace writes a basic-block trace as a PT-like packet stream.
-func EncodeTrace(w io.Writer, prog *Program, tr []BlockID) (TraceStats, error) {
-	return trace.Encode(w, prog, tr)
+// EncodeTrace writes a block source as a PT-like packet stream in one
+// streaming pass (buffering only the packet bytes). A resynchronization
+// point lands roughly every syncEvery blocks, bounding how much trace is
+// lost past a corrupt region when decoding in recovery mode; 0 emits
+// none.
+func EncodeTrace(w io.Writer, prog *Program, src BlockSource, syncEvery int) (TraceStats, error) {
+	return trace.EncodeSourceSync(w, prog, src, syncEvery)
 }
 
 // DecodeTrace reconstructs a basic-block trace from a packet stream.
@@ -341,7 +320,7 @@ func DecodeTrace(r io.Reader, prog *Program) ([]BlockID, error) {
 
 // DecodeTraceRecover decodes a possibly damaged packet stream in
 // recovery mode: on any packet error it scans to the next sync point
-// (EncodeTraceSourceSync), resumes, and accounts what was lost in the
+// (EncodeTrace's syncEvery), resumes, and accounts what was lost in the
 // returned DecodeReport.
 func DecodeTraceRecover(r io.Reader, prog *Program) ([]BlockID, DecodeReport, error) {
 	return trace.DecodeRecover(r, prog)
@@ -356,24 +335,10 @@ func TraceFileSource(path string, prog *Program) BlockSource {
 
 // RecoverTraceFileSource is TraceFileSource in recovery mode: damaged
 // stream regions are skipped at sync points instead of failing the
-// pass, and AnalyzeSource surfaces the aggregate damage accounting as
+// pass, and Analyze surfaces the aggregate damage accounting as
 // Analysis.Coverage.
 func RecoverTraceFileSource(path string, prog *Program) BlockSource {
 	return trace.FileSourceOptions(path, prog, trace.FileOptions{Recover: true})
-}
-
-// EncodeTraceSource writes a block source as a PT-like packet stream in
-// one streaming pass (buffering only the packet bytes).
-func EncodeTraceSource(w io.Writer, prog *Program, src BlockSource) (TraceStats, error) {
-	return trace.EncodeSource(w, prog, src)
-}
-
-// EncodeTraceSourceSync is EncodeTraceSource with a resynchronization
-// point roughly every syncEvery blocks, bounding how much trace is lost
-// past a corrupt region when decoding in recovery mode; 0 emits none
-// (byte-identical to EncodeTraceSource).
-func EncodeTraceSourceSync(w io.Writer, prog *Program, src BlockSource, syncEvery int) (TraceStats, error) {
-	return trace.EncodeSourceSync(w, prog, src, syncEvery)
 }
 
 // CollectSource drains one pass of a source into a materialized trace.
@@ -415,30 +380,17 @@ func SampledIdealMisses(src EventSource, l1i CacheConfig, cfg OPTGenConfig) (Sam
 
 // AnalyzeMulti analyzes several independent profiles together (merged
 // multi-input profiles, or the fragments of an LBR-style sampler).
-func AnalyzeMulti(prog *Program, traces [][]BlockID, cfg AnalysisConfig) (*Analysis, error) {
-	sources := make([]BlockSource, len(traces))
-	for i, tr := range traces {
-		sources[i] = blockseq.SliceSource(tr)
-	}
-	return core.AnalyzeMulti(prog, sources, cfg)
-}
-
-// AnalyzeSources is AnalyzeMulti over replayable block sources.
-func AnalyzeSources(prog *Program, sources []BlockSource, cfg AnalysisConfig) (*Analysis, error) {
+func AnalyzeMulti(prog *Program, sources []BlockSource, cfg AnalysisConfig) (*Analysis, error) {
 	return core.AnalyzeMulti(prog, sources, cfg)
 }
 
 // SampleLBR acquires an LBR-style sampled profile from a ground-truth
 // trace: short control-flow fragments captured at a jittered interval,
-// the way perf/AutoFDO profile production services. Feed the fragments to
-// AnalyzeMulti to compare profile sources (the `lbr` experiment).
-func SampleLBR(trace []BlockID, cfg LBRConfig) (*LBRProfile, error) {
-	return lbr.Sample(blockseq.SliceSource(trace), cfg)
-}
-
-// SampleLBRSource is SampleLBR over a replayable block source; the
-// sampler streams it once, retaining only the captured fragments.
-func SampleLBRSource(src BlockSource, cfg LBRConfig) (*LBRProfile, error) {
+// the way perf/AutoFDO profile production services. The sampler streams
+// the source once, retaining only the captured fragments. Feed
+// prof.Sources() to AnalyzeMulti to compare profile sources (the `lbr`
+// experiment).
+func SampleLBR(src BlockSource, cfg LBRConfig) (*LBRProfile, error) {
 	return lbr.Sample(src, cfg)
 }
 
@@ -453,16 +405,9 @@ type LayoutOptions = layout.Options
 // reordering.
 func DefaultLayoutOptions() LayoutOptions { return layout.DefaultOptions() }
 
-// ProfileLayout builds a code-layout profile from an executed trace.
-func ProfileLayout(prog *Program, tr []BlockID) *LayoutProfile {
-	// A slice-backed source cannot fail mid-stream.
-	p, _ := layout.ProfileFromTrace(prog, blockseq.SliceSource(tr))
-	return p
-}
-
-// ProfileLayoutSource is ProfileLayout over a replayable block source,
+// ProfileLayout builds a code-layout profile from an executed trace,
 // consumed in one streaming pass.
-func ProfileLayoutSource(prog *Program, src BlockSource) (*LayoutProfile, error) {
+func ProfileLayout(prog *Program, src BlockSource) (*LayoutProfile, error) {
 	return layout.ProfileFromTrace(prog, src)
 }
 

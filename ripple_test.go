@@ -16,7 +16,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile := app.Trace(0, 420_000)
+	profile := ripple.SliceSource(app.Trace(0, 420_000))
 
 	tcfg := ripple.TuneConfig{
 		Params:       ripple.DefaultParams(),
@@ -64,7 +64,7 @@ func TestPublicTraceCodec(t *testing.T) {
 	}
 	tr := app.Trace(0, 5_000)
 	var buf bytes.Buffer
-	stats, err := ripple.EncodeTrace(&buf, app.Prog, tr)
+	stats, err := ripple.EncodeTrace(&buf, app.Prog, ripple.SliceSource(tr), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPublicIdealMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := app.Trace(0, 60_000)
+	tr := ripple.SliceSource(app.Trace(0, 60_000))
 	params := ripple.DefaultParams()
 	pol, err := ripple.NewPolicy("lru")
 	if err != nil {
@@ -97,7 +97,7 @@ func TestPublicIdealMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := ripple.AccessEventSource(params, app.Prog, ripple.SliceSource(tr), func() (ripple.Options, error) {
+	events := ripple.AccessEventSource(params, app.Prog, tr, func() (ripple.Options, error) {
 		pol, err := ripple.NewPolicy("lru")
 		return ripple.Options{Policy: pol}, err
 	})
@@ -144,8 +144,11 @@ func TestPublicLayoutAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := app.Trace(0, 50_000)
-	prof := ripple.ProfileLayout(app.Prog, tr)
+	tr := ripple.SliceSource(app.Trace(0, 50_000))
+	prof, err := ripple.ProfileLayout(app.Prog, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opt, err := ripple.OptimizeLayout(app.Prog, prof, ripple.DefaultLayoutOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +169,7 @@ func TestPublicLBRAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := app.Trace(0, 30_000)
+	tr := ripple.SliceSource(app.Trace(0, 30_000))
 	prof, err := ripple.SampleLBR(tr, ripple.LBRConfig{Interval: 1000, Depth: 512, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +177,7 @@ func TestPublicLBRAPI(t *testing.T) {
 	if len(prof.Fragments) == 0 {
 		t.Fatal("no fragments")
 	}
-	a, err := ripple.AnalyzeMulti(app.Prog, prof.Fragments, ripple.DefaultAnalysisConfig())
+	a, err := ripple.AnalyzeMulti(app.Prog, prof.Sources(), ripple.DefaultAnalysisConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +210,7 @@ func TestSeedRobustness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		profile := app.Trace(0, 420_000)
+		profile := ripple.SliceSource(app.Trace(0, 420_000))
 		out, err := ripple.Optimize(app.Prog, profile, ripple.DefaultAnalysisConfig(), ripple.TuneConfig{
 			Params:       ripple.DefaultParams(),
 			Policy:       "lru",
@@ -230,7 +233,7 @@ func TestPublicParallelTuning(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := app.Stream(0, 60_000)
-	a, err := ripple.AnalyzeSource(app.Prog, src, ripple.DefaultAnalysisConfig())
+	a, err := ripple.Analyze(app.Prog, src, ripple.DefaultAnalysisConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +244,7 @@ func TestPublicParallelTuning(t *testing.T) {
 		Thresholds:   []float64{0.55, 0.95},
 		WarmupBlocks: 20_000,
 	}
-	serial, err := ripple.TuneSource(a, src, tcfg)
+	serial, err := ripple.Tune(a, src, tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestStreamMatchesSliceAcrossConfigs(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					r, err := ripple.SimulateSource(params, app.Prog, src, ripple.Options{
+					r, err := ripple.Simulate(params, app.Prog, src, ripple.Options{
 						Policy:       pol,
 						Prefetcher:   pf,
 						WarmupBlocks: warmup,
@@ -70,7 +70,7 @@ func TestStreamMatchesSliceWithAccuracy(t *testing.T) {
 	tr := app.Trace(0, blocks)
 	run := func(src ripple.BlockSource) ripple.Result {
 		pol, _ := ripple.NewPolicy("lru")
-		r, err := ripple.SimulateSource(params, app.Prog, src, ripple.Options{
+		r, err := ripple.Simulate(params, app.Prog, src, ripple.Options{
 			Policy:          pol,
 			MeasureAccuracy: true,
 			WarmupBlocks:    10_000,
@@ -87,10 +87,10 @@ func TestStreamMatchesSliceWithAccuracy(t *testing.T) {
 	}
 }
 
-// TestOptimizeSourceMatchesOptimize runs the whole pipeline (analysis,
+// TestOptimizeStreamMatchesSlice runs the whole pipeline (analysis,
 // tuning, injection) from a stream and from the materialized trace and
 // compares the tuned outcome.
-func TestOptimizeSourceMatchesOptimize(t *testing.T) {
+func TestOptimizeStreamMatchesSlice(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full pipelines")
 	}
@@ -106,11 +106,11 @@ func TestOptimizeSourceMatchesOptimize(t *testing.T) {
 		Thresholds:   []float64{0.55, 0.75, 0.95},
 		WarmupBlocks: 40_000,
 	}
-	fromStream, err := ripple.OptimizeSource(app.Prog, app.Stream(0, blocks), ripple.DefaultAnalysisConfig(), tcfg)
+	fromStream, err := ripple.Optimize(app.Prog, app.Stream(0, blocks), ripple.DefaultAnalysisConfig(), tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSlice, err := ripple.Optimize(app.Prog, app.Trace(0, blocks), ripple.DefaultAnalysisConfig(), tcfg)
+	fromSlice, err := ripple.Optimize(app.Prog, ripple.SliceSource(app.Trace(0, blocks)), ripple.DefaultAnalysisConfig(), tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
