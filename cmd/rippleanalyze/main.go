@@ -35,7 +35,6 @@ import (
 	"ripple/internal/cliflag"
 	"ripple/internal/core"
 	"ripple/internal/frontend"
-	"ripple/internal/opt"
 	"ripple/internal/program"
 	"ripple/internal/rippled"
 	"ripple/internal/runner"
@@ -54,8 +53,6 @@ func main() {
 	flag.StringVar(&o.StoreURL, "store", "", "rippled URL for a shared fleet result store (e.g. http://127.0.0.1:8344); mutually exclusive with -cachedir")
 	flag.StringVar(&o.JSONOut, "json", "", "also write a JSON report to this path")
 	flag.IntVar(&o.Retries, "retries", 2, "retry budget for transiently failing simulations")
-	flag.StringVar(&o.Oracle, "oracle", "exact", "oracle engine for the ideal-miss report: exact, or sampled to add a single-pass sampled-set OPTGen estimate beside it")
-	flag.IntVar(&o.OracleSets, "oracle-sets", 0, "sampled-set budget for -oracle sampled (default 64)")
 	flag.Parse()
 	o.Stdout = os.Stdout
 	if o.CacheDir != "" && o.StoreURL != "" {
@@ -95,8 +92,6 @@ type options struct {
 	StoreURL           string
 	JSONOut            string
 	Retries            int
-	Oracle             string
-	OracleSets         int
 	Stdout             io.Writer
 }
 
@@ -107,9 +102,6 @@ type report struct {
 	TraceBlocks int
 	Windows     int
 	IdealMisses uint64
-	// SampledOracle carries the sampled-set OPTGen estimate of the same
-	// ideal-miss count (present only with -oracle sampled).
-	SampledOracle *sampledReport `json:",omitempty"`
 	// Coverage reports how much of the declared profile survived decoding
 	// (present only with -recover).
 	Coverage *core.SourceCoverage `json:",omitempty"`
@@ -121,16 +113,6 @@ type report struct {
 	// ComputeTime and in-process coalescing are excluded: they vary with
 	// scheduling, and the report must be byte-identical for any -j.
 	Jobs *jobsReport `json:",omitempty"`
-}
-
-// sampledReport is the -oracle sampled estimate beside the exact count.
-type sampledReport struct {
-	EstimatedMisses uint64
-	SampleSets      int
-	TotalSets       int
-	History         int
-	// ErrPct is the estimate's signed error against the exact count, %.
-	ErrPct float64
 }
 
 type jobsReport struct {
@@ -193,31 +175,6 @@ func run(o options) (runner.Stats, error) {
 		Windows:     analysis.Windows,
 		IdealMisses: analysis.IdealMisses,
 		Coverage:    analysis.Coverage,
-	}
-	switch o.Oracle {
-	case "", "exact":
-		// The analysis's exact streaming replay is the only engine needed.
-	case "sampled":
-		sr, err := opt.SimulateSampled(frontend.DemandEvents(prog, tr), frontend.DefaultParams().L1I,
-			opt.ModeMIN, opt.OPTGenConfig{SampleSets: o.OracleSets})
-		if err != nil {
-			return stats, err
-		}
-		est := sr.EstimatedDemandMisses()
-		s := &sampledReport{
-			EstimatedMisses: est,
-			SampleSets:      sr.SampleSets,
-			TotalSets:       sr.TotalSets,
-			History:         sr.History,
-		}
-		if analysis.IdealMisses > 0 {
-			s.ErrPct = (float64(est) - float64(analysis.IdealMisses)) / float64(analysis.IdealMisses) * 100
-		}
-		rep.SampledOracle = s
-		fmt.Fprintf(o.Stdout, "sampled oracle: ~%d ideal misses (%d/%d sets, history %d, %+.1f%% vs exact)\n",
-			est, sr.SampleSets, sr.TotalSets, sr.History, s.ErrPct)
-	default:
-		return stats, fmt.Errorf("-oracle must be 'exact' or 'sampled' (got %q)", o.Oracle)
 	}
 	var plan *core.Plan
 	if o.Threshold > 0 {

@@ -59,7 +59,7 @@ func fixture(t *testing.T) (progPath, ptPath string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trace.Encode(tf, app.Prog, app.Trace(0, 30_000)); err != nil {
+	if _, err := trace.EncodeSourceSync(tf, app.Prog, app.Stream(0, 30_000), 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := tf.Close(); err != nil {

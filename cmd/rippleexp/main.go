@@ -7,27 +7,18 @@
 // sub-jobs on the same pool, and results are deterministic for any
 // worker count. With -cachedir the
 // results are also persisted content-addressed on disk, so a repeated or
-// partially-overlapping invocation only simulates what changed; -cache=off
-// disables the persistent store even when -cachedir is set (the in-process
-// cache always remains). With -store the results instead flow through a
-// shared rippled coordinator (see cmd/rippled): many rippleexp processes
-// drain one sweep, and each duplicate signature is computed exactly once
-// across the whole fleet.
-//
-// The oracle engine behind every MIN/Demand-MIN limit study is selectable
-// with -oracle: "exact" (default) replays the two-pass streaming Belady
-// engine, "sampled" estimates from a single-pass sampled-set OPTGen model
-// in O(sets × history) memory (budget via -oracle-sets). The `oracle`
-// experiment table compares the two side by side.
+// partially-overlapping invocation only simulates what changed; without
+// it results are memoized in-process only. With -store the results
+// instead flow through a shared rippled coordinator (see cmd/rippled):
+// many rippleexp processes drain one sweep, and each duplicate signature
+// is computed exactly once across the whole fleet.
 //
 // Usage:
 //
 //	rippleexp -list
 //	rippleexp -run fig7
-//	rippleexp -run fig3 -oracle sampled -oracle-sets 32
 //	rippleexp -run all -blocks 600000 -apps finagle-http,verilator
 //	rippleexp -run all -j 8 -cachedir ~/.cache/rippleexp
-//	rippleexp -run fig7 -cachedir ~/.cache/rippleexp -cache=off
 //	rippleexp -run all -store http://127.0.0.1:8344
 package main
 
@@ -59,9 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("j", 0, "number of parallel simulation workers (default GOMAXPROCS)")
 	cachedir := fs.String("cachedir", "", "directory for the persistent result store (default: no persistence)")
 	storeURL := fs.String("store", "", "rippled URL for a shared fleet result store (e.g. http://127.0.0.1:8344); mutually exclusive with -cachedir")
-	cacheMode := fs.String("cache", "on", "result store mode: on or off (off ignores -cachedir and -store)")
-	oracle := fs.String("oracle", "", "oracle engine: exact (two-pass streaming Belady, default) or sampled (single-pass sampled-set OPTGen estimate)")
-	oracleSets := fs.Int("oracle-sets", 0, "sampled-set budget for -oracle sampled (default 64)")
 	quiet := fs.Bool("q", false, "suppress progress logging")
 	jsonOut := fs.String("json", "", "write a JSON run summary (experiments + job-runner counters) to this path")
 	if err := fs.Parse(args); err != nil {
@@ -83,23 +71,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *cacheMode != "on" && *cacheMode != "off" {
-		fmt.Fprintln(stderr, "rippleexp: -cache must be 'on' or 'off'")
-		return 2
-	}
 	if *cachedir != "" && *storeURL != "" {
 		fmt.Fprintln(stderr, "rippleexp: -cachedir and -store are mutually exclusive")
-		return 2
-	}
-	if *oracle != "" && *oracle != experiment.OracleExact && *oracle != experiment.OracleSampled {
-		fmt.Fprintln(stderr, "rippleexp: -oracle must be 'exact' or 'sampled'")
 		return 2
 	}
 
 	// Leave unset fields zero: experiment.New centralizes the defaults.
 	// Only flags the user actually passed override the config, so e.g.
 	// `-apps x` does not silently reset the trace length.
-	cfg := experiment.Config{Log: stderr, Workers: *workers}
+	cfg := experiment.Config{Log: stderr, Workers: *workers, CacheDir: *cachedir, StoreURL: *storeURL}
 	if cliflag.PassedIn(fs, "blocks") {
 		cfg.TraceBlocks = *blocks
 	}
@@ -108,14 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *apps != "" {
 		cfg.Apps = strings.Split(*apps, ",")
-	}
-	cfg.Oracle = *oracle
-	if cliflag.PassedIn(fs, "oracle-sets") {
-		cfg.OracleSampleSets = *oracleSets
-	}
-	if *cacheMode == "on" {
-		cfg.CacheDir = *cachedir
-		cfg.StoreURL = *storeURL
 	}
 	if *quiet {
 		cfg.Log = nil

@@ -18,7 +18,9 @@ var small = []string{"-apps", "kafka,drupal", "-blocks", "20000", "-warmup", "60
 
 // goldenCases are the invocations the golden pins, in file order: the
 // experiment list, three experiments (fig9 tunes every Ripple cell with
-// a warmup), the four argument errors, and an unknown experiment.
+// a warmup), the four argument errors, and an unknown experiment. The
+// cache-bogus and oracle-bogus cases pin that -cache and -oracle are
+// unknown flags.
 var goldenCases = []struct {
 	name string
 	args []string

@@ -12,8 +12,7 @@
 //
 // With -ideal the run additionally reports the ideal (Demand-MIN) miss
 // count for the exact access stream this configuration produced, via the
-// streaming oracle engine selected by -oracle (exact two-pass Belady, or
-// a single-pass sampled-set OPTGen estimate with -oracle sampled).
+// exact two-pass streaming Belady engine.
 //
 // The trace is memory-mapped, or read through ReadAt where the platform
 // cannot map it; the output is identical either way.
@@ -22,7 +21,7 @@
 //
 //	ripplesim -prog /tmp/fh.prog -pt /tmp/fh.pt -policy lru -prefetcher fdip
 //	ripplesim -prog /tmp/fh.prog -pt /tmp/fh.pt -plan /tmp/fh.plan -accuracy
-//	ripplesim -prog /tmp/fh.prog -pt /tmp/fh.pt -ideal -oracle sampled
+//	ripplesim -prog /tmp/fh.prog -pt /tmp/fh.pt -ideal
 //	ripplesim -prog /tmp/fh.prog -pt /tmp/fh.pt -policy lru,srrip,drrip -prefetcher none,fdip -j 4 -cachedir /tmp/simcache
 package main
 
@@ -59,8 +58,6 @@ func main() {
 	blocks := flag.Int("blocks", 0, "simulate only the first N trace blocks (default: whole trace)")
 	flag.BoolVar(&o.Accuracy, "accuracy", false, "score replacement decisions against the Belady oracle")
 	flag.BoolVar(&o.Ideal, "ideal", false, "also report the ideal (Demand-MIN) miss count for this configuration's access stream")
-	flag.StringVar(&o.Oracle, "oracle", "exact", "oracle engine for -ideal: exact (two-pass streaming Belady) or sampled (single-pass sampled-set OPTGen estimate)")
-	flag.IntVar(&o.OracleSets, "oracle-sets", 0, "sampled-set budget for -oracle sampled (default 64)")
 	flag.BoolVar(&o.Demote, "demote", false, "execute hints as LRU demotions instead of invalidations")
 	flag.BoolVar(&o.JSON, "json", false, "emit machine-readable JSON instead of the report")
 	flag.IntVar(&o.Workers, "j", 0, "parallel workers for sweep mode (default GOMAXPROCS)")
@@ -92,8 +89,6 @@ type options struct {
 	// trace.
 	Limit, Warmup                 int
 	Accuracy, Ideal, Demote, JSON bool
-	Oracle                        string
-	OracleSets                    int
 	Workers                       int
 	CacheDir, StoreURL            string
 	// Stdout receives the report; Stderr the sweep's runner log. Nil
@@ -110,16 +105,11 @@ func run(o options) error {
 	if o.Stderr == nil {
 		o.Stderr = io.Discard
 	}
-	if o.Oracle == "" {
-		o.Oracle = "exact"
-	}
 	policies := strings.Split(o.Policy, ",")
 	prefetchers := strings.Split(o.Prefetcher, ",")
 	switch {
 	case o.CacheDir != "" && o.StoreURL != "":
 		return fmt.Errorf("-cachedir and -store are mutually exclusive")
-	case o.Oracle != "exact" && o.Oracle != "sampled":
-		return fmt.Errorf("-oracle must be 'exact' or 'sampled'")
 	case len(policies) > 1 || len(prefetchers) > 1:
 		if o.Ideal {
 			return fmt.Errorf("-ideal is only available in single-configuration mode, not sweeps")
@@ -169,15 +159,17 @@ func simulate(o options) error {
 		return err
 	}
 
-	var idealRep *idealReport
+	var ideal *uint64
 	if o.Ideal {
-		if idealRep, err = idealOf(prog, tr, o.Policy, o.Prefetcher, hints, o.Warmup, o.Oracle, o.OracleSets); err != nil {
+		misses, err := idealOf(prog, tr, o.Policy, o.Prefetcher, hints, o.Warmup)
+		if err != nil {
 			return err
 		}
+		ideal = &misses
 	}
 
 	if o.JSON {
-		return emitJSON(w, res, coverageOf(reporter), idealRep)
+		return emitJSON(w, res, coverageOf(reporter), ideal)
 	}
 	fmt.Fprintf(w, "%s: %s prefetcher, %s replacement\n", res.Program, res.Prefetcher, res.Policy)
 	printCoverage(w, reporter)
@@ -191,12 +183,8 @@ func simulate(o options) error {
 		fmt.Fprintf(w, "  ripple: coverage %.1f%% (%d hint evictions, %d hints found no victim)\n",
 			res.Coverage()*100, res.L1I.HintFreedFills, res.L1I.HintMisses)
 	}
-	if idealRep != nil {
-		fmt.Fprintf(w, "  ideal replacement (demand-min, %s): %d misses", idealRep.Engine, idealRep.Misses)
-		if idealRep.Engine == "sampled" {
-			fmt.Fprintf(w, " estimated from %d/%d sets (history %d)", idealRep.SampleSets, idealRep.TotalSets, idealRep.History)
-		}
-		fmt.Fprintf(w, "; this policy took %d\n", res.L1I.DemandMisses)
+	if ideal != nil {
+		fmt.Fprintf(w, "  ideal replacement (demand-min, exact): %d misses; this policy took %d\n", *ideal, res.L1I.DemandMisses)
 	}
 	if o.Accuracy {
 		fmt.Fprintf(w, "  accuracy: policy %.1f%%", res.PolicyAccuracy()*100)
@@ -332,23 +320,14 @@ func sweep(o options, policies, prefetchers []string) error {
 	return nil
 }
 
-// idealReport is the -ideal result: the Demand-MIN miss count for this
-// configuration's access stream (prefetches included), the lower bound
-// any replacement policy for the same prefetcher is compared against.
-type idealReport struct {
-	Engine     string
-	Misses     uint64
-	SampleSets int
-	TotalSets  int
-	History    int
-}
-
 // idealOf replays the exact access stream the simulation produced — same
-// policy, prefetcher, hints, and warmup — through the selected oracle
-// engine and returns its Demand-MIN miss count. The trace is re-decoded
-// per oracle pass; nothing is materialized.
+// policy, prefetcher, hints, and warmup — through the Demand-MIN oracle
+// and returns its miss count (prefetches included in the stream): the
+// lower bound any replacement policy for the same prefetcher is compared
+// against. The trace is re-decoded per oracle pass; nothing is
+// materialized.
 func idealOf(prog *program.Program, tr blockseq.Source, policy, prefetcher string,
-	hints frontend.HintMode, warmup int, engine string, sets int) (*idealReport, error) {
+	hints frontend.HintMode, warmup int) (uint64, error) {
 	params := frontend.DefaultParams()
 	newOpts := func() (frontend.Options, error) {
 		pol, err := replacement.New(policy)
@@ -361,35 +340,20 @@ func idealOf(prog *program.Program, tr blockseq.Source, policy, prefetcher strin
 		}
 		return frontend.Options{Policy: pol, Prefetcher: pf, Hints: hints, WarmupBlocks: warmup}, nil
 	}
-	events := frontend.AccessEvents(params, prog, tr, newOpts)
-	switch engine {
-	case "exact":
-		r, err := opt.SimulateSource(events, params.L1I, opt.ModeDemandMIN, false)
-		if err != nil {
-			return nil, err
-		}
-		return &idealReport{Engine: engine, Misses: r.DemandMisses}, nil
-	case "sampled":
-		r, err := opt.SimulateSampled(events, params.L1I, opt.ModeDemandMIN, opt.OPTGenConfig{SampleSets: sets})
-		if err != nil {
-			return nil, err
-		}
-		return &idealReport{Engine: engine, Misses: r.EstimatedDemandMisses(),
-			SampleSets: r.SampleSets, TotalSets: r.TotalSets, History: r.History}, nil
+	r, err := opt.SimulateSource(frontend.AccessEvents(params, prog, tr, newOpts), params.L1I, opt.ModeDemandMIN, false)
+	if err != nil {
+		return 0, err
 	}
-	return nil, fmt.Errorf("unknown oracle engine %q", engine)
+	return r.DemandMisses, nil
 }
 
 // emitJSON writes the run's metrics as a single JSON object, for scripted
 // consumers (dashboards, regression checks).
-func emitJSON(w io.Writer, res frontend.Result, cov *trace.DecodeReport, ideal *idealReport) error {
+func emitJSON(w io.Writer, res frontend.Result, cov *trace.DecodeReport, ideal *uint64) error {
 	m := withCoverage(resultJSON(res), cov)
 	if ideal != nil {
-		m["ideal_misses"] = ideal.Misses
-		m["ideal_engine"] = ideal.Engine
-		if ideal.Engine == "sampled" {
-			m["ideal_sample_sets"] = ideal.SampleSets
-		}
+		m["ideal_misses"] = *ideal
+		m["ideal_engine"] = "exact" // one engine now; kept for -json consumers
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

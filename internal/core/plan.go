@@ -124,25 +124,21 @@ func (p *Plan) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(img)
 }
 
-// digest returns a stable content hash of the plan: the SHA-256 (hex)
+// Digest returns a stable content hash of the plan: the SHA-256 (hex)
 // of its serialized form (Save emits blocks and victims in sorted
-// order, so the bytes are canonical). Parallel tuning keys each
-// per-threshold simulation job by it, so a cached result can never be
+// order, so the bytes are canonical). Two plans share a digest iff they
+// are structurally identical, so ripplewatch's hysteresis loop can
+// compare plan revisions without deep equality, and parallel tuning keys
+// each per-threshold simulation job by it: a cached result can never be
 // served to a structurally different plan that happens to share a
 // threshold (e.g. the same threshold over a different analysis).
-func (p *Plan) digest() (string, error) {
+func (p *Plan) Digest() (string, error) {
 	h := sha256.New()
 	if err := p.Save(h); err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
-
-// Digest returns a stable content hash of the plan: the SHA-256 (hex)
-// of its serialized form. Two plans share a digest iff they are
-// structurally identical, so consumers like ripplewatch's hysteresis
-// loop can compare plan revisions without deep equality.
-func (p *Plan) Digest() (string, error) { return p.digest() }
 
 // LoadPlan reads a plan written by Save.
 func LoadPlan(r io.Reader) (*Plan, error) {

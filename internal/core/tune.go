@@ -202,7 +202,7 @@ func runSweepJobs(a *Analysis, src blockseq.Source, cfg TuneConfig, opts Paralle
 	fb := g.Submit(job(base+"|plan=none", fmt.Sprintf("tune %s baseline", a.Prog.Name), nil))
 	futs := make([]*runner.Future, len(thresholds))
 	for i, th := range thresholds {
-		dg, err := plans[i].digest()
+		dg, err := plans[i].Digest()
 		if err != nil {
 			return fmt.Errorf("core: digesting plan: %w", err)
 		}

@@ -606,67 +606,20 @@ func TestTableMixedRowWidths(t *testing.T) {
 	}
 }
 
-func TestOracleEnginesTable(t *testing.T) {
+// TestStoreSignatureShapes pins the suffixes the suite appends to its
+// config prefix: stores warmed by earlier builds stay hittable only while
+// these strings are unchanged.
+func TestStoreSignatureShapes(t *testing.T) {
 	s := fastSuite()
-	tb, err := s.OracleEngines()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := s.oracleFor("finagle-http", "fdip", OracleExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := tb.Value("finagle-http", "min"); !ok || v != float64(exact.Min) {
-		t.Fatalf("oracle table min = %v,%v; exact engine says %d", v, ok, exact.Min)
-	}
-	sampledMin, ok := tb.Value("finagle-http", "min~")
-	if !ok || sampledMin <= 0 {
-		t.Fatalf("sampled MIN estimate = %v,%v", sampledMin, ok)
-	}
-	// The default machine has 64 sets and the default sample budget is 64,
-	// so every set is sampled: the only estimation error is the bounded
-	// history window, which can only turn long-reuse hits into misses.
-	// The estimate is therefore a certified upper bound on exact MIN.
-	if sampledMin < float64(exact.Min) {
-		t.Fatalf("fully-sampled MIN estimate %v below exact %d", sampledMin, exact.Min)
-	}
-	if e, _ := tb.Value("finagle-http", "min-err%"); e > 200 {
-		t.Fatalf("sampled MIN overcount unreasonable: +%.1f%%", e)
-	}
-	// Demand-MIN sampled tracks the true optimum: never above the exact
-	// replay heuristic by more than sampling noise, and on these streams
-	// it should stay below or near it.
-	dexact, _ := tb.Value("finagle-http", "dmin")
-	dsamp, _ := tb.Value("finagle-http", "dmin~")
-	if dexact <= 0 || dsamp <= 0 {
-		t.Fatalf("demand-min cells: exact=%v sampled=%v", dexact, dsamp)
-	}
-}
-
-func TestSampledOracleSuiteConfig(t *testing.T) {
-	s := New(Config{
-		Apps:         []string{"finagle-http"},
-		TraceBlocks:  40_000,
-		WarmupBlocks: 10_000,
-		Thresholds:   []float64{0.55, 0.95},
-		Oracle:       OracleSampled,
-	})
-	if s.cfg.OracleSampleSets == 0 {
-		t.Fatal("sampled suite did not default OracleSampleSets")
-	}
-	// Signatures must not collide with the exact keyspace.
-	if s.oracleSigFor("a", "fdip", OracleExact) == s.oracleSigFor("a", "fdip", OracleSampled) {
-		t.Fatal("exact and sampled oracle signatures collide")
-	}
-	if s.cellSig("fig3", "x") == fastSuite().cellSig("fig3", "x") {
-		t.Fatal("cell signatures ignore the oracle engine")
-	}
-	n, err := s.oracleMissCount("finagle-http", "fdip", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("sampled oracle MIN estimate is zero")
+	th := s.thSig()
+	for _, c := range []struct{ got, want string }{
+		{s.oracleSig("a", "fdip"), "|oracle|app=a|pf=fdip"},
+		{s.cellSig("fig3", "x"), "|cell|th=" + th + "|exp=fig3|key=x"},
+		{s.tableSig("fig3"), "|table|th=" + th + "|apps=finagle-http|id=fig3"},
+	} {
+		if c.got != s.base+c.want {
+			t.Errorf("signature %q, want base + %q", c.got, c.want)
+		}
 	}
 }
 

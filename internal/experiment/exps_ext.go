@@ -726,3 +726,38 @@ func (s *Suite) Phases() (*Table, error) {
 	t.Note = "Ripple's profile spans the phases, so cue probabilities remain predictive"
 	return t, nil
 }
+
+// TRRIPZoo places the temperature-tiered RRIP policy in the Ripple
+// comparison: TRRIP as a hardware baseline over LRU, Ripple's hints
+// injected on top of it, and the resulting replacement coverage — the
+// Fig. 9-style view of a policy the paper does not study.
+func (s *Suite) TRRIPZoo() (*Table, error) {
+	const pf = "fdip"
+	jobs := s.crossJobs(s.cfg.Apps, []string{pf}, []string{"lru", "trrip"})
+	jobs = append(jobs, s.rippleJobs(s.cfg.Apps, []string{pf}, []string{"trrip"})...)
+	if err := s.warm(jobs...); err != nil {
+		return nil, err
+	}
+	t := NewTable("trrip", "Temperature-tiered RRIP under FDIP: hardware baseline and as Ripple's hint target",
+		"application", "trrip%", "ripple-trrip%", "coverage%").WithMean()
+	for _, app := range s.cfg.Apps {
+		base, err := s.run(app, pf, "lru", false)
+		if err != nil {
+			return nil, err
+		}
+		hw, err := s.run(app, pf, "trrip", false)
+		if err != nil {
+			return nil, err
+		}
+		ev, err := s.rippleFor(app, pf, "trrip")
+		if err != nil {
+			return nil, err
+		}
+		t.AddRowF(app, "%.2f",
+			speedupPct(base.Cycles, hw.Cycles),
+			speedupPct(base.Cycles, ev.Best.Cycles),
+			ev.Best.Coverage()*100)
+	}
+	t.Note = "speedups over the FDIP+LRU baseline; coverage is the share of ripple-trrip's evictions freed by hints"
+	return t, nil
+}

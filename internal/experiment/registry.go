@@ -55,7 +55,6 @@ var registry = []entry{
 	{"windowcap", "ablation: analysis window cap (MaxWindowBlocks)", one((*Suite).WindowCap)},
 	{"hintcost", "ablation: invalidate-hint execution cost sensitivity", one((*Suite).HintCost)},
 	{"phases", "extension: phase-varying request mixes (dynamic reuse variance)", one((*Suite).Phases)},
-	{"oracle", "extension: exact vs sampled-set (OPTGen) oracle engines", one((*Suite).OracleEngines)},
 	{"trrip", "extension: temperature-tiered RRIP baseline + Ripple hints", one((*Suite).TRRIPZoo)},
 }
 

@@ -53,22 +53,7 @@ type Config struct {
 	// Retries bounds re-executions of transiently failing jobs
 	// (runner.Transient); 0 disables retry.
 	Retries int
-	// Oracle selects the engine behind every oracle miss count:
-	// OracleExact (default) replays the full two-pass streaming Belady
-	// engine; OracleSampled estimates MIN and Demand-MIN from a
-	// single-pass sampled-set OPTGen model (pollute-evict always uses the
-	// exact engine — it has no interval formulation).
-	Oracle string
-	// OracleSampleSets bounds the sampled engine's set budget (default
-	// opt.DefaultSampleSets). Ignored under OracleExact.
-	OracleSampleSets int
 }
-
-// Oracle engine names for Config.Oracle.
-const (
-	OracleExact   = "exact"
-	OracleSampled = "sampled"
-)
 
 // DefaultConfig returns the standard suite configuration.
 func DefaultConfig() Config {
@@ -102,12 +87,6 @@ func (c Config) normalize() Config {
 	}
 	if len(c.Thresholds) == 0 {
 		c.Thresholds = def.Thresholds
-	}
-	if c.Oracle == "" {
-		c.Oracle = OracleExact
-	}
-	if c.OracleSampleSets == 0 {
-		c.OracleSampleSets = opt.DefaultSampleSets
 	}
 	return c
 }
@@ -194,39 +173,22 @@ func (s *Suite) runSig(app, prefetcher, policy string, accuracy bool) string {
 	return fmt.Sprintf("%s|run|app=%s|pf=%s|pol=%s|acc=%t", s.base, app, prefetcher, policy, accuracy)
 }
 
-// oracleSigFor keys oracle results. The exact engine keeps the original
-// signature shape so result stores warmed before the streaming refactor
-// stay valid; the sampled engine (a different estimator, not a different
-// computation of the same number) gets its own keyspace.
-func (s *Suite) oracleSigFor(app, prefetcher, engine string) string {
-	sig := fmt.Sprintf("%s|oracle|app=%s|pf=%s", s.base, app, prefetcher)
-	if engine != OracleExact {
-		sig += fmt.Sprintf("|engine=%s|sets=%d", engine, s.cfg.OracleSampleSets)
-	}
-	return sig
+// oracleSig keys oracle results. It names no engine, so result stores
+// warmed before the streaming refactor stay valid.
+func (s *Suite) oracleSig(app, prefetcher string) string {
+	return fmt.Sprintf("%s|oracle|app=%s|pf=%s", s.base, app, prefetcher)
 }
 
 func (s *Suite) rippleSig(app, prefetcher, policy string) string {
 	return fmt.Sprintf("%s|ripple|th=%s|app=%s|pf=%s|pol=%s", s.base, s.thSig(), app, prefetcher, policy)
 }
 
-// oracleTag marks signatures of results computed under a non-default
-// oracle engine, so sampled estimates never collide with exact counts in
-// a warm store. Exact (the default) keeps the tag empty — pre-existing
-// stores stay hittable.
-func (s *Suite) oracleTag() string {
-	if s.cfg.Oracle == OracleExact {
-		return ""
-	}
-	return fmt.Sprintf("|oracle=%s:%d", s.cfg.Oracle, s.cfg.OracleSampleSets)
-}
-
 func (s *Suite) cellSig(exp, key string) string {
-	return fmt.Sprintf("%s|cell|th=%s|exp=%s|key=%s%s", s.base, s.thSig(), exp, key, s.oracleTag())
+	return fmt.Sprintf("%s|cell|th=%s|exp=%s|key=%s", s.base, s.thSig(), exp, key)
 }
 
 func (s *Suite) tableSig(id string) string {
-	return fmt.Sprintf("%s|table|th=%s|apps=%s|id=%s%s", s.base, s.thSig(), strings.Join(s.cfg.Apps, ","), id, s.oracleTag())
+	return fmt.Sprintf("%s|table|th=%s|apps=%s|id=%s", s.base, s.thSig(), strings.Join(s.cfg.Apps, ","), id)
 }
 
 // warm fans a batch of jobs out across the worker pool before table
@@ -352,19 +314,13 @@ type oracleCounts struct {
 }
 
 // oracleJob evaluates the oracle replacement modes over the access
-// stream of an LRU run with one prefetcher, using the engine the suite
-// was configured with. The stream is never materialized: the run is
-// replayed through frontend.AccessEvents as many times as the engine
-// needs passes, so the job's memory stays O(1) in the trace length.
+// stream of an LRU run with one prefetcher. The stream is never
+// materialized: the run is replayed through frontend.AccessEvents as many
+// times as the engine needs passes, so the job's memory stays O(1) in the
+// trace length.
 func (s *Suite) oracleJob(name, prefetcher string) runner.Job {
-	return s.oracleJobFor(name, prefetcher, s.cfg.Oracle)
-}
-
-// oracleJobFor is oracleJob with an explicit engine, so the engine
-// comparison table can evaluate both against the same streams.
-func (s *Suite) oracleJobFor(name, prefetcher, engine string) runner.Job {
-	label := fmt.Sprintf("oracle[%s] %s %s", engine, name, prefetcher)
-	return runner.NewJob(s.oracleSigFor(name, prefetcher, engine), label, 2*float64(s.cfg.TraceBlocks),
+	label := fmt.Sprintf("oracle %s %s", name, prefetcher)
+	return runner.NewJob(s.oracleSig(name, prefetcher), label, 2*float64(s.cfg.TraceBlocks),
 		func(context.Context) (*oracleCounts, error) {
 			st, err := s.state(name)
 			if err != nil {
@@ -397,53 +353,22 @@ func (s *Suite) oracleJobFor(name, prefetcher, engine string) runner.Job {
 				LRUMisses: r.L1I.DemandMisses + r.LateMisses,
 				LRUResult: r,
 			}
-			l1i := s.cfg.Params.L1I
 			events := frontend.AccessEvents(s.cfg.Params, st.app.Prog, s.source(st, 0), newOpts)
-			switch engine {
-			case OracleExact:
-				modes := []opt.Mode{opt.ModeMIN, opt.ModeDemandMIN, opt.ModePolluteEvict}
-				rs, err := opt.SimulateSourceModes(events, l1i, modes, false)
-				if err != nil {
-					return nil, err
-				}
-				oc.Min, oc.DemandMin, oc.Pollute = rs[0].DemandMisses, rs[1].DemandMisses, rs[2].DemandMisses
-			case OracleSampled:
-				gc := opt.OPTGenConfig{SampleSets: s.cfg.OracleSampleSets}
-				min, err := opt.NewOPTGen(l1i, opt.ModeMIN, gc)
-				if err != nil {
-					return nil, err
-				}
-				dmin, err := opt.NewOPTGen(l1i, opt.ModeDemandMIN, gc)
-				if err != nil {
-					return nil, err
-				}
-				if err := opt.DriveOPTGen(events, min, dmin); err != nil {
-					return nil, err
-				}
-				oc.Min = min.Result().EstimatedDemandMisses()
-				oc.DemandMin = dmin.Result().EstimatedDemandMisses()
-				// Pollute-evict has no interval formulation: always exact.
-				pr, err := opt.SimulateSource(events, l1i, opt.ModePolluteEvict, false)
-				if err != nil {
-					return nil, err
-				}
-				oc.Pollute = pr.DemandMisses
-			default:
-				return nil, fmt.Errorf("experiment: unknown oracle engine %q", engine)
+			modes := []opt.Mode{opt.ModeMIN, opt.ModeDemandMIN, opt.ModePolluteEvict}
+			rs, err := opt.SimulateSourceModes(events, s.cfg.Params.L1I, modes, false)
+			if err != nil {
+				return nil, err
 			}
-			s.logf("[%s] %s oracles[%s]: min=%d demand-min=%d pollute=%d (LRU: %d)",
-				name, prefetcher, engine, oc.Min, oc.DemandMin, oc.Pollute, oc.LRUMisses)
+			oc.Min, oc.DemandMin, oc.Pollute = rs[0].DemandMisses, rs[1].DemandMisses, rs[2].DemandMisses
+			s.logf("[%s] %s oracles: min=%d demand-min=%d pollute=%d (LRU: %d)",
+				name, prefetcher, oc.Min, oc.DemandMin, oc.Pollute, oc.LRUMisses)
 			return oc, nil
 		})
 }
 
+// oracle runs (or fetches) one oracle cell through the runner.
 func (s *Suite) oracle(name, prefetcher string) (*oracleCounts, error) {
-	return s.oracleFor(name, prefetcher, s.cfg.Oracle)
-}
-
-// oracleFor runs (or fetches) the oracle cell under an explicit engine.
-func (s *Suite) oracleFor(name, prefetcher, engine string) (*oracleCounts, error) {
-	v, err := s.pool.Do(s.ctx, s.oracleJobFor(name, prefetcher, engine))
+	v, err := s.pool.Do(s.ctx, s.oracleJob(name, prefetcher))
 	if err != nil {
 		return nil, err
 	}

@@ -92,7 +92,7 @@ const (
 // itself.
 //
 // Abandoning a pass without draining it requires calling Stop (the
-// returned sequences implement opt.EventStopper); the oracle engines do
+// returned sequences implement opt.EventStopper); the oracle engine does
 // this on their error paths.
 func AccessEvents(p Params, prog *program.Program, src blockseq.Source, newOpts func() (Options, error)) opt.EventSource {
 	return &accessEvents{p: p, prog: prog, src: src, newOpts: newOpts}

@@ -82,7 +82,7 @@ func TestDemandEventsMatchesDemandLines(t *testing.T) {
 // TestAccessEventsCountsMatchAccesses: across warmup boundaries, a pass
 // carries exactly the post-warmup demand accesses and prefetch probes
 // the run's L1I counted, and every pass replays the identical stream
-// (replayability is what the two-pass oracle engines rely on).
+// (replayability is what the two-pass oracle engine relies on).
 func TestAccessEventsCountsMatchAccesses(t *testing.T) {
 	p := smallParams()
 	prog := loopProgram(t)

@@ -26,33 +26,20 @@ func benchEvents(n int) []Event {
 	return ev
 }
 
-// BenchmarkOracle compares the two streaming oracle engines at two
-// trace lengths. B/op is the point: exact-stream pays an 8 B/event
-// next-use index, and sampled is flat regardless of trace length.
+// BenchmarkOracle measures the streaming oracle engine at two trace
+// lengths. B/op grows with the stream: exact-stream pays an 8 B/event
+// next-use index.
 func BenchmarkOracle(b *testing.B) {
 	for _, n := range []int{50000, 500000} {
-		ev := benchEvents(n)
-		src := SliceEvents(ev)
-		run := func(name string, fn func(b *testing.B)) {
-			b.Run(fmt.Sprintf("engine=%s/events=%d", name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				fn(b)
-				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-			})
-		}
-		run("exact-stream", func(b *testing.B) {
+		src := SliceEvents(benchEvents(n))
+		b.Run(fmt.Sprintf("engine=exact-stream/events=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := SimulateSource(src, benchCfg, ModeDemandMIN, false); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
-		run("sampled", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := SimulateSampled(src, benchCfg, ModeDemandMIN, OPTGenConfig{}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 		})
 	}
 }

@@ -7,10 +7,7 @@
 // The exact engine streams both passes over a replayable EventSource
 // (SimulateSource / BuildOracleSource), so no caller has to materialize
 // the access stream; the slice APIs (Simulate, BuildOracle) are thin
-// SliceEvents wrappers kept for tests and small inputs. Beside it,
-// OPTGen estimates the same limits from a handful of sampled sets with
-// bounded per-set state (Hawkeye-style), making oracle memory independent
-// of trace length.
+// SliceEvents wrappers kept for tests and small inputs.
 //
 // The package also provides the next-use Oracle used to score replacement
 // accuracy: a victim choice is "optimal" iff no other line in the set is

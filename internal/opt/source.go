@@ -53,8 +53,7 @@ func LenHint(src EventSource) (int, bool) {
 // stream-position space of the exact engine (2^31-1 events). Positions —
 // entry.last, Eviction.LastUse/At, the next-use indexes, the accuracy
 // Oracle — are int32 throughout; before this guard, longer traces wrapped
-// silently into negative positions. The sampled OPTGen engine counts in
-// int64 set-local time and has no such bound.
+// silently into negative positions.
 var ErrStreamTooLong = errors.New("opt: event stream exceeds int32 position space (2^31-1 events)")
 
 // maxStreamEvents is the exact engine's position-space bound. It is a

@@ -285,14 +285,6 @@ func (r Registration) ProbeReference() func() cache.Policy {
 	return r.Ref
 }
 
-// Class returns the symmetry class of a set index.
-func (r Registration) Class(set int) int {
-	if r.SetClass == nil {
-		return 0
-	}
-	return r.SetClass(set)
-}
-
 // Demotes reports whether the registered policy supports demote hints.
 func (r Registration) Demotes() bool {
 	_, ok := r.New().(cache.Demoter)

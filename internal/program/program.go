@@ -90,9 +90,6 @@ func (p *Program) buildIndexes() {
 	}
 }
 
-// LaidOut reports whether Layout has been run.
-func (p *Program) LaidOut() bool { return p.laidOut }
-
 // BlockAtEntry returns the block whose entry address is addr, for decoding
 // TIP packets. The second result is false when no block starts there.
 func (p *Program) BlockAtEntry(addr uint64) (BlockID, bool) {

@@ -41,7 +41,7 @@ func FuzzDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := Encode(&buf, app.Prog, app.Trace(0, 500)); err != nil {
+	if _, err := EncodeSourceSync(&buf, app.Prog, app.Stream(0, 500), 0); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
@@ -63,7 +63,7 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("unbounded decode: %d blocks", len(got))
 		}
 		var first bytes.Buffer
-		if _, err := Encode(&first, app.Prog, got); err != nil {
+		if _, err := EncodeSourceSync(&first, app.Prog, blockseq.SliceSource(got), 0); err != nil {
 			t.Fatalf("decoded walk failed to re-encode: %v", err)
 		}
 		again, err := Decode(bytes.NewReader(first.Bytes()), app.Prog)
@@ -79,7 +79,7 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 		var second bytes.Buffer
-		if _, err := Encode(&second, app.Prog, again); err != nil {
+		if _, err := EncodeSourceSync(&second, app.Prog, blockseq.SliceSource(again), 0); err != nil {
 			t.Fatalf("second encode failed: %v", err)
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {

@@ -52,7 +52,7 @@ func main() {
 		}
 		blocks := app.Trace(0, mc.blocks)
 		var buf bytes.Buffer
-		if _, err := trace.Encode(&buf, app.Prog, blocks); err != nil {
+		if _, err := trace.EncodeSourceSync(&buf, app.Prog, blockseq.SliceSource(blocks), 0); err != nil {
 			log.Fatal(err)
 		}
 		raw := buf.Bytes()

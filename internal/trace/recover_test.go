@@ -60,15 +60,21 @@ func encodeSync(t *testing.T, prog *program.Program, blocks []program.BlockID, n
 	return buf.Bytes(), stats
 }
 
-// TestSyncEveryZeroIsByteIdentical pins backward compatibility: an
-// encoder with no sync interval produces exactly the bytes the plain
-// Encode path produces, so existing corpora, golden files, and store
-// signatures stay valid.
+// TestSyncEveryZeroIsByteIdentical pins backward compatibility:
+// EncodeSourceSync with no sync interval produces exactly the bytes of
+// an Encoder never given one, so existing corpora, golden files, and
+// store signatures stay valid.
 func TestSyncEveryZeroIsByteIdentical(t *testing.T) {
 	app := tinyApp(t)
 	blocks := app.Trace(0, 5000)
 	var plain bytes.Buffer
-	if _, err := Encode(&plain, app.Prog, blocks); err != nil {
+	e := NewEncoder(&plain, app.Prog)
+	for _, b := range blocks {
+		if err := e.Step(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	synced, stats := encodeSync(t, app.Prog, blocks, 0)
@@ -236,7 +242,7 @@ func TestDecodeErrorsCarryOffsetAndKind(t *testing.T) {
 	app := tinyApp(t)
 	blocks := app.Trace(0, 500)
 	var buf bytes.Buffer
-	if _, err := Encode(&buf, app.Prog, blocks); err != nil {
+	if _, err := EncodeSourceSync(&buf, app.Prog, blockseq.SliceSource(blocks), 0); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()

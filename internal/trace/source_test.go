@@ -21,7 +21,7 @@ import (
 func encoded(t *testing.T, prog *program.Program, blocks []program.BlockID) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := Encode(&buf, prog, blocks); err != nil {
+	if _, err := EncodeSourceSync(&buf, prog, blockseq.SliceSource(blocks), 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -296,13 +296,13 @@ func TestBytesSourceConformance(t *testing.T) {
 }
 
 // TestEncodeSourceStreamConformance closes the streaming loop: a workload
-// stream encoded in one pass by EncodeSource decodes into a fully
+// stream encoded in one pass by EncodeSourceSync decodes into a fully
 // conformant source that replays the original stream.
 func TestEncodeSourceStreamConformance(t *testing.T) {
 	app := tinyApp(t)
 	want := app.Trace(0, 3000)
 	var buf bytes.Buffer
-	if _, err := EncodeSource(&buf, app.Prog, blockseq.SliceSource(want)); err != nil {
+	if _, err := EncodeSourceSync(&buf, app.Prog, blockseq.SliceSource(want), 0); err != nil {
 		t.Fatal(err)
 	}
 	src := BytesSource(buf.Bytes(), app.Prog, FileOptions{})

@@ -278,22 +278,12 @@ func (e *Encoder) Close() (Stats, error) {
 	return e.stats, e.err
 }
 
-// Encode serializes a whole trace in one call.
-func Encode(w io.Writer, prog *program.Program, blocks []program.BlockID) (Stats, error) {
-	return EncodeSource(w, prog, blockseq.SliceSource(blocks))
-}
-
-// EncodeSource serializes a block source in one streaming pass. Only the
-// packet bytes are buffered (the header carries the block count, known
-// at Close), so peak memory is O(encoded bytes) — a fraction of a byte
-// per block — rather than O(blocks).
-func EncodeSource(w io.Writer, prog *program.Program, src blockseq.Source) (Stats, error) {
-	return EncodeSourceSync(w, prog, src, 0)
-}
-
-// EncodeSourceSync is EncodeSource with a periodic PSB sync point every
-// syncEvery blocks (see Encoder.SyncEvery); syncEvery <= 0 is plain
-// EncodeSource.
+// EncodeSourceSync serializes a block source in one streaming pass, with
+// a periodic PSB sync point every syncEvery blocks (see
+// Encoder.SyncEvery; syncEvery <= 0 emits none). Only the packet bytes
+// are buffered (the header carries the block count, known at Close), so
+// peak memory is O(encoded bytes) — a fraction of a byte per block —
+// rather than O(blocks).
 func EncodeSourceSync(w io.Writer, prog *program.Program, src blockseq.Source, syncEvery int) (Stats, error) {
 	e := NewEncoder(w, prog)
 	e.SyncEvery(syncEvery)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"ripple/internal/blockseq"
 	"ripple/internal/isa"
 	"ripple/internal/program"
 	"ripple/internal/workload"
@@ -30,9 +31,9 @@ func tinyApp(t *testing.T) *workload.App {
 func roundtrip(t *testing.T, prog *program.Program, blocks []program.BlockID) Stats {
 	t.Helper()
 	var buf bytes.Buffer
-	stats, err := Encode(&buf, prog, blocks)
+	stats, err := EncodeSourceSync(&buf, prog, blockseq.SliceSource(blocks), 0)
 	if err != nil {
-		t.Fatalf("Encode: %v", err)
+		t.Fatalf("EncodeSourceSync: %v", err)
 	}
 	got, err := Decode(&buf, prog)
 	if err != nil {
@@ -101,7 +102,7 @@ func TestDecoderStreaming(t *testing.T) {
 	app := tinyApp(t)
 	blocks := app.Trace(0, 1000)
 	var buf bytes.Buffer
-	if _, err := Encode(&buf, app.Prog, blocks); err != nil {
+	if _, err := EncodeSourceSync(&buf, app.Prog, blockseq.SliceSource(blocks), 0); err != nil {
 		t.Fatal(err)
 	}
 	d, err := NewDecoder(&buf, app.Prog)
@@ -143,7 +144,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	app := tinyApp(t)
 	blocks := app.Trace(0, 2000)
 	var buf bytes.Buffer
-	if _, err := Encode(&buf, app.Prog, blocks); err != nil {
+	if _, err := EncodeSourceSync(&buf, app.Prog, blockseq.SliceSource(blocks), 0); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -178,7 +179,7 @@ func TestEncoderStepAfterClose(t *testing.T) {
 func TestStatsConsistency(t *testing.T) {
 	app := tinyApp(t)
 	var buf bytes.Buffer
-	stats, err := Encode(&buf, app.Prog, app.Trace(0, 10000))
+	stats, err := EncodeSourceSync(&buf, app.Prog, app.Stream(0, 10000), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestDecodeSurvivesCorruption(t *testing.T) {
 	app := tinyApp(t)
 	blocks := app.Trace(0, 3000)
 	var buf bytes.Buffer
-	if _, err := Encode(&buf, app.Prog, blocks); err != nil {
+	if _, err := EncodeSourceSync(&buf, app.Prog, blockseq.SliceSource(blocks), 0); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"os"
 
@@ -162,20 +163,44 @@ func (st *State) Validate(tracePath string) error {
 // hashPrefix returns the SHA-256 of the file's first n bytes. A file
 // shorter than n fails with io.ErrUnexpectedEOF.
 func hashPrefix(path string, n int64) ([32]byte, error) {
-	var sum [32]byte
+	var p prefixHasher
+	return p.sum(path, n)
+}
+
+// prefixHasher keeps a running SHA-256 over a growing file's prefix, so
+// re-binding a checkpoint to an append-only trace hashes only the bytes
+// appended since the previous sum, not the whole file again.
+type prefixHasher struct {
+	h hash.Hash // nil until the first sum, and after a failed one
+	n int64     // bytes of the file h has absorbed
+	// hashed counts every byte fed to h over the hasher's life.
+	hashed int64
+}
+
+// sum returns the SHA-256 of the file's first size bytes. It reads only
+// the bytes past the previous sum's size; a size below that (the file
+// shrank) restarts from byte 0. A file shorter than size fails with
+// io.ErrUnexpectedEOF, and any failure makes the next sum restart too.
+func (p *prefixHasher) sum(path string, size int64) ([32]byte, error) {
+	var out [32]byte
 	f, err := os.Open(path)
 	if err != nil {
-		return sum, err
+		return out, err
 	}
 	defer f.Close()
-	h := sha256.New()
-	copied, err := io.Copy(h, io.LimitReader(f, n))
+	if p.h == nil || size < p.n {
+		p.h, p.n = sha256.New(), 0
+	}
+	copied, err := io.Copy(p.h, io.NewSectionReader(f, p.n, size-p.n))
+	p.n += copied
+	p.hashed += copied
+	if err == nil && p.n < size {
+		err = io.ErrUnexpectedEOF
+	}
 	if err != nil {
-		return sum, err
+		p.h = nil
+		return out, err
 	}
-	if copied < n {
-		return sum, io.ErrUnexpectedEOF
-	}
-	h.Sum(sum[:0])
-	return sum, nil
+	p.h.Sum(out[:0])
+	return out, nil
 }

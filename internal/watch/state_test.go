@@ -2,14 +2,18 @@ package watch
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"ripple/internal/fault"
 	"ripple/internal/program"
 	"ripple/internal/trace"
 )
@@ -150,4 +154,83 @@ func FuzzLoadState(f *testing.F) {
 			t.Fatalf("state changed across save/load (%v):\n%+v\n%+v", err, st, back)
 		}
 	})
+}
+
+// TestCheckpointsHashTraceOnce: a watcher following a growing trace
+// re-binds every checkpoint to the bytes written so far, yet hashes each
+// trace byte once over the run rather than the whole prefix again at
+// each checkpoint, and still binds the final checkpoint to the SHA-256
+// of the complete file.
+func TestCheckpointsHashTraceOnce(t *testing.T) {
+	prog, _, data := makeTrace(t, 3000, 128)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trace.pt")
+	app := fault.NewAppender(path, data, 7, 37, 997)
+	done := make(chan error, 1)
+	go func() { done <- app.Run(context.Background(), 100*time.Microsecond) }()
+
+	cfg := watchCfg(t, prog, path, dir)
+	cfg.CheckpointEvery = 64
+	cfg.Tail = TailConfig{Follow: true, Stall: 10 * time.Second, Seed: 1}
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &watcher{cfg: cfg}
+	res, err := w.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("appender: %v", err)
+	}
+	if res.Outcome != OutcomeComplete {
+		t.Fatalf("outcome %s, want %s", res.Outcome, OutcomeComplete)
+	}
+	checkpoints := res.Total/uint64(cfg.CheckpointEvery) + 1
+	if w.prefix.hashed != int64(len(data)) {
+		t.Fatalf("%d checkpoints hashed %d bytes of a %d-byte trace, want each byte once",
+			checkpoints, w.prefix.hashed, len(data))
+	}
+	if w.st.PrefixLen != int64(len(data)) || w.st.PrefixSHA != sha256.Sum256(data) {
+		t.Fatalf("final checkpoint binds %d bytes, want the whole %d-byte trace", w.st.PrefixLen, len(data))
+	}
+}
+
+// TestPrefixHasherMatchesFreshHash: every sum equals a from-scratch hash
+// of the file's prefix while the file grows, shrinks (which rehashes
+// from byte 0) and comes up short (which fails and restarts the next
+// sum from byte 0).
+func TestPrefixHasherMatchesFreshHash(t *testing.T) {
+	data := bytes.Repeat([]byte("ripple"), 1000)
+	path := filepath.Join(t.TempDir(), "trace.pt")
+	var p prefixHasher
+	for _, step := range []struct {
+		fileLen, size, hashed int64
+		short                 bool
+	}{
+		{fileLen: 3000, size: 3000, hashed: 3000},
+		{fileLen: 6000, size: 4000, hashed: 4000},
+		{fileLen: 6000, size: 6000, hashed: 6000},
+		{fileLen: 2000, size: 2000, hashed: 8000},
+		{fileLen: 2000, size: 5000, hashed: 8000, short: true},
+		{fileLen: 6000, size: 6000, hashed: 14000},
+	} {
+		if err := os.WriteFile(path, data[:step.fileLen], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.sum(path, step.size)
+		if step.short {
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("sum(%d) of a %d-byte file: err %v, want io.ErrUnexpectedEOF", step.size, step.fileLen, err)
+			}
+		} else if err != nil {
+			t.Fatal(err)
+		} else if got != sha256.Sum256(data[:step.size]) {
+			t.Fatalf("sum(%d) of a %d-byte file differs from a fresh hash", step.size, step.fileLen)
+		}
+		if p.hashed != step.hashed {
+			t.Fatalf("after sum(%d) of a %d-byte file: %d bytes hashed in all, want %d", step.size, step.fileLen, p.hashed, step.hashed)
+		}
+	}
 }

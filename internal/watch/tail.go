@@ -290,11 +290,6 @@ func (s *TailSeq) Declared() uint64 { return s.declared }
 // restore point plus every block this pass returned.
 func (s *TailSeq) Emitted() uint64 { return s.emitted }
 
-// AnchorOff returns the byte offset of the pass's current restore anchor
-// (0 = stream start). Every byte before it has been fully consumed: a
-// checkpoint binds the trace identity by hashing that prefix.
-func (s *TailSeq) AnchorOff() int64 { return s.anchorOff }
-
 // RegionCount returns how many distinct damage regions the pass has
 // observed so far (cheap; poll it per block).
 func (s *TailSeq) RegionCount() int { return len(s.regions) }
@@ -438,10 +433,6 @@ func (s *TailSeq) finish(err error) {
 }
 
 func (s *TailSeq) Err() error { return s.err }
-
-// Interrupted reports whether the pass ended on a pause signal (stall,
-// rotation, cancellation) rather than completing or failing.
-func (s *TailSeq) Interrupted() bool { return IsInterrupt(s.err) }
 
 // Mark layout: version, flags, then the anchor fields as uvarints.
 const (

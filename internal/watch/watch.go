@@ -181,6 +181,9 @@ type watcher struct {
 	// folded into the state.
 	regionSet    map[int64]bool
 	knownRegions int
+
+	// prefix binds each checkpoint to the trace bytes read so far.
+	prefix prefixHasher
 }
 
 func (w *watcher) logf(format string, args ...any) {
@@ -473,7 +476,7 @@ func (w *watcher) checkpoint() error {
 		return err
 	}
 	n := fi.Size()
-	sum, err := hashPrefix(w.cfg.TracePath, n)
+	sum, err := w.prefix.sum(w.cfg.TracePath, n)
 	if err != nil {
 		return err
 	}

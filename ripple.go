@@ -117,13 +117,9 @@ type (
 	// simulated run; AccessEventSource streams them.
 	AccessEvent = opt.Event
 	// EventSource is a replayable iterator factory over access events —
-	// the oracle engines' streaming input (see SliceEventSource,
+	// the oracle engine's streaming input (see SliceEventSource,
 	// AccessEventSource).
 	EventSource = opt.EventSource
-	// OPTGenConfig sizes the sampled-set oracle engine.
-	OPTGenConfig = opt.OPTGenConfig
-	// SampledOracleResult is a sampled-set oracle estimate.
-	SampledOracleResult = opt.SampledResult
 
 	// LBRConfig parameterizes LBR-style profile sampling.
 	LBRConfig = lbr.Config
@@ -368,14 +364,6 @@ func IdealMissesSource(src EventSource, l1i CacheConfig) (uint64, error) {
 		return 0, err
 	}
 	return r.DemandMisses, nil
-}
-
-// SampledIdealMisses estimates the Demand-MIN demand-miss count from a
-// single pass of a sampled-set OPTGen engine (Hawkeye-style), in O(sets
-// × history) memory regardless of stream length. The zero OPTGenConfig
-// selects the default 64-set, 8×associativity budget.
-func SampledIdealMisses(src EventSource, l1i CacheConfig, cfg OPTGenConfig) (SampledOracleResult, error) {
-	return opt.SimulateSampled(src, l1i, opt.ModeDemandMIN, cfg)
 }
 
 // AnalyzeMulti analyzes several independent profiles together (merged

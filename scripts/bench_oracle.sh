@@ -1,13 +1,12 @@
 #!/bin/sh
-# bench_oracle.sh runs the oracle-engine benchmarks and rewrites
+# bench_oracle.sh runs the oracle-engine benchmark and rewrites
 # BENCH_oracle.json at the repo root with the measured throughput and
-# memory per engine.
+# memory at two stream lengths.
 #
-# The committed file documents what each engine costs on this codebase:
-# bytes/op is the headline metric — the exact streaming engine holds
-# 8 B/event of next-use index, and the sampled OPTGen engine is
-# O(sample-sets x history), flat from 50k to 500k events. Rerun after
-# touching internal/opt:
+# The committed file documents what the exact streaming engine costs on
+# this codebase: events/s is its throughput, and bytes/op grows with the
+# stream because the engine holds an 8 B/event next-use index (the events
+# themselves are never materialized). Rerun after touching internal/opt:
 #
 #	scripts/bench_oracle.sh [-benchtime 10x]
 set -eu
@@ -38,7 +37,7 @@ END {
 	if (n == 0) { print "bench_oracle: no benchmark lines parsed" > "/dev/stderr"; exit 1 }
 	print "{"
 	printf "  \"benchtime\": \"%s\",\n", benchtime
-	print "  \"metric_note\": \"bytes_per_op is the headline number: exact-stream keeps an 8 B/event next-use index, sampled is O(sample-sets x history) and flat in event count\","
+	print "  \"metric_note\": \"events_per_sec is exact-stream throughput; bytes_per_op grows with event count because it keeps an 8 B/event next-use index\","
 	print "  \"benchmarks\": {"
 	for (i = 1; i <= n; i++) {
 		name = order[i]
