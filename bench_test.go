@@ -7,6 +7,7 @@ package ripple_test
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -187,16 +188,23 @@ func BenchmarkSimulateFDIP(b *testing.B) {
 }
 
 // BenchmarkAnalyze measures Ripple's eviction analysis (MIN replay +
-// window scan + probability tables).
+// window scan + probability tables) at two trace lengths; blocks/s is
+// profiled blocks analyzed per second.
 func BenchmarkAnalyze(b *testing.B) {
 	app := benchApp(b)
-	tr := ripple.SliceSource(app.Trace(0, 50_000))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ripple.Analyze(app.Prog, tr, ripple.DefaultAnalysisConfig()); err != nil {
-			b.Fatal(err)
-		}
+	for _, blocks := range []int{50_000, 500_000} {
+		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
+			trace := app.Trace(0, blocks)
+			tr := ripple.SliceSource(trace)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ripple.Analyze(app.Prog, tr, ripple.DefaultAnalysisConfig()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(trace)*b.N)/b.Elapsed().Seconds(), "blocks/s")
+		})
 	}
 }
 

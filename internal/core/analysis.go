@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -48,7 +49,7 @@ func DefaultAnalysisConfig() AnalysisConfig {
 // index range (start, end] executed between the victim's last use and its
 // ideal eviction, within one of the analyzed sources.
 type window struct {
-	line       uint64
+	li         int32 // victim line's index into Analysis.tables
 	trace      int32 // index into Analysis.sources
 	start, end int32 // block-trace indices; blocks in (start, end] form the window
 }
@@ -76,10 +77,12 @@ type Analysis struct {
 	sources   []blockseq.Source
 	windows   []window
 	execCount []uint32
-	// pairWindows counts, for each (victim line, candidate block), the
-	// number of distinct eviction windows of that line containing the
-	// block.
-	pairWindows map[pairKey]uint32
+	// tables holds one block -> window-count table per victim line, in
+	// the order the lines first appear as victims; lineIndex maps a
+	// victim line to its table. Both are read-only once AnalyzeMulti
+	// returns.
+	tables    []lineTable
+	lineIndex map[uint64]int32
 	// cues caches the per-window cue selection (threshold-independent);
 	// cueOnce makes the lazy computation safe when one Analysis is shared
 	// by concurrent PlanAt callers (the parallel experiment runner).
@@ -91,10 +94,85 @@ type Analysis struct {
 	markGen uint32
 }
 
-// pairKey packs (victim line, block) into one map key.
-type pairKey struct {
+// lineTable counts, for one victim line, the distinct eviction windows
+// of that line containing each candidate block. Every window belongs to
+// one line, so a window's updates all land in one small table. It is an
+// open-addressing table with linear probing: a power-of-two number of
+// slots, at most half of them used, doubled when an insert would pass
+// that load.
+type lineTable struct {
 	line  uint64
-	block program.BlockID
+	slots []lineSlot
+	used  int
+	shift uint8 // 32 - log2(len(slots)): a key's home slot is its hash >> shift
+}
+
+// lineSlot is one candidate block's window count. key is the block ID
+// plus one, so the zero slot is empty.
+type lineSlot struct {
+	key, count uint32
+}
+
+// lineTableMinSlots is a new table's size. A table is made with its
+// line's first window, which always holds a block, so none stays empty.
+const lineTableMinSlots = 8
+
+// home is the Fibonacci hash of key, reduced to the table's size.
+func (t *lineTable) home(key uint32) uint32 { return (key * 0x9E3779B9) >> t.shift }
+
+// count returns the number of the line's windows that contain block.
+func (t *lineTable) count(block program.BlockID) uint32 {
+	key := uint32(block) + 1
+	mask := uint32(len(t.slots) - 1)
+	for i := t.home(key); ; i = (i + 1) & mask {
+		switch t.slots[i].key {
+		case key:
+			return t.slots[i].count
+		case 0:
+			return 0
+		}
+	}
+}
+
+// add counts one more window of the line that contains block.
+func (t *lineTable) add(block program.BlockID) {
+	key := uint32(block) + 1
+	mask := uint32(len(t.slots) - 1)
+	for i := t.home(key); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.key == key {
+			s.count++
+			return
+		}
+		if s.key == 0 {
+			if 2*(t.used+1) > len(t.slots) {
+				t.resize(2 * len(t.slots))
+				t.add(block)
+				return
+			}
+			*s = lineSlot{key: key, count: 1}
+			t.used++
+			return
+		}
+	}
+}
+
+// resize rehashes the table into n slots (a power of two).
+func (t *lineTable) resize(n int) {
+	old := t.slots
+	t.slots = make([]lineSlot, n)
+	t.shift = uint8(32 - bits.TrailingZeros(uint(n)))
+	mask := uint32(n - 1)
+	for _, s := range old {
+		if s.key == 0 {
+			continue
+		}
+		i := t.home(s.key)
+		for t.slots[i].key != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
 }
 
 // Analyze profiles the block source against the ideal replacement policy
@@ -123,12 +201,12 @@ func AnalyzeMulti(prog *program.Program, sources []blockseq.Source, cfg Analysis
 	}
 
 	a := &Analysis{
-		Prog:        prog,
-		cfg:         cfg,
-		sources:     sources,
-		execCount:   make([]uint32, prog.NumBlocks()),
-		pairWindows: make(map[pairKey]uint32, 1<<12),
-		mark:        make([]uint32, prog.NumBlocks()),
+		Prog:      prog,
+		cfg:       cfg,
+		sources:   sources,
+		execCount: make([]uint32, prog.NumBlocks()),
+		lineIndex: make(map[uint64]int32),
+		mark:      make([]uint32, prog.NumBlocks()),
 	}
 	for ti, src := range sources {
 		if src == nil {
@@ -232,7 +310,6 @@ func (a *Analysis) analyzeOne(traceIdx int32, src blockseq.Source) (int, error) 
 	first := len(a.windows)
 	for _, ev := range res.EvictionLog {
 		w := window{
-			line:  ev.Line,
 			trace: traceIdx,
 			start: blockOf[ev.LastUse],
 			end:   blockOf[ev.At],
@@ -243,24 +320,39 @@ func (a *Analysis) analyzeOne(traceIdx int32, src blockseq.Source) (int, error) 
 		if w.end <= w.start {
 			continue // eviction triggered by the very next block: no window
 		}
+		w.li = a.lineOf(ev.Line)
 		a.windows = append(a.windows, w)
 	}
 
-	err = replayWindows(src, a.windows[first:], a.cfg.MaxWindowBlocks, func(w window, at func(int32) program.BlockID) {
+	err = replayWindows(src, a.windows[first:], a.cfg.MaxWindowBlocks, func(w window, blocks []program.BlockID) {
+		t := &a.tables[w.li]
 		a.markGen++
-		for ti := w.start + 1; ti <= w.end; ti++ {
-			bid := at(ti)
+		for _, bid := range blocks {
 			if a.mark[bid] == a.markGen {
 				continue // already counted for this window
 			}
 			a.mark[bid] = a.markGen
-			a.pairWindows[pairKey{line: w.line, block: bid}]++
+			t.add(bid)
 		}
 	})
 	if err != nil {
 		return 0, err
 	}
 	return length, nil
+}
+
+// lineOf returns the victim line's index into a.tables, giving a line
+// seen for the first time the next index and an empty table.
+func (a *Analysis) lineOf(line uint64) int32 {
+	li, ok := a.lineIndex[line]
+	if !ok {
+		li = int32(len(a.tables))
+		a.lineIndex[line] = li
+		t := lineTable{line: line}
+		t.resize(lineTableMinSlots)
+		a.tables = append(a.tables, t)
+	}
+	return li
 }
 
 // countingSeq counts each block's executions as a pass is pulled through
@@ -280,20 +372,22 @@ func (s *countingSeq) Next() (program.BlockID, bool) {
 	return bid, ok
 }
 
-// replayWindows streams src once and visits each window with an accessor
-// for the blocks in its (start, end] range. It relies on two invariants:
-// windows are ordered by non-decreasing end (the eviction log is in
-// eviction-time order and blockOf is monotone), and every window spans at
-// most maxWin blocks (Analyze clamps longer ones) — so a ring of the last
-// maxWin blocks always covers the visited window.
-func replayWindows(src blockseq.Source, windows []window, maxWin int, visit func(w window, at func(int32) program.BlockID)) error {
+// replayWindows streams src once and visits each window with its blocks,
+// (start, end] in trace order. It relies on two invariants: windows are
+// ordered by non-decreasing end (the eviction log is in eviction-time
+// order and blockOf is monotone), and every window spans at most maxWin
+// blocks (Analyze clamps longer ones) — so a ring of the last maxWin
+// blocks always covers the visited window. The ring holds each block
+// twice, maxWin slots apart, so every window is one contiguous slice of
+// it.
+func replayWindows(src blockseq.Source, windows []window, maxWin int, visit func(w window, blocks []program.BlockID)) error {
 	if len(windows) == 0 {
 		return nil
 	}
-	ring := make([]program.BlockID, maxWin)
-	at := func(ti int32) program.BlockID { return ring[int(ti)%maxWin] }
+	ring := make([]program.BlockID, 2*maxWin)
 	seq := src.Open()
-	pos := int32(-1) // index of the last block read
+	pos := int32(-1)   // index of the last block read
+	slot := maxWin - 1 // pos mod maxWin
 	for _, w := range windows {
 		for pos < w.end {
 			bid, ok := seq.Next()
@@ -304,9 +398,13 @@ func replayWindows(src blockseq.Source, windows []window, maxWin int, visit func
 				return fmt.Errorf("core: source replay ended at block %d but window extends to %d (source not replayable?)", pos, w.end)
 			}
 			pos++
-			ring[int(pos)%maxWin] = bid
+			if slot++; slot == maxWin {
+				slot = 0
+			}
+			ring[slot], ring[slot+maxWin] = bid, bid
 		}
-		visit(w, at)
+		lo := int(w.start+1) % maxWin
+		visit(w, ring[lo:lo+int(w.end-w.start)])
 	}
 	return nil
 }
@@ -314,7 +412,16 @@ func replayWindows(src blockseq.Source, windows []window, maxWin int, visit func
 // Probability returns P(evict line | execute block): the fraction of the
 // block's executions that fall inside one of the line's eviction windows.
 func (a *Analysis) Probability(line uint64, block program.BlockID) float64 {
-	n := a.pairWindows[pairKey{line: line, block: block}]
+	li, ok := a.lineIndex[line]
+	if !ok {
+		return 0
+	}
+	return a.probability(a.tables[li].count(block), block)
+}
+
+// probability is Probability given the count n of the line's windows
+// that contain block.
+func (a *Analysis) probability(n uint32, block program.BlockID) float64 {
 	if n == 0 || a.execCount[block] == 0 {
 		return 0
 	}
@@ -325,6 +432,7 @@ func (a *Analysis) Probability(line uint64, block program.BlockID) float64 {
 type CueChoice struct {
 	Line        uint64
 	Block       program.BlockID
+	li          int32 // Line's index into Analysis.tables
 	Probability float64
 }
 
@@ -354,16 +462,17 @@ func (a *Analysis) computeCues() error {
 		for hi < len(a.windows) && a.windows[hi].trace == src {
 			hi++
 		}
-		err := replayWindows(a.sources[src], a.windows[lo:hi], a.cfg.MaxWindowBlocks, func(w window, at func(int32) program.BlockID) {
+		err := replayWindows(a.sources[src], a.windows[lo:hi], a.cfg.MaxWindowBlocks, func(w window, blocks []program.BlockID) {
+			t := &a.tables[w.li]
 			a.markGen++
-			best := CueChoice{Line: w.line, Block: program.NoBlock}
-			for ti := w.end; ti > w.start; ti-- {
-				bid := at(ti)
+			best := CueChoice{Line: t.line, Block: program.NoBlock, li: w.li}
+			for i := len(blocks) - 1; i >= 0; i-- {
+				bid := blocks[i]
 				if a.mark[bid] == a.markGen {
 					continue
 				}
 				a.mark[bid] = a.markGen
-				if p := a.Probability(w.line, bid); p > best.Probability {
+				if p := a.probability(t.count(bid), bid); p > best.Probability {
 					best.Block = bid
 					best.Probability = p
 				}
@@ -385,15 +494,22 @@ func (a *Analysis) computeCues() error {
 // with their conditional probabilities, sorted by descending probability —
 // the data behind the Fig. 5 worked example.
 func (a *Analysis) Candidates(line uint64) []CueChoice {
-	var out []CueChoice
-	for k, n := range a.pairWindows {
-		if k.line != line || n == 0 {
+	li, ok := a.lineIndex[line]
+	if !ok {
+		return nil
+	}
+	t := &a.tables[li]
+	out := make([]CueChoice, 0, t.used)
+	for _, s := range t.slots {
+		if s.key == 0 {
 			continue
 		}
+		block := program.BlockID(s.key - 1)
 		out = append(out, CueChoice{
 			Line:        line,
-			Block:       k.block,
-			Probability: a.Probability(line, k.block),
+			Block:       block,
+			li:          li,
+			Probability: a.probability(s.count, block),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -408,13 +524,14 @@ func (a *Analysis) Candidates(line uint64) []CueChoice {
 // MostEvictedLine returns the victim line with the most eviction windows
 // and that count — the natural subject for a Fig. 5-style worked example.
 func (a *Analysis) MostEvictedLine() (uint64, int) {
-	counts := make(map[uint64]int)
+	counts := make([]int, len(a.tables))
 	for _, w := range a.windows {
-		counts[w.line]++
+		counts[w.li]++
 	}
 	var best uint64
 	bestN := 0
-	for line, n := range counts {
+	for li, n := range counts {
+		line := a.tables[li].line
 		if n > bestN || (n == bestN && line < best) {
 			best, bestN = line, n
 		}

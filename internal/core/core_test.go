@@ -117,8 +117,10 @@ func TestAnalysisWindowCap(t *testing.T) {
 	}
 	sum := func(a *Analysis) int {
 		n := 0
-		for _, c := range a.pairWindows {
-			n += int(c)
+		for _, t := range a.tables {
+			for _, s := range t.slots {
+				n += int(s.count)
+			}
 		}
 		return n
 	}
@@ -194,10 +196,23 @@ func TestExpandVictimsToBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &Plan{Injections: map[program.BlockID][]uint64{0: {0}}}
+	p := &Plan{
+		Program:        "wide",
+		Threshold:      0.55,
+		Injections:     map[program.BlockID][]uint64{0: {0}},
+		WindowsTotal:   9,
+		WindowsCovered: 5,
+		SkippedJIT:     2,
+		SkippedKernel:  1,
+	}
 	wide := p.ExpandVictimsToBlocks(prog)
 	if got := wide.Injections[0]; len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("expanded victims = %v, want [0 1]", got)
+	}
+	if wide.Program != p.Program || wide.Threshold != p.Threshold ||
+		wide.WindowsTotal != p.WindowsTotal || wide.WindowsCovered != p.WindowsCovered ||
+		wide.SkippedJIT != p.SkippedJIT || wide.SkippedKernel != p.SkippedKernel {
+		t.Fatalf("expanded plan lost its summary: got %+v, want that of %+v", wide, p)
 	}
 }
 

@@ -44,7 +44,10 @@ func (a *Analysis) PlanAt(threshold float64) *Plan {
 		Injections:   make(map[program.BlockID][]uint64),
 		WindowsTotal: a.Windows,
 	}
-	type pk = pairKey
+	type pk struct {
+		li    int32
+		block program.BlockID
+	}
 	planned := make(map[pk]bool)
 	for _, c := range a.selectCues() {
 		if c.Probability < threshold {
@@ -59,7 +62,7 @@ func (a *Analysis) PlanAt(threshold float64) *Plan {
 			continue
 		}
 		p.WindowsCovered++
-		k := pk{line: c.Line, block: c.Block}
+		k := pk{li: c.li, block: c.Block}
 		if planned[k] {
 			continue // one static instruction covers all matching windows
 		}
@@ -177,6 +180,7 @@ func (p *Plan) ExpandVictimsToBlocks(prog *program.Program) *Plan {
 		WindowsTotal:   p.WindowsTotal,
 		WindowsCovered: p.WindowsCovered,
 		SkippedJIT:     p.SkippedJIT,
+		SkippedKernel:  p.SkippedKernel,
 	}
 	var buf []uint64
 	for cue, victims := range p.Injections {

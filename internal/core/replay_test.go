@@ -174,7 +174,7 @@ func windowList(blocks int32) []window {
 	const span, stride = 200, 2_000
 	var ws []window
 	for end := int32(stride); end < blocks; end += stride {
-		ws = append(ws, window{line: 1, trace: 0, start: end - span, end: end})
+		ws = append(ws, window{trace: 0, start: end - span, end: end})
 	}
 	return ws
 }
@@ -194,9 +194,12 @@ func TestWindowReplayDecodeBudget(t *testing.T) {
 	windows := windowList(blocks)
 	counting := src.(trace.DecodeCounting)
 	visited := 0
-	err := replayWindows(src, windows, 256, func(w window, at func(int32) program.BlockID) {
-		for ti := w.start + 1; ti <= w.end; ti++ {
-			if at(ti) != tr[ti] {
+	err := replayWindows(src, windows, 256, func(w window, blocks []program.BlockID) {
+		if len(blocks) != int(w.end-w.start) {
+			t.Fatalf("window (%d, %d] served %d blocks", w.start, w.end, len(blocks))
+		}
+		for i, bid := range blocks {
+			if ti := w.start + 1 + int32(i); bid != tr[ti] {
 				t.Fatalf("window ending at %d served wrong block at %d", w.end, ti)
 			}
 		}

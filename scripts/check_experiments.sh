@@ -8,7 +8,7 @@
 #   - every paper claim the run checks holds.
 #
 # The tables are deterministic, so any difference is a change in the
-# reproduction's results. A full run takes 10-11 minutes on 2 vCPUs.
+# reproduction's results. A full run takes 3-4 minutes on 2 vCPUs.
 # Arguments after the mode go to rippleexp; `-cachedir DIR` makes a
 # rerun over unchanged code read its results from DIR.
 #
