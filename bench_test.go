@@ -155,10 +155,11 @@ func BenchmarkTraceDecode(b *testing.B) {
 }
 
 // BenchmarkSimulateLRU measures the frontend simulator without
-// prefetching.
+// prefetching; blocks/s is simulated blocks per second.
 func BenchmarkSimulateLRU(b *testing.B) {
 	app := benchApp(b)
-	tr := ripple.SliceSource(app.Trace(0, 50_000))
+	trace := app.Trace(0, 50_000)
+	tr := ripple.SliceSource(trace)
 	params := ripple.DefaultParams()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -168,13 +169,15 @@ func BenchmarkSimulateLRU(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(len(trace)*b.N)/b.Elapsed().Seconds(), "blocks/s")
 }
 
 // BenchmarkSimulateFDIP measures the frontend with the branch-predicted
-// prefetcher attached.
+// prefetcher attached; blocks/s is simulated blocks per second.
 func BenchmarkSimulateFDIP(b *testing.B) {
 	app := benchApp(b)
-	tr := ripple.SliceSource(app.Trace(0, 50_000))
+	trace := app.Trace(0, 50_000)
+	tr := ripple.SliceSource(trace)
 	params := ripple.DefaultParams()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -185,6 +188,7 @@ func BenchmarkSimulateFDIP(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(len(trace)*b.N)/b.Elapsed().Seconds(), "blocks/s")
 }
 
 // BenchmarkAnalyze measures Ripple's eviction analysis (MIN replay +

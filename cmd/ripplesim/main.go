@@ -243,6 +243,12 @@ func sweep(o options, policies, prefetchers []string) error {
 		// (shorter) block sequence under the same file hash.
 		base += "|recover=1"
 	}
+	if o.Warmup > 0 {
+		// Branch MPKI used to count the warmup's mispredictions against
+		// the measured instructions; entries stored before the fix must
+		// not be served. Without a warmup the value never changed.
+		base += "|bmpki=steady"
+	}
 
 	store, err := rippled.OpenStore(o.StoreURL, o.CacheDir, o.Stderr)
 	if err != nil {

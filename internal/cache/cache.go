@@ -3,7 +3,9 @@
 // the cache itself only manages tags, valid/prefetch bits, and the
 // bookkeeping Ripple needs: explicit invalidation (the proposed
 // `invalidate` instruction), LRU demotion (the Sec. IV variant), and
-// attribution of fills to hint-freed ways (replacement coverage).
+// attribution of fills to hint-freed ways (replacement coverage). A cache
+// can also journal its changes and roll back to a mark (Mark, Rollback),
+// which is how the frontend reuses one prewarmed outer hierarchy.
 package cache
 
 import "fmt"
@@ -64,6 +66,17 @@ type Policy interface {
 //     access.
 type Demoter interface {
 	Demote(set, way int)
+}
+
+// Rewinder is implemented by policies whose whole state is one word per
+// way plus one global word, so that Cache.Rollback can restore it. LRU
+// implements it (its recency stamps and clock).
+type Rewinder interface {
+	// Words returns the live state words of set's ways.
+	Words(set int) []uint64
+	// Global returns the global word; SetGlobal overwrites it.
+	Global() uint64
+	SetGlobal(w uint64)
 }
 
 // Config sizes a cache.
@@ -154,6 +167,21 @@ type Cache struct {
 	ways    int
 	setMask uint64
 	Stats   Stats
+	// j is the undo journal; nil until Mark.
+	j *journal
+}
+
+// journal holds what Rollback needs to return a cache to its mark: the
+// stats and global policy word at the mark, and a copy of every set,
+// taken before the set's first change since the mark.
+type journal struct {
+	rw     Rewinder
+	stats  Stats
+	global uint64
+	saved  []bool   // per set: copied since the mark
+	sets   []int32  // the copied sets, in copy order
+	lines  []line   // their tag entries, ways per set
+	words  []uint64 // their policy words, ways per set
 }
 
 // New builds a cache with the given geometry and replacement policy.
@@ -214,6 +242,7 @@ func (c *Cache) Access(ai AccessInfo) AccessResult {
 		c.Stats.DemandAccesses++
 	}
 	set := c.SetOf(ai.Line)
+	c.journal(set)
 	row := c.row(set)
 	res := AccessResult{Set: set}
 
@@ -302,6 +331,7 @@ func (c *Cache) pickWay(set int, ai AccessInfo, res *AccessResult) int {
 // set is attributed to Ripple. It reports whether the line was resident.
 func (c *Cache) Invalidate(lineAddr uint64) bool {
 	set := c.SetOf(lineAddr)
+	c.journal(set)
 	row := c.row(set)
 	for w := range row {
 		if row[w].valid && row[w].tag == lineAddr {
@@ -326,6 +356,7 @@ func (c *Cache) Demote(lineAddr uint64) bool {
 		return false
 	}
 	set := c.SetOf(lineAddr)
+	c.journal(set)
 	row := c.row(set)
 	for w := range row {
 		if row[w].valid && row[w].tag == lineAddr {
@@ -362,6 +393,48 @@ func (c *Cache) LinesInSet(lineAddr uint64, dst []uint64) []uint64 {
 		}
 	}
 	return dst
+}
+
+// Mark starts journaling: from now on the cache copies each set, with
+// its policy words, before the set's first change, so that Rollback can
+// return it to the state it has now. The policy must implement Rewinder.
+// Marking costs nothing per access beyond one check; a rollback costs the
+// sets changed since the mark, not the cache's size.
+func (c *Cache) Mark() {
+	rw, ok := c.policy.(Rewinder)
+	if !ok {
+		panic(fmt.Sprintf("cache: policy %s cannot be rolled back", c.policy.Name()))
+	}
+	c.j = &journal{rw: rw, stats: c.Stats, global: rw.Global(), saved: make([]bool, c.nsets)}
+}
+
+// journal copies set before its first change since the mark.
+func (c *Cache) journal(set int) {
+	if j := c.j; j != nil && !j.saved[set] {
+		c.save(set)
+	}
+}
+
+func (c *Cache) save(set int) {
+	j := c.j
+	j.saved[set] = true
+	j.sets = append(j.sets, int32(set))
+	j.lines = append(j.lines, c.row(set)...)
+	j.words = append(j.words, j.rw.Words(set)...)
+}
+
+// Rollback restores the tags, policy state and Stats the cache had at
+// Mark, and keeps the mark: the next Rollback returns to the same state.
+func (c *Cache) Rollback() {
+	j := c.j
+	for i, set := range j.sets {
+		copy(c.row(int(set)), j.lines[i*c.ways:(i+1)*c.ways])
+		copy(j.rw.Words(int(set)), j.words[i*c.ways:(i+1)*c.ways])
+		j.saved[set] = false
+	}
+	j.sets, j.lines, j.words = j.sets[:0], j.lines[:0], j.words[:0]
+	c.Stats = j.stats
+	j.rw.SetGlobal(j.global)
 }
 
 // MPKI returns demand misses per kilo-instruction given an instruction

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -491,5 +492,76 @@ func TestDemoteNonResidentIsNoOp(t *testing.T) {
 	}
 	if pol.demotes != 1 || c.Stats.Demotions != 1 {
 		t.Errorf("resident demote: %d callbacks / %d Demotions, want 1 / 1", pol.demotes, c.Stats.Demotions)
+	}
+}
+
+// stampPolicy is an LRU-like Rewinder for the journal tests: its whole
+// state is one stamp per way and a clock.
+type stampPolicy struct {
+	ways  int
+	stamp []uint64
+	clock uint64
+}
+
+func (p *stampPolicy) Name() string         { return "test-stamp" }
+func (p *stampPolicy) Reset(sets, ways int) { p.ways, p.stamp = ways, make([]uint64, sets*ways) }
+func (p *stampPolicy) OnHit(set, way int, ai AccessInfo) {
+	p.clock++
+	p.stamp[set*p.ways+way] = p.clock
+}
+func (p *stampPolicy) OnFill(set, way int, ai AccessInfo) {
+	p.clock++
+	p.stamp[set*p.ways+way] = p.clock
+}
+func (p *stampPolicy) OnEvict(set, way int, reref bool) {}
+func (p *stampPolicy) Demote(set, way int)              { p.stamp[set*p.ways+way] = 0 }
+func (p *stampPolicy) Words(set int) []uint64           { return p.stamp[set*p.ways : (set+1)*p.ways] }
+func (p *stampPolicy) Global() uint64                   { return p.clock }
+func (p *stampPolicy) SetGlobal(w uint64)               { p.clock = w }
+func (p *stampPolicy) Victim(set int, ai AccessInfo) int {
+	row := p.stamp[set*p.ways : (set+1)*p.ways]
+	return slices.Index(row, slices.Min(row))
+}
+
+// TestRollbackRestoresMark: whatever mix of demand and prefetch
+// accesses, invalidations and demotions follows a mark, Rollback
+// restores every tag entry, every policy word, the policy clock and the
+// stats, and does so again after a second round from the same mark.
+func TestRollbackRestoresMark(t *testing.T) {
+	cfg := Config{SizeBytes: 2048, Ways: 4, LineBytes: 64} // 8 sets
+	pol := &stampPolicy{}
+	c, err := New(cfg, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := uint64(0x9E3779B97F4A7C15)
+	next := func(n uint64) uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x % n
+	}
+	ops := func(n int) {
+		for i := 0; i < n; i++ {
+			line := next(96)
+			switch next(8) {
+			case 0:
+				c.Invalidate(line)
+			case 1:
+				c.Demote(line)
+			default:
+				c.Access(AccessInfo{Line: line, Sig: line, Prefetch: next(3) == 0})
+			}
+		}
+	}
+	ops(500)
+	c.Mark()
+	lines, stamps, clock, stats := slices.Clone(c.sets), slices.Clone(pol.stamp), pol.clock, c.Stats
+	for round := 0; round < 3; round++ {
+		ops(40 + 200*round)
+		c.Rollback()
+		if !slices.Equal(c.sets, lines) || !slices.Equal(pol.stamp, stamps) || pol.clock != clock || c.Stats != stats {
+			t.Fatalf("round %d: rollback did not restore the marked state", round)
+		}
 	}
 }

@@ -284,20 +284,23 @@ func assembleTune(a *Analysis, thresholds []float64, plans []*Plan, baseline fro
 //
 // Injections are placed layout-neutrally (ApplyPreservingLayout): moving
 // every downstream byte would remap the hot footprint across cache sets
-// and invalidate the very profile the plan came from. Set
-// cfg.ShiftLayout to evaluate the naive relayout instead (the `layout`
-// ablation).
+// and invalidate the very profile the plan came from. Such a plan is
+// simulated on prog itself through the frontend's per-block hint table
+// (frontend.Options.Injections), so no run copies the program; a cue
+// block outside prog is an error. Set cfg.ShiftLayout to evaluate the
+// naive relayout instead (the `layout` ablation), which rewrites a copy.
 func RunPlan(prog *program.Program, src blockseq.Source, cfg TuneConfig, plan *Plan) (frontend.Result, error) {
 	pol, err := cfg.newPolicy()
 	if err != nil {
 		return frontend.Result{}, err
 	}
 	target := prog
+	var hints map[program.BlockID][]uint64
 	if plan != nil {
 		if cfg.ShiftLayout {
 			target = plan.Apply(prog)
 		} else {
-			target = plan.ApplyPreservingLayout(prog)
+			hints = plan.Injections
 		}
 	}
 	pf, err := cfg.newPrefetcher(target)
@@ -310,5 +313,6 @@ func RunPlan(prog *program.Program, src blockseq.Source, cfg TuneConfig, plan *P
 		Hints:           cfg.Hints,
 		MeasureAccuracy: cfg.MeasureAccuracy,
 		WarmupBlocks:    cfg.WarmupBlocks,
+		Injections:      hints,
 	})
 }

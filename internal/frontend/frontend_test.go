@@ -1,9 +1,11 @@
 package frontend
 
 import (
+	"runtime"
 	"testing"
 
 	"ripple/internal/blockseq"
+	"ripple/internal/bpred"
 	"ripple/internal/cache"
 	"ripple/internal/isa"
 	"ripple/internal/prefetch"
@@ -453,5 +455,73 @@ func TestRunRejectsBadGeometry(t *testing.T) {
 	p.L1I.SizeBytes = 100
 	if _, err := Run(p, prog, trace(0), Options{}); err == nil {
 		t.Fatal("invalid L1I geometry accepted")
+	}
+}
+
+// TestBranchMPKIExcludesWarmup: with a warmup of W blocks, the reported
+// branch MPKI counts exactly the mispredictions after the warmup. The
+// predictor's retire hook for block W-1 sees block W, so the warmup's
+// share is what a run over the first W+1 blocks mispredicts.
+func TestBranchMPKIExcludesWarmup(t *testing.T) {
+	app := catalogApps(t)["kafka"]
+	tr := blockseq.SliceSource(app.Trace(0, 20_000))
+	mispredictsOver := func(src blockseq.Source) uint64 {
+		pf := prefetch.NewFDIP(app.Prog, bpred.DefaultConfig(), 32)
+		if _, err := Run(DefaultParams(), app.Prog, src, Options{Prefetcher: pf}); err != nil {
+			t.Fatal(err)
+		}
+		return mispredicts(pf)
+	}
+	total := mispredictsOver(tr)
+	for _, w := range []int{1, 5_000, 15_000} {
+		pf := prefetch.NewFDIP(app.Prog, bpred.DefaultConfig(), 32)
+		res, err := Run(DefaultParams(), app.Prog, tr, Options{Prefetcher: pf, WarmupBlocks: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		steady := total - mispredictsOver(blockseq.Limit(tr, w+1))
+		if want := float64(steady) / float64(res.Instrs) * 1000; res.BranchMPKI != want {
+			t.Errorf("warmup %d: branch MPKI %v, want %v (%d steady-state mispredictions)", w, res.BranchMPKI, want, steady)
+		}
+	}
+}
+
+// TestSimulateAllocs bounds what one 20k-block kafka LRU+FDIP Run
+// allocates once a first run has left a prewarmed L2/L3 pair on the free
+// list: the L1I, the FDIP engine and the result (about 41 KB in 23
+// allocations measured, the policy and prefetcher included). The counts
+// are deterministic. A Run that built its own L2/L3 (5.13 MB in 3,344
+// allocations before the free list), or that allocated per block, fails.
+func TestSimulateAllocs(t *testing.T) {
+	const (
+		maxBytes  = 64 << 10
+		maxAllocs = 40
+		runs      = 5
+	)
+	app := catalogApps(t)["kafka"]
+	tr := blockseq.SliceSource(app.Trace(0, 20_000))
+	run := func() {
+		pf := prefetch.NewFDIP(app.Prog, bpred.DefaultConfig(), 32)
+		if _, err := Run(DefaultParams(), app.Prog, tr, Options{Policy: replacement.NewLRU(), Prefetcher: pf}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	t.Logf("Run: %d B/op, %d allocs/op", bytes, allocs)
+	if bytes > maxBytes {
+		t.Errorf("Run allocates %d B per run, want <= %d", bytes, maxBytes)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("Run allocates %d times per run, want <= %d", allocs, maxAllocs)
 	}
 }

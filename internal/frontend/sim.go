@@ -46,6 +46,14 @@ type Options struct {
 	// and charging one-time 260-cycle compulsory fills against a short
 	// simulation window would distort every comparison.
 	ColdHierarchy bool
+	// Injections, when non-nil, simulates an injection plan (cue block ->
+	// victim lines) on the unmodified program: the run is the run of
+	// program.WithInjectionsPreservingLayout(Injections), without building
+	// that copy. As there, JIT and kernel cue blocks and empty victim
+	// lists are skipped, and a listed block's hints replace its own. A cue
+	// block outside the program, or one whose own injections occupy code
+	// bytes, makes Run fail.
+	Injections map[program.BlockID][]uint64
 
 	// onEvent, when set, observes every demand/prefetch event as it is
 	// issued (warmup included; AccessEvents resolves the boundary via
@@ -155,29 +163,32 @@ func Speedup(baseline, r Result) float64 {
 
 // sim bundles one run's mutable state.
 type sim struct {
-	p      Params
-	prog   *program.Program
-	opts   Options
-	l1i    *cache.Cache
-	l2     *cache.Cache
-	l3     *cache.Cache
+	p    Params
+	prog *program.Program
+	opts Options
+	l1i  *cache.Cache
+	// out holds the L2/L3 and the per-line tables: which lines were
+	// demand-missed (compulsory misses), and the cycle each in-flight
+	// prefetched line's data arrives. A demand access before that cycle
+	// is a late prefetch: it stalls for the remainder and counts as a
+	// miss.
+	out    *outer
 	res    *Result
 	oracle *opt.Oracle
 	pos    int32 // current demand-stream position (oracle time)
-	seen   map[uint64]bool
+	// hints is the per-block hint table of opts.Injections (nil without).
+	hints [][]uint64
 
 	// cycleF is the running cycle clock; prefetch timeliness is judged
 	// against it.
 	cycleF float64
-	// pending maps an in-flight prefetched line to the cycle its data
-	// arrives. A demand access before that cycle is a late prefetch: it
-	// stalls for the remainder and counts as a miss.
-	pending map[uint64]float64
 	// missObs is the prefetcher's miss-feedback hook, if it has one
 	// (temporal record/replay designs train on the miss stream).
 	missObs prefetch.MissObserver
-	// warmSnap holds the counter snapshot taken at the end of warmup.
-	warmSnap *Result
+	// warmSnap holds the counter snapshot taken at the end of warmup, and
+	// warmMispredicts the branch predictor's mispredictions by then.
+	warmSnap        *Result
+	warmMispredicts uint64
 }
 
 // Run simulates the block stream through the configured frontend and
@@ -187,6 +198,11 @@ type sim struct {
 // decoder) is consumed without ever materializing the trace.
 // MeasureAccuracy re-opens the source for the oracle pre-pass, relying on
 // the Source replayability contract.
+//
+// The L1I and its policy are built per run. The L2/L3 are borrowed
+// already prewarmed from a free list shared by all runs and rolled back
+// when the run returns (see outer), which no result can tell from a
+// fresh hierarchy.
 func Run(p Params, prog *program.Program, src blockseq.Source, opts Options) (Result, error) {
 	if opts.Policy == nil {
 		opts.Policy = replacement.NewLRU()
@@ -198,13 +214,17 @@ func Run(p Params, prog *program.Program, src blockseq.Source, opts Options) (Re
 	if err != nil {
 		return Result{}, fmt.Errorf("frontend: L1I: %w", err)
 	}
-	l2, err := cache.New(p.L2, replacement.NewLRU())
-	if err != nil {
+	if err := p.L2.Validate(); err != nil {
 		return Result{}, fmt.Errorf("frontend: L2: %w", err)
 	}
-	l3, err := cache.New(p.L3, replacement.NewLRU())
-	if err != nil {
+	if err := p.L3.Validate(); err != nil {
 		return Result{}, fmt.Errorf("frontend: L3: %w", err)
+	}
+	out := acquire(p, prog, opts.ColdHierarchy)
+	defer out.release()
+	hints, err := out.hintTable(prog, opts.Injections)
+	if err != nil {
+		return Result{}, fmt.Errorf("frontend: %w", err)
 	}
 	res := Result{
 		Program:    prog.Name,
@@ -213,10 +233,9 @@ func Run(p Params, prog *program.Program, src blockseq.Source, opts Options) (Re
 	}
 	s := &sim{
 		p: p, prog: prog, opts: opts,
-		l1i: l1i, l2: l2, l3: l3,
-		res:     &res,
-		seen:    make(map[uint64]bool, 1<<14),
-		pending: make(map[uint64]float64, 1<<10),
+		l1i: l1i, out: out,
+		res:   &res,
+		hints: hints,
 	}
 	if mo, ok := opts.Prefetcher.(prefetch.MissObserver); ok {
 		s.missObs = mo
@@ -228,9 +247,6 @@ func Run(p Params, prog *program.Program, src blockseq.Source, opts Options) (Re
 		}
 		s.oracle = o
 	}
-	if !opts.ColdHierarchy {
-		s.prewarm()
-	}
 	if err := s.run(src); err != nil {
 		return Result{}, fmt.Errorf("frontend: %w", err)
 	}
@@ -239,11 +255,16 @@ func Run(p Params, prog *program.Program, src blockseq.Source, opts Options) (Re
 	res.L1I = s.l1i.Stats
 	res.subtract(s.warmSnap)
 	if f, ok := opts.Prefetcher.(*prefetch.FDIP); ok && res.Instrs > 0 {
-		pr := f.Predictor()
-		mis := pr.CondMispredicts + pr.IndMispredicts + pr.RetMispredicts
-		res.BranchMPKI = float64(mis) / float64(res.Instrs) * 1000
+		res.BranchMPKI = float64(mispredicts(f)-s.warmMispredicts) / float64(res.Instrs) * 1000
 	}
 	return res, nil
+}
+
+// mispredicts returns the FDIP branch predictor's control-flow
+// mispredictions so far.
+func mispredicts(f *prefetch.FDIP) uint64 {
+	pr := f.Predictor()
+	return pr.CondMispredicts + pr.IndMispredicts + pr.RetMispredicts
 }
 
 func (s *sim) run(src blockseq.Source) error {
@@ -262,8 +283,12 @@ func (s *sim) run(src blockseq.Source) error {
 			s.snapshotWarm()
 		}
 		b := s.prog.Block(bid)
+		hints := b.Invalidations
+		if s.hints != nil && s.hints[bid] != nil {
+			hints = s.hints[bid]
+		}
 		s.res.Blocks++
-		s.res.Instrs += uint64(b.InstrCount())
+		s.res.Instrs += uint64(b.Instrs) + uint64(len(hints))
 
 		// Fetch the block's lines (coalescing within-line continuation,
 		// matching DemandLines).
@@ -277,9 +302,9 @@ func (s *sim) run(src blockseq.Source) error {
 		}
 
 		// Execute injected hints (they retire within the block).
-		if n := len(b.Invalidations); n > 0 {
+		if n := len(hints); n > 0 {
 			s.res.HintInstrs += uint64(n)
-			for _, victim := range b.Invalidations {
+			for _, victim := range hints {
 				s.executeHint(victim)
 			}
 		}
@@ -291,7 +316,7 @@ func (s *sim) run(src blockseq.Source) error {
 
 		// Advance the pipeline clock by the block's base execution time;
 		// injected hints are near-free µops charged at HintCPI.
-		nh := len(b.Invalidations)
+		nh := len(hints)
 		s.cycleF += float64(b.Instrs)*s.p.BaseCPI + float64(nh)*s.p.HintCPI
 
 		bid, ok = next, haveNext
@@ -306,6 +331,9 @@ func (s *sim) snapshotWarm() {
 	snap.Cycles = uint64(s.cycleF)
 	snap.L1I = s.l1i.Stats
 	s.warmSnap = &snap
+	if f, ok := s.opts.Prefetcher.(*prefetch.FDIP); ok {
+		s.warmMispredicts = mispredicts(f)
+	}
 	if s.opts.onWarmupEnd != nil {
 		s.opts.onWarmupEnd()
 	}
@@ -333,18 +361,6 @@ func (r *Result) subtract(w *Result) {
 	r.L1I = cache.Sub(r.L1I, w.L1I)
 }
 
-// prewarm installs the whole text image into L2 and L3.
-func (s *sim) prewarm() {
-	var buf [16]uint64
-	for i := range s.prog.Blocks {
-		for _, l := range s.prog.Blocks[i].Lines(buf[:0]) {
-			ai := cache.AccessInfo{Line: l, Sig: l}
-			s.l2.Access(ai)
-			s.l3.Access(ai)
-		}
-	}
-}
-
 // stall charges exposed miss latency: the clock advances and the stall is
 // accounted.
 func (s *sim) stall(cycles float64) {
@@ -361,33 +377,30 @@ func (s *sim) demandAccess(l uint64) {
 	ai := cache.AccessInfo{Line: l, Sig: l}
 	r := s.l1i.Access(ai)
 	if r.EvictedValid {
-		delete(s.pending, r.Evicted)
+		s.out.takeReady(r.Evicted)
 		if s.oracle != nil {
 			s.scoreEviction(r, l, s.pos)
 		}
 	}
 	if r.Hit {
-		if ready, ok := s.pending[l]; ok {
-			delete(s.pending, l)
-			if ready > s.cycleF {
-				// Late prefetch: the line is allocated but its data is
-				// still in flight.
-				s.res.LateMisses++
-				s.stall(ready - s.cycleF)
-			}
+		if ready := s.out.takeReady(l); ready > s.cycleF {
+			// Late prefetch: the line is allocated but its data is
+			// still in flight.
+			s.res.LateMisses++
+			s.stall(ready - s.cycleF)
 		}
 		return
 	}
-	if !s.seen[l] {
-		s.seen[l] = true
+	if seen := &s.out.seen[l-s.out.first]; !*seen {
+		*seen = true
 		s.res.Compulsory++
 	}
 	// Serve the miss from the hierarchy, fully exposed.
 	switch {
-	case s.l2.Access(ai).Hit:
+	case s.out.l2.Access(ai).Hit:
 		s.res.L2Hits++
 		s.stall(float64(s.p.L2Lat))
-	case s.l3.Access(ai).Hit:
+	case s.out.l3.Access(ai).Hit:
 		s.res.L3Hits++
 		s.stall(float64(s.p.L3Lat))
 		// L2 was filled by its miss handling in Access above.
@@ -406,7 +419,7 @@ func (s *sim) issuePrefetch(l uint64) {
 	ai := cache.AccessInfo{Line: l, Sig: l, Prefetch: true}
 	r := s.l1i.Access(ai)
 	if r.EvictedValid {
-		delete(s.pending, r.Evicted)
+		s.out.takeReady(r.Evicted)
 		if s.oracle != nil {
 			s.scoreEviction(r, l, s.pos-1)
 		}
@@ -419,13 +432,13 @@ func (s *sim) issuePrefetch(l uint64) {
 		// arrives after the level's latency, and a demand access before
 		// then is a late prefetch.
 		lat := float64(s.p.L2Lat)
-		if !s.l2.Access(ai).Hit {
+		if !s.out.l2.Access(ai).Hit {
 			lat = float64(s.p.L3Lat)
-			if !s.l3.Access(ai).Hit {
+			if !s.out.l3.Access(ai).Hit {
 				lat = float64(s.p.MemLat)
 			}
 		}
-		s.pending[l] = s.cycleF + lat
+		s.out.setReady(l, s.cycleF+lat)
 	}
 }
 
@@ -437,7 +450,7 @@ func (s *sim) executeHint(victim uint64) {
 	} else {
 		acted = s.l1i.Invalidate(victim)
 		if acted {
-			delete(s.pending, victim)
+			s.out.takeReady(victim)
 		}
 	}
 	if acted && s.oracle != nil {

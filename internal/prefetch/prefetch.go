@@ -124,6 +124,7 @@ func NewFDIP(prog *program.Program, cfg bpred.Config, depth int) *FDIP {
 		pred:           bpred.New(cfg),
 		depth:          depth,
 		stepsPerRetire: 2,
+		ftq:            make([]program.BlockID, 0, max(depth, 0)),
 		runPC:          program.NoBlock,
 	}
 }
@@ -140,7 +141,9 @@ func (p *FDIP) OnBlockRetire(bid, next program.BlockID, issue IssueFunc) {
 
 	onPath := p.started && correct && len(p.ftq) > 0 && p.ftq[0] == next
 	if onPath {
-		p.ftq = p.ftq[1:]
+		// Pop by shifting down, so the queue keeps its depth-sized
+		// backing array instead of sliding off it.
+		p.ftq = p.ftq[:copy(p.ftq, p.ftq[1:])]
 	} else {
 		// Squash: wrong path (or cold start) — restart the walk from the
 		// actual successor with committed predictor state.

@@ -70,3 +70,12 @@ func (p *LRU) OverheadBytes(sets, ways int) float64 {
 
 // OverheadNote implements Overheader.
 func (p *LRU) OverheadNote() string { return "1-bit per line" }
+
+// Words implements cache.Rewinder: a set's recency stamps.
+func (p *LRU) Words(set int) []uint64 { return p.stamp[p.idx(set, 0):p.idx(set+1, 0)] }
+
+// Global implements cache.Rewinder: the recency clock.
+func (p *LRU) Global() uint64 { return p.clock }
+
+// SetGlobal implements cache.Rewinder.
+func (p *LRU) SetGlobal(clock uint64) { p.clock = clock }
