@@ -294,8 +294,8 @@ func sweep(o options, policies, prefetchers []string) error {
 			jobs = append(jobs, job(pol, pf))
 		}
 	}
-	ctx := context.Background()
-	if err := pool.RunAll(ctx, jobs); err != nil {
+	vals, err := pool.RunAll(context.Background(), jobs)
+	if err != nil {
 		return err
 	}
 	w := o.Stdout
@@ -303,20 +303,16 @@ func sweep(o options, policies, prefetchers []string) error {
 		printCoverage(w, reporter)
 	}
 	var out []map[string]interface{}
-	for _, pol := range policies {
-		for _, pf := range prefetchers {
-			v, err := pool.Do(ctx, job(pol, pf))
-			if err != nil {
-				return err
-			}
-			res := *(v.(*frontend.Result))
-			if o.JSON {
-				out = append(out, withCoverage(resultJSON(res), coverageOf(reporter)))
-				continue
-			}
-			fmt.Fprintf(w, "%-10s %-10s IPC %.3f  MPKI %6.2f  cycles %d\n",
-				pol, pf, res.IPC(), res.MPKI(), res.Cycles)
+	for i, v := range vals {
+		res := *(v.(*frontend.Result))
+		if o.JSON {
+			out = append(out, withCoverage(resultJSON(res), coverageOf(reporter)))
+			continue
 		}
+		// jobs, and so vals, run policy-major.
+		pol, pf := policies[i/len(prefetchers)], prefetchers[i%len(prefetchers)]
+		fmt.Fprintf(w, "%-10s %-10s IPC %.3f  MPKI %6.2f  cycles %d\n",
+			pol, pf, res.IPC(), res.MPKI(), res.Cycles)
 	}
 	if o.JSON {
 		enc := json.NewEncoder(w)

@@ -387,16 +387,6 @@ func (p *Predictor) ResyncSpec() {
 	p.specRAS.copyFrom(&p.committedRAS)
 }
 
-// MispredictRate returns the overall control-flow misprediction rate.
-func (p *Predictor) MispredictRate() float64 {
-	tot := p.CondPredictions + p.IndPredictions + p.RetPredictions
-	if tot == 0 {
-		return 0
-	}
-	mis := p.CondMispredicts + p.IndMispredicts + p.RetMispredicts
-	return float64(mis) / float64(tot)
-}
-
 func bump(c *uint8, up bool) {
 	if up {
 		if *c < 3 {

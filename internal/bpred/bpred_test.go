@@ -172,20 +172,6 @@ func TestBTBCapacityStallsColdDirects(t *testing.T) {
 	}
 }
 
-func TestMispredictRate(t *testing.T) {
-	p := New(DefaultConfig())
-	if p.MispredictRate() != 0 {
-		t.Fatal("empty predictor has nonzero mispredict rate")
-	}
-	prog := condProgram(t)
-	for i := 0; i < 10; i++ {
-		p.Retire(prog, 0, 2)
-	}
-	if r := p.MispredictRate(); r < 0 || r > 1 {
-		t.Fatalf("mispredict rate %v out of range", r)
-	}
-}
-
 func TestRASOverflowDropsOldest(t *testing.T) {
 	r := newRAS(2)
 	r.push(10)

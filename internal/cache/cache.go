@@ -382,19 +382,6 @@ func (c *Cache) Contains(lineAddr uint64) bool {
 	return false
 }
 
-// LinesInSet appends the valid resident line addresses of the set holding
-// lineAddr to dst — used by the replacement-accuracy oracle, which needs to
-// compare a victim against its set peers.
-func (c *Cache) LinesInSet(lineAddr uint64, dst []uint64) []uint64 {
-	row := c.row(c.SetOf(lineAddr))
-	for w := range row {
-		if row[w].valid {
-			dst = append(dst, row[w].tag)
-		}
-	}
-	return dst
-}
-
 // Mark starts journaling: from now on the cache copies each set, with
 // its policy words, before the set's first change, so that Rollback can
 // return it to the state it has now. The policy must implement Rewinder.

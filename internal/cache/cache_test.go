@@ -216,21 +216,6 @@ func TestInvalidateUnusedPrefetchCountsPollution(t *testing.T) {
 	}
 }
 
-func TestLinesInSet(t *testing.T) {
-	c := twoWay(t)
-	c.Access(AccessInfo{Line: 0})
-	c.Access(AccessInfo{Line: 2})
-	c.Access(AccessInfo{Line: 1}) // other set
-	got := c.LinesInSet(4, nil)   // line 4 maps to set 0
-	if len(got) != 2 {
-		t.Fatalf("LinesInSet = %v", got)
-	}
-	seen := map[uint64]bool{got[0]: true, got[1]: true}
-	if !seen[0] || !seen[2] {
-		t.Fatalf("LinesInSet = %v, want {0,2}", got)
-	}
-}
-
 func TestStatsSub(t *testing.T) {
 	a := Stats{Accesses: 10, DemandMisses: 4, Evictions: 3, HintFreedFills: 2, ReplacementDecisions: 5}
 	b := Stats{Accesses: 6, DemandMisses: 1, Evictions: 1, HintFreedFills: 1, ReplacementDecisions: 2}

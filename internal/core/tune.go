@@ -100,8 +100,8 @@ type ParallelOptions struct {
 	// Pool schedules the baseline and per-threshold simulations as
 	// independent runner jobs. nil runs the sweep serially (Tune).
 	// TuneParallel may be called from inside a running job on the same
-	// pool: sub-jobs share the pool's worker budget via a runner.Group
-	// rather than nesting a second worker set.
+	// pool: its batch shares the pool's worker budget (see
+	// runner.Pool.RunAll) rather than nesting a second worker set.
 	Pool *runner.Pool
 	// Ctx cancels the sweep; nil means context.Background().
 	Ctx context.Context
@@ -198,30 +198,25 @@ func runSweepJobs(a *Analysis, src blockseq.Source, cfg TuneConfig, opts Paralle
 		return j
 	}
 
-	g := opts.Pool.NewGroup(opts.Ctx)
-	fb := g.Submit(job(base+"|plan=none", fmt.Sprintf("tune %s baseline", a.Prog.Name), nil))
-	futs := make([]*runner.Future, len(thresholds))
+	jobs := []runner.Job{job(base+"|plan=none", fmt.Sprintf("tune %s baseline", a.Prog.Name), nil)}
 	for i, th := range thresholds {
 		dg, err := plans[i].Digest()
 		if err != nil {
 			return fmt.Errorf("core: digesting plan: %w", err)
 		}
 		sig := fmt.Sprintf("%s|th=%g|plan=%s", base, th, dg)
-		futs[i] = g.Submit(job(sig, fmt.Sprintf("tune %s th=%.2f", a.Prog.Name, th), plans[i]))
+		jobs = append(jobs, job(sig, fmt.Sprintf("tune %s th=%.2f", a.Prog.Name, th), plans[i]))
 	}
-	if err := g.Wait(); err != nil {
-		return err
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	v, err := fb.Get()
+	vals, err := opts.Pool.RunAll(ctx, jobs)
 	if err != nil {
 		return err
 	}
-	*baseline = *(v.(*frontend.Result))
-	for i, f := range futs {
-		v, err := f.Get()
-		if err != nil {
-			return err
-		}
+	*baseline = *(vals[0].(*frontend.Result))
+	for i, v := range vals[1:] {
 		results[i] = *(v.(*frontend.Result))
 	}
 	return nil

@@ -50,9 +50,6 @@ type Config struct {
 	// processes then drain one sweep, each duplicate signature computed
 	// exactly once fleet-wide. Mutually exclusive with CacheDir.
 	StoreURL string
-	// Retries bounds re-executions of transiently failing jobs
-	// (runner.Transient); 0 disables retry.
-	Retries int
 }
 
 // DefaultConfig returns the standard suite configuration.
@@ -139,7 +136,7 @@ func New(cfg Config) *Suite {
 		}
 		fmt.Fprintf(cfg.Log, "experiment: %s disabled: %v\n", what, err)
 	}
-	pool := runner.New(runner.Options{Workers: cfg.Workers, Store: store, Log: cfg.Log, Retries: cfg.Retries})
+	pool := runner.New(runner.Options{Workers: cfg.Workers, Store: store, Log: cfg.Log})
 	s := &Suite{
 		cfg:  cfg,
 		pool: pool,
@@ -193,7 +190,10 @@ func (s *Suite) tableSig(id string) string {
 
 // warm fans a batch of jobs out across the worker pool before table
 // assembly; assembly then reads every cell from the in-process cache.
-func (s *Suite) warm(jobs ...runner.Job) error { return s.pool.RunAll(s.ctx, jobs) }
+func (s *Suite) warm(jobs ...runner.Job) error {
+	_, err := s.pool.RunAll(s.ctx, jobs)
+	return err
+}
 
 // --- per-application substrate ----------------------------------------
 
@@ -429,8 +429,9 @@ func (s *Suite) streamID(model string, input int) string {
 
 // tuneOpts is the parallel-tuning substrate for a sweep simulated on one
 // workload stream: per-threshold sub-jobs share the suite's worker pool
-// (a runner.Group lends the calling cell's slot, so nested fan-out cannot
-// deadlock) and land in the persistent store under the stream's identity.
+// (the calling cell drains its own batch when no slot is free, so nested
+// fan-out cannot deadlock) and land in the persistent store under the
+// stream's identity.
 func (s *Suite) tuneOpts(model string, input int) core.ParallelOptions {
 	return core.ParallelOptions{Pool: s.pool, Ctx: s.ctx, SourceID: s.streamID(model, input)}
 }

@@ -79,21 +79,6 @@ func TestCycleAccountingExact(t *testing.T) {
 	}
 }
 
-func TestColdHierarchyChargesMemory(t *testing.T) {
-	p := smallParams()
-	prog := loopProgram(t)
-	res, err := Run(p, prog, trace(0), Options{Policy: replacement.NewLRU(), ColdHierarchy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MemFills != 1 || res.L2Hits != 0 {
-		t.Fatalf("cold hierarchy: mem=%d l2=%d", res.MemFills, res.L2Hits)
-	}
-	if res.Cycles != 16+260 {
-		t.Fatalf("Cycles = %d", res.Cycles)
-	}
-}
-
 func TestWithinLineCoalescing(t *testing.T) {
 	p := smallParams()
 	// One block accessed twice in a row: second execution stays within

@@ -11,21 +11,20 @@ import (
 	"ripple/internal/replacement"
 )
 
-// outer is a reusable L2/L3 pair, prewarmed with one block layout's text
-// (or left cold), together with the per-line tables a run keeps beside
-// the caches. Building the pair (~4.3 MB of tags and LRU stamps at Table
-// II's sizes) and installing the text cost more than a short simulation,
-// so runs borrow pairs from a free list instead. Both caches are marked
+// outer is a reusable L2/L3 pair, prewarmed with one block layout's text,
+// together with the per-line tables a run keeps beside the caches.
+// Building the pair (~4.3 MB of tags and LRU stamps at Table II's sizes)
+// and installing the text cost more than a short simulation, so runs
+// borrow pairs from a free list instead. Both caches are marked
 // right after the prewarm, so the journal holds only the sets a run
 // changes, and release rolls them back: the next run starts from exactly
 // the state a fresh build would give it.
 type outer struct {
 	l2, l3 *cache.Cache
 
-	// The key: the geometry, and unless cold, the layout (each block's
-	// address and encoded size) whose text was installed.
+	// The key: the geometry, and the layout (each block's address and
+	// encoded size) whose text was installed.
 	l2cfg, l3cfg cache.Config
-	cold         bool
 	layout       []blockSpan
 
 	// first is the current program's first text line; seen and ready are
@@ -56,12 +55,12 @@ var outers struct {
 }
 
 // acquire returns a pair for the geometry and program, prewarmed with
-// the program's text unless cold, with its line tables cleared for prog.
-func acquire(p Params, prog *program.Program, cold bool) *outer {
+// the program's text, with its line tables cleared for prog.
+func acquire(p Params, prog *program.Program) *outer {
 	outers.Lock()
 	var o *outer
 	for i := len(outers.free) - 1; i >= 0; i-- {
-		if outers.free[i].matches(p, prog, cold) {
+		if outers.free[i].matches(p, prog) {
 			o = outers.free[i]
 			outers.free = append(outers.free[:i], outers.free[i+1:]...)
 			break
@@ -75,8 +74,8 @@ func acquire(p Params, prog *program.Program, cold bool) *outer {
 	if o == nil {
 		o = &outer{}
 	}
-	if !o.matches(p, prog, cold) {
-		o.build(p, prog, cold)
+	if !o.matches(p, prog) {
+		o.build(p, prog)
 	}
 	o.clearLines(prog)
 	return o
@@ -92,14 +91,8 @@ func (o *outer) release() {
 	outers.Unlock()
 }
 
-func (o *outer) matches(p Params, prog *program.Program, cold bool) bool {
-	if o.l2 == nil || o.l2cfg != p.L2 || o.l3cfg != p.L3 || o.cold != cold {
-		return false
-	}
-	if cold {
-		return true
-	}
-	if len(o.layout) != len(prog.Blocks) {
+func (o *outer) matches(p Params, prog *program.Program) bool {
+	if o.l2 == nil || o.l2cfg != p.L2 || o.l3cfg != p.L3 || len(o.layout) != len(prog.Blocks) {
 		return false
 	}
 	for i := range prog.Blocks {
@@ -112,8 +105,8 @@ func (o *outer) matches(p Params, prog *program.Program, cold bool) bool {
 }
 
 // build makes fresh caches for the key, installs the whole text image
-// into both unless cold, and marks them. Run has validated the geometry.
-func (o *outer) build(p Params, prog *program.Program, cold bool) {
+// into both, and marks them. Run has validated the geometry.
+func (o *outer) build(p Params, prog *program.Program) {
 	var err error
 	if o.l2, err = cache.New(p.L2, replacement.NewLRU()); err != nil {
 		panic(err)
@@ -121,18 +114,16 @@ func (o *outer) build(p Params, prog *program.Program, cold bool) {
 	if o.l3, err = cache.New(p.L3, replacement.NewLRU()); err != nil {
 		panic(err)
 	}
-	o.l2cfg, o.l3cfg, o.cold = p.L2, p.L3, cold
+	o.l2cfg, o.l3cfg = p.L2, p.L3
 	o.layout = o.layout[:0]
-	if !cold {
-		var buf [16]uint64
-		for i := range prog.Blocks {
-			b := &prog.Blocks[i]
-			o.layout = append(o.layout, blockSpan{b.Addr, b.CodeBytes()})
-			for _, l := range b.Lines(buf[:0]) {
-				ai := cache.AccessInfo{Line: l, Sig: l}
-				o.l2.Access(ai)
-				o.l3.Access(ai)
-			}
+	var buf [16]uint64
+	for i := range prog.Blocks {
+		b := &prog.Blocks[i]
+		o.layout = append(o.layout, blockSpan{b.Addr, b.CodeBytes()})
+		for _, l := range b.Lines(buf[:0]) {
+			ai := cache.AccessInfo{Line: l, Sig: l}
+			o.l2.Access(ai)
+			o.l3.Access(ai)
 		}
 	}
 	o.l2.Mark()

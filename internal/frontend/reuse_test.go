@@ -105,9 +105,9 @@ func (p *strayPrefetcher) OnBlockRetire(bid, next program.BlockID, issue prefetc
 
 // reuseCases is the matrix: kafka and drupal under every pairing of
 // LRU, Random and GHRP with no prefetcher, NLP, FDIP and TIFS, plus a
-// cold hierarchy, a warmup, accuracy scoring, invalidate and demote
-// hints, an L2/L3 smaller than the text, and a prefetcher that issues
-// lines outside the text.
+// warmup, accuracy scoring, invalidate and demote hints, an L2/L3
+// smaller than the text, and a prefetcher that issues lines outside the
+// text.
 func reuseCases(t testing.TB) []reuseCase {
 	t.Helper()
 	const blocks = 6000
@@ -147,8 +147,6 @@ func reuseCases(t testing.TB) []reuseCase {
 				add(pol+"+"+pf, DefaultParams(), app.Prog, pol, pf, nil)
 			}
 		}
-		add("cold/lru+nlp", DefaultParams(), app.Prog, "lru", "nlp", func(o *Options) { o.ColdHierarchy = true })
-		add("cold/random+fdip", DefaultParams(), app.Prog, "random", "fdip", func(o *Options) { o.ColdHierarchy = true })
 		add("warmup/lru+nlp", DefaultParams(), app.Prog, "lru", "nlp", func(o *Options) { o.WarmupBlocks = 2000 })
 		add("warmup/random+tifs", DefaultParams(), hinted, "random", "tifs", func(o *Options) { o.WarmupBlocks = 2000 })
 		add("accuracy/ghrp+fdip", DefaultParams(), hinted, "ghrp", "fdip", func(o *Options) { o.MeasureAccuracy = true })
@@ -159,7 +157,6 @@ func reuseCases(t testing.TB) []reuseCase {
 		})
 		add("small-l2l3/lru+fdip", small, app.Prog, "lru", "fdip", nil)
 		add("small-l2l3/random+stray", small, hinted, "random", "stray", nil)
-		add("cold+small/ghrp+nlp", small, app.Prog, "ghrp", "nlp", func(o *Options) { o.ColdHierarchy = true })
 		add("stray/lru", DefaultParams(), app.Prog, "lru", "stray", nil)
 		add("stray/ghrp+warmup", DefaultParams(), hinted, "ghrp", "stray", func(o *Options) { o.WarmupBlocks = 1000 })
 	}
@@ -229,8 +226,8 @@ func TestReuseIsInvisible(t *testing.T) {
 	for _, c := range cases {
 		c.check(t, "in order")
 	}
-	// A stride coprime to the matrix size alternates apps, geometries
-	// and cold/warm pairs, so consecutive runs rarely share a pair.
+	// A stride coprime to the matrix size alternates apps, programs and
+	// geometries, so consecutive runs rarely share a pair.
 	for i := range cases {
 		cases[(i*7)%len(cases)].check(t, "interleaved")
 	}

@@ -39,13 +39,6 @@ type Options struct {
 	// the steady-state methodology of the paper's trace collection. A
 	// warmup at least as long as the trace is ignored (full-trace stats).
 	WarmupBlocks int
-	// ColdHierarchy starts the L2/L3 empty. By default the program text is
-	// pre-installed in the outer levels (10 MiB of L3 holds any of these
-	// binaries), modeling the steady-state server the paper traces: after
-	// hours of uptime every text line has long been resident beyond L1,
-	// and charging one-time 260-cycle compulsory fills against a short
-	// simulation window would distort every comparison.
-	ColdHierarchy bool
 	// Injections, when non-nil, simulates an injection plan (cue block ->
 	// victim lines) on the unmodified program: the run is the run of
 	// program.WithInjectionsPreservingLayout(Injections), without building
@@ -199,7 +192,12 @@ type sim struct {
 // MeasureAccuracy re-opens the source for the oracle pre-pass, relying on
 // the Source replayability contract.
 //
-// The L1I and its policy are built per run. The L2/L3 are borrowed
+// The L1I and its policy are built per run. The L2/L3 start with the
+// whole program text installed (10 MiB of L3 holds any of these
+// binaries), modeling the steady-state server the paper traces: after
+// hours of uptime every text line has long been resident beyond L1, and
+// charging one-time 260-cycle compulsory fills against a short
+// simulation window would distort every comparison. They are borrowed
 // already prewarmed from a free list shared by all runs and rolled back
 // when the run returns (see outer), which no result can tell from a
 // fresh hierarchy.
@@ -220,7 +218,7 @@ func Run(p Params, prog *program.Program, src blockseq.Source, opts Options) (Re
 	if err := p.L3.Validate(); err != nil {
 		return Result{}, fmt.Errorf("frontend: L3: %w", err)
 	}
-	out := acquire(p, prog, opts.ColdHierarchy)
+	out := acquire(p, prog)
 	defer out.release()
 	hints, err := out.hintTable(prog, opts.Injections)
 	if err != nil {

@@ -62,13 +62,6 @@ func (k TermKind) String() string {
 	}
 }
 
-// IsIndirect reports whether the terminator's target cannot be determined
-// statically (and therefore needs a TIP trace packet and an indirect
-// predictor at fetch time).
-func (k TermKind) IsIndirect() bool {
-	return k == TermRet || k == TermIndirectJump || k == TermIndirectCall
-}
-
 // IsCall reports whether the terminator pushes a return address.
 func (k TermKind) IsCall() bool {
 	return k == TermCall || k == TermIndirectCall

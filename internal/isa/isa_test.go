@@ -26,12 +26,8 @@ func TestTermKindString(t *testing.T) {
 }
 
 func TestTermKindClassifiers(t *testing.T) {
-	indirect := map[TermKind]bool{TermRet: true, TermIndirectJump: true, TermIndirectCall: true}
 	calls := map[TermKind]bool{TermCall: true, TermIndirectCall: true}
 	for k := TermFallthrough; k <= TermIndirectCall; k++ {
-		if k.IsIndirect() != indirect[k] {
-			t.Fatalf("%v.IsIndirect() = %v", k, k.IsIndirect())
-		}
 		if k.IsCall() != calls[k] {
 			t.Fatalf("%v.IsCall() = %v", k, k.IsCall())
 		}

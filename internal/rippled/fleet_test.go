@@ -53,7 +53,8 @@ func TestFleetSingleFlightStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs <- pool.RunAll(context.Background(), fleetJobs(k, &computed, 10*time.Millisecond))
+			_, err := pool.RunAll(context.Background(), fleetJobs(k, &computed, 10*time.Millisecond))
+			errs <- err
 		}()
 	}
 	wg.Wait()
@@ -83,7 +84,7 @@ func TestFleetMatchesSerialByteForByte(t *testing.T) {
 	}
 	var serialComputed atomic.Int64
 	serial := runner.New(runner.Options{Workers: 1, Store: serialStore})
-	if err := serial.RunAll(context.Background(), fleetJobs(k, &serialComputed, 0)); err != nil {
+	if _, err := serial.RunAll(context.Background(), fleetJobs(k, &serialComputed, 0)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -97,7 +98,7 @@ func TestFleetMatchesSerialByteForByte(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := pool.RunAll(context.Background(), fleetJobs(k, &fleetComputed, 5*time.Millisecond)); err != nil {
+			if _, err := pool.RunAll(context.Background(), fleetJobs(k, &fleetComputed, 5*time.Millisecond)); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -134,7 +135,7 @@ func TestFleetWarmPoolComputesNothing(t *testing.T) {
 	var cold atomic.Int64
 	c1 := newTestClient(t, ts.URL, fastOptions())
 	p1 := runner.New(runner.Options{Workers: 2, Store: c1})
-	if err := p1.RunAll(context.Background(), fleetJobs(k, &cold, 0)); err != nil {
+	if _, err := p1.RunAll(context.Background(), fleetJobs(k, &cold, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if cold.Load() != k {
@@ -144,7 +145,7 @@ func TestFleetWarmPoolComputesNothing(t *testing.T) {
 	var warm atomic.Int64
 	c2 := newTestClient(t, ts.URL, fastOptions())
 	p2 := runner.New(runner.Options{Workers: 2, Store: c2})
-	if err := p2.RunAll(context.Background(), fleetJobs(k, &warm, 0)); err != nil {
+	if _, err := p2.RunAll(context.Background(), fleetJobs(k, &warm, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if warm.Load() != 0 {
@@ -201,7 +202,10 @@ func TestFleetOutageMidSweepDegradesToLocal(t *testing.T) {
 	}
 
 	done := make(chan error, 1)
-	go func() { done <- pool.RunAll(context.Background(), jobs) }()
+	go func() {
+		_, err := pool.RunAll(context.Background(), jobs)
+		done <- err
+	}()
 	select {
 	case err := <-done:
 		if err != nil {

@@ -189,7 +189,7 @@ func TestRetryBackoffHonorsCancellationMidSleep(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	err := p.RunAll(ctx, []Job{j})
+	_, err := p.RunAll(ctx, []Job{j})
 	if waited := time.Since(start); waited > 5*time.Second {
 		t.Fatalf("cancelled sweep drained in %v; backoff sleep outlived cancellation", waited)
 	}

@@ -126,32 +126,6 @@ func TestNonTransientNotRetried(t *testing.T) {
 	}
 }
 
-// TestJobTimeoutIsTransient: a per-job timeout cancels the attempt's
-// context, and the deadline error is transient, so a slow-then-fast job
-// heals via retry.
-func TestJobTimeoutIsTransient(t *testing.T) {
-	p := New(Options{Workers: 1, Retries: 1, RetryBackoff: time.Millisecond})
-	var attempts atomic.Int64
-	j := NewJob("slow-once", "slow-once", 1, func(ctx context.Context) (*intRec, error) {
-		if attempts.Add(1) == 1 {
-			<-ctx.Done() // respect the attempt deadline
-			return nil, ctx.Err()
-		}
-		return &intRec{N: 7}, nil
-	})
-	j.Timeout = 20 * time.Millisecond
-	v, err := p.Do(context.Background(), j)
-	if err != nil {
-		t.Fatalf("timed-out job did not heal: %v", err)
-	}
-	if v.(*intRec).N != 7 {
-		t.Fatalf("got %+v", v)
-	}
-	if st := p.Stats(); st.Retries != 1 {
-		t.Fatalf("stats: %+v", st)
-	}
-}
-
 func TestCancellationStopsRetries(t *testing.T) {
 	p := New(Options{Workers: 1, Retries: 50, RetryBackoff: 50 * time.Millisecond})
 	ctx, cancel := context.WithCancel(context.Background())

@@ -47,11 +47,6 @@ type Job struct {
 	// with no stable content identity — so the store is not polluted
 	// with entries no later run can ever hit.
 	SkipStore bool
-	// Timeout bounds one execution attempt: the job body's context is
-	// canceled after this long, and the resulting deadline error counts
-	// as transient (retried when the pool allows retries). <= 0 means no
-	// per-job bound.
-	Timeout time.Duration
 
 	run    func(context.Context) (any, error)
 	decode func([]byte) (any, error)
@@ -90,7 +85,8 @@ func Seed(sig string) uint64 {
 
 // Options configures a Pool.
 type Options struct {
-	// Workers bounds concurrent job execution; <= 0 uses GOMAXPROCS.
+	// Workers bounds the worker goroutines batches spawn; each batch's
+	// caller drains beside them (see RunAll). <= 0 uses GOMAXPROCS.
 	Workers int
 	// Store, when non-nil, persists every successful result. A backend
 	// that also implements Coordinator extends deduplication to fleet
@@ -148,9 +144,9 @@ type Pool struct {
 	log     *syncWriter
 	retries int
 	backoff time.Duration
-	// sem is the pool-wide worker budget: every spawned worker goroutine
-	// (RunAll batches and Groups alike) holds one slot while it runs, so
-	// nested fan-out shares the budget instead of multiplying it.
+	// sem is the pool-wide worker budget: every worker goroutine a RunAll
+	// batch spawns holds one slot while it runs, so nested batches share
+	// the budget instead of multiplying it.
 	sem chan struct{}
 
 	mu    sync.Mutex
@@ -368,15 +364,9 @@ func (p *Pool) runWithRetry(ctx context.Context, j Job) (any, error) {
 	}
 }
 
-// runSafe executes one job attempt, applying the job's per-attempt
-// timeout and converting a panic into an error so one bad job cannot
-// take down a whole suite run.
+// runSafe executes one job attempt, converting a panic into an error so
+// one bad job cannot take down a whole suite run.
 func runSafe(ctx context.Context, j Job) (v any, err error) {
-	if j.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, j.Timeout)
-		defer cancel()
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("runner: job %s panicked: %v\n%s", j.label(), r, debug.Stack())
@@ -392,8 +382,8 @@ var ErrTransient = errors.New("runner: transient error")
 
 // Transient classifies an error as retry-worthy: it wraps ErrTransient,
 // implements `Transient() bool` returning true, or is a deadline
-// expiry (a per-job Timeout firing). Context cancellation is never
-// transient — the caller asked to stop.
+// expiry. Context cancellation is never transient — the caller asked to
+// stop.
 func Transient(err error) bool {
 	if err == nil || errors.Is(err, context.Canceled) {
 		return false
@@ -436,23 +426,32 @@ func (j Job) label() string {
 	return j.Sig
 }
 
-// RunAll executes a batch of jobs across the pool's workers,
-// largest-cost-first (ties broken by signature for a deterministic
-// order). Duplicate signatures are scheduled once. The first job error
-// stops the scheduling of further jobs and is returned after all workers
-// drain; a canceled context likewise skips pending jobs, waits for
-// running ones, and returns the context error.
-func (p *Pool) RunAll(ctx context.Context, jobs []Job) error {
-	seen := make(map[string]bool, len(jobs))
+// RunAll executes a batch of jobs across the pool's workers and returns
+// each job's result in the order of jobs: duplicate signatures run once
+// and share one result, and a job without a signature is skipped (nil
+// result). Jobs run largest-cost-first, ties broken by signature for a
+// deterministic order. Workers are spawned while the pool-wide budget
+// has free slots, and the caller drains the queue beside them, so a
+// batch runs up to Workers+1 jobs at once, and a batch started from
+// inside a running job cannot deadlock. The first job error stops the
+// scheduling of pending jobs and is returned, wrapped with the job's
+// label, after all workers drain; a canceled context likewise skips
+// pending jobs, waits for running ones, and returns the context error.
+// A failed batch returns no results.
+func (p *Pool) RunAll(ctx context.Context, jobs []Job) ([]any, error) {
+	slot := make(map[string]int, len(jobs)) // signature -> index in q
 	q := make([]Job, 0, len(jobs))
 	for _, j := range jobs {
-		if j.Sig != "" && !seen[j.Sig] {
-			seen[j.Sig] = true
+		if _, dup := slot[j.Sig]; j.Sig != "" && !dup {
+			slot[j.Sig] = len(q)
 			q = append(q, j)
 		}
 	}
 	if len(q) == 0 {
-		return ctx.Err()
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return make([]any, len(jobs)), nil
 	}
 	sort.SliceStable(q, func(i, k int) bool {
 		if q[i].Cost != q[k].Cost {
@@ -460,201 +459,94 @@ func (p *Pool) RunAll(ctx context.Context, jobs []Job) error {
 		}
 		return q[i].Sig < q[k].Sig
 	})
+	for i, j := range q {
+		slot[j.Sig] = i
+	}
 
 	start := time.Now()
 	before := p.Stats()
-	g := p.NewGroup(ctx)
-	for _, j := range q {
-		g.Submit(j)
+	b := &batch{pool: p, ctx: ctx, jobs: q, vals: make([]any, len(q))}
+	var wg sync.WaitGroup
+spawn:
+	for range q {
+		select {
+		case p.sem <- struct{}{}:
+		default:
+			break spawn
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-p.sem }()
+			b.drain()
+		}()
 	}
-	err := g.Wait()
+	b.drain()
+	wg.Wait()
 	st := p.Stats()
 	p.logf("[runner] batch: %d jobs in %v — %d computed, %d store hits, %d coalesced (%d workers)",
 		len(q), time.Since(start).Round(time.Millisecond),
 		st.Computed-before.Computed, st.StoreHits-before.StoreHits, st.MemHits-before.MemHits, p.workers)
-	if err != nil {
-		return err
+	if b.cause != nil {
+		return nil, b.cause
 	}
-	return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	out := make([]any, len(jobs))
+	for i, j := range jobs {
+		if j.Sig != "" {
+			out[i] = b.vals[slot[j.Sig]]
+		}
+	}
+	return out, nil
 }
 
-// ErrSkipped marks a Future abandoned before it ran because an earlier
-// job in its group failed or the group's context was canceled. Get
-// reports it (wrapped) so waiters never hang on work that will not
-// happen.
-var ErrSkipped = errors.New("runner: job skipped")
-
-// Group collects related jobs and runs them on the pool's shared worker
-// budget. It is the sub-job API: safe to use from inside a running job,
-// so a job that fans out (threshold tuning inside a suite cell) shares
-// the pool instead of nesting a second worker set.
-//
-// Submit never blocks — it queues the job and, when the pool has a free
-// worker slot, spawns a worker to drain the queue. Wait executes
-// still-queued jobs inline on the calling goroutine, so progress is
-// guaranteed even when every slot is busy (the nested case: the caller
-// is itself a worker and lends its slot to its sub-jobs). The first job
-// error stops the scheduling of still-pending jobs.
-type Group struct {
+// batch is one RunAll call's queue, claimed in order by the spawned
+// workers and the draining caller.
+type batch struct {
 	pool *Pool
 	ctx  context.Context
+	jobs []Job
+	vals []any // vals[i] is the result of jobs[i]
 
-	mu      sync.Mutex
-	queue   []*Future // submitted and not yet claimed
-	total   int       // all submissions (for progress logs)
-	stopped bool      // a job failed: pending futures are skipped
-	cause   error     // first job failure, wrapped with its label
-	wg      sync.WaitGroup
-	done    atomic.Int64
+	mu    sync.Mutex
+	next  int   // the next unclaimed job
+	done  int   // jobs finished, for progress logs
+	cause error // the first job failure, wrapped with its label
 }
 
-// Future is the pending result of one job submitted to a Group.
-type Future struct {
-	g       *Group
-	job     Job
-	claimed atomic.Bool
-	ready   chan struct{}
-	val     any
-	err     error
-}
-
-// NewGroup starts an empty group; a nil ctx means context.Background().
-func (p *Pool) NewGroup(ctx context.Context) *Group {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return &Group{pool: p, ctx: ctx}
-}
-
-// Submit queues a job and returns its Future. Submission order is
-// execution order (workers claim the oldest queued job first); callers
-// that want largest-first scheduling sort before submitting, as RunAll
-// does.
-func (g *Group) Submit(j Job) *Future {
-	f := &Future{g: g, job: j, ready: make(chan struct{})}
-	g.mu.Lock()
-	g.queue = append(g.queue, f)
-	g.total++
-	g.mu.Unlock()
-	g.spawn()
-	return f
-}
-
-// spawn starts one queue-draining worker if the pool has a free slot;
-// otherwise the queued work waits for a running worker or an inline
-// drain (Wait / Future.Get).
-func (g *Group) spawn() {
-	select {
-	case g.pool.sem <- struct{}{}:
-	default:
-		return
-	}
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		defer func() { <-g.pool.sem }()
-		g.drain()
-	}()
-}
-
-// next claims the oldest queued future. Once the group is stopped (job
-// failure or context cancellation), remaining futures are resolved as
-// skipped instead of claimed.
-func (g *Group) next() *Future {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for len(g.queue) > 0 {
-		f := g.queue[0]
-		g.queue = g.queue[1:]
-		if f.claimed.Swap(true) {
-			continue // already executing via Get
-		}
-		if g.stopped || g.ctx.Err() != nil {
-			f.skip(g.ctx)
-			continue
-		}
-		return f
-	}
-	return nil
-}
-
-func (g *Group) drain() {
+// drain runs queued jobs until the queue is empty, a job has failed or
+// the context is canceled.
+func (b *batch) drain() {
 	for {
-		f := g.next()
-		if f == nil {
+		b.mu.Lock()
+		if b.next == len(b.jobs) || b.cause != nil || b.ctx.Err() != nil {
+			b.mu.Unlock()
 			return
 		}
-		f.run()
+		i := b.next
+		b.next++
+		b.mu.Unlock()
+		b.run(i)
 	}
 }
 
-// Wait drains the queue on the calling goroutine, blocks until every
-// spawned worker finishes, and returns the first job error (nil when all
-// jobs succeeded; the context error when the group was canceled).
-func (g *Group) Wait() error {
-	g.drain()
-	g.wg.Wait()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.cause != nil {
-		return g.cause
-	}
-	return g.ctx.Err()
-}
-
-// run executes the future's job (the future must already be claimed).
-func (f *Future) run() {
-	g := f.g
+func (b *batch) run(i int) {
+	j := b.jobs[i]
 	t0 := time.Now()
-	v, computed, err := g.pool.do(g.ctx, f.job)
-	f.val = v
-	if err != nil {
-		f.err = fmt.Errorf("runner: job %s: %w", f.job.label(), err)
-		g.mu.Lock()
-		g.stopped = true
-		if g.cause == nil {
-			g.cause = f.err
-		}
-		g.mu.Unlock()
+	v, computed, err := b.pool.do(b.ctx, j)
+	b.mu.Lock()
+	b.vals[i] = v
+	if err != nil && b.cause == nil {
+		b.cause = fmt.Errorf("runner: job %s: %w", j.label(), err)
 	}
-	n := g.done.Add(1)
+	b.done++
+	n := b.done
+	b.mu.Unlock()
 	if computed {
-		g.mu.Lock()
-		total := g.total
-		g.mu.Unlock()
-		g.pool.logf("[runner] %d/%d %s (%v)", n, total, f.job.label(), time.Since(t0).Round(time.Millisecond))
+		b.pool.logf("[runner] %d/%d %s (%v)", n, len(b.jobs), j.label(), time.Since(t0).Round(time.Millisecond))
 	}
-	close(f.ready)
-}
-
-// skip resolves an unrun future; callers hold g.mu.
-func (f *Future) skip(ctx context.Context) {
-	if err := ctx.Err(); err != nil {
-		f.err = fmt.Errorf("%w: %w", ErrSkipped, err)
-	} else {
-		f.err = fmt.Errorf("%w after earlier job failure", ErrSkipped)
-	}
-	close(f.ready)
-}
-
-// Get returns the job's result. An unclaimed job executes inline on the
-// calling goroutine (so Get before Wait cannot deadlock even on a
-// saturated pool); a claimed one is waited for.
-func (f *Future) Get() (any, error) {
-	if !f.claimed.Swap(true) {
-		g := f.g
-		g.mu.Lock()
-		stopped := g.stopped || g.ctx.Err() != nil
-		if stopped {
-			f.skip(g.ctx)
-		}
-		g.mu.Unlock()
-		if !stopped {
-			f.run()
-		}
-	}
-	<-f.ready
-	return f.val, f.err
 }
 
 // syncWriter serializes writes; a nil underlying writer discards them.

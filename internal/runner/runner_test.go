@@ -76,20 +76,26 @@ func TestDoCoalescesConcurrentCalls(t *testing.T) {
 	}
 }
 
+// holdSlot takes the pool's worker slot until the test ends. On a
+// Workers: 1 pool no batch worker can then spawn, so the caller drains
+// the batch alone, one job at a time in queue order.
+func holdSlot(t *testing.T, p *Pool) {
+	p.sem <- struct{}{}
+	t.Cleanup(func() { <-p.sem })
+}
+
 func TestRunAllLargestFirst(t *testing.T) {
-	p := New(Options{Workers: 1}) // serial, so execution order is observable
-	var mu sync.Mutex
+	p := New(Options{Workers: 1})
+	holdSlot(t, p) // serial, so execution order is observable
 	var order []string
 	mk := func(sig string, cost float64) Job {
 		return intJob(sig, cost, func() (int, error) {
-			mu.Lock()
 			order = append(order, sig)
-			mu.Unlock()
 			return 0, nil
 		})
 	}
 	jobs := []Job{mk("small", 1), mk("big", 100), mk("mid", 10), mk("big", 100)}
-	if err := p.RunAll(context.Background(), jobs); err != nil {
+	if _, err := p.RunAll(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"big", "mid", "small"} // dedup + cost-descending
@@ -103,6 +109,86 @@ func TestRunAllLargestFirst(t *testing.T) {
 	}
 }
 
+// TestRunAllResultsInJobOrder: results come back in the order of the
+// jobs, not of execution, and duplicate signatures share one result.
+func TestRunAllResultsInJobOrder(t *testing.T) {
+	p := New(Options{Workers: 2})
+	var runs atomic.Int64
+	mk := func(sig string, cost float64, n int) Job {
+		return intJob(sig, cost, func() (int, error) { runs.Add(1); return n, nil })
+	}
+	jobs := []Job{mk("a", 1, 10), mk("b", 3, 20), mk("a", 1, 10), mk("c", 2, 30)}
+	vals, err := p.RunAll(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{10, 20, 10, 30}
+	if len(vals) != len(want) {
+		t.Fatalf("got %d results, want %d", len(vals), len(want))
+	}
+	for i, v := range vals {
+		if got := v.(*intRec).N; got != want[i] {
+			t.Fatalf("result %d = %d, want %d", i, got, want[i])
+		}
+	}
+	if vals[0] != vals[2] {
+		t.Fatal("duplicate signatures got distinct results")
+	}
+	if runs.Load() != 3 {
+		t.Fatalf("ran %d jobs, want 3", runs.Load())
+	}
+}
+
+// TestRunAllWorkersPlusOne pins the batch's concurrency: on a Workers: 1
+// pool the spawned worker and the draining caller run two jobs at once,
+// never one and never three.
+func TestRunAllWorkersPlusOne(t *testing.T) {
+	p := New(Options{Workers: 1})
+	var inflight, peak atomic.Int64
+	var once sync.Once
+	two := make(chan struct{})
+	release := make(chan struct{})
+	var jobs []Job
+	for i := 0; i < 6; i++ {
+		sig := fmt.Sprintf("pin-%d", i)
+		jobs = append(jobs, NewJob(sig, sig, 1, func(context.Context) (*intRec, error) {
+			n := inflight.Add(1)
+			defer inflight.Add(-1)
+			for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+			}
+			if n == 2 {
+				once.Do(func() { close(two) })
+			}
+			<-release
+			return &intRec{}, nil
+		}))
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.RunAll(context.Background(), jobs)
+		done <- err
+	}()
+	select {
+	case <-two:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a Workers: 1 batch never ran two jobs at once")
+	}
+	// Both running jobs are blocked. The spawned worker holds the pool's
+	// only slot, so no second worker can start a third job.
+	select {
+	case p.sem <- struct{}{}:
+		t.Fatal("the pool's slot is free while two jobs run")
+	default:
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := peak.Load(); got != 2 {
+		t.Fatalf("peak jobs in flight = %d, want 2 (Workers+1)", got)
+	}
+}
+
 func TestRunAllReportsJobError(t *testing.T) {
 	p := New(Options{Workers: 2})
 	boom := errors.New("boom")
@@ -110,12 +196,137 @@ func TestRunAllReportsJobError(t *testing.T) {
 		intJob("ok", 1, func() (int, error) { return 1, nil }),
 		intJob("bad", 2, func() (int, error) { return 0, boom }),
 	}
-	err := p.RunAll(context.Background(), jobs)
+	_, err := p.RunAll(context.Background(), jobs)
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("RunAll error = %v", err)
 	}
 	if p.Stats().Errors != 1 {
 		t.Fatalf("stats = %+v", p.Stats())
+	}
+}
+
+// TestRunAllErrorSkipsPending: the first failure stops the queue, so no
+// pending job runs, and RunAll returns the failure wrapped.
+func TestRunAllErrorSkipsPending(t *testing.T) {
+	p := New(Options{Workers: 1})
+	holdSlot(t, p) // "fail" finishes before "pending" can be claimed
+	boom := errors.New("boom")
+	var ran atomic.Bool
+	jobs := []Job{
+		intJob("pending", 1, func() (int, error) { ran.Store(true); return 0, nil }),
+		intJob("fail", 2, func() (int, error) { return 0, boom }),
+	}
+	vals, err := p.RunAll(context.Background(), jobs)
+	if !errors.Is(err, boom) {
+		t.Fatalf("RunAll = %v, want wrapped boom", err)
+	}
+	if vals != nil {
+		t.Fatalf("failed batch returned results %v", vals)
+	}
+	if ran.Load() {
+		t.Fatal("pending job ran after an earlier failure")
+	}
+}
+
+// TestRunAllCancellationSkips: a batch on a canceled context runs no job
+// and returns the context error.
+func TestRunAllCancellationSkips(t *testing.T) {
+	p := New(Options{Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var ran atomic.Bool
+	_, err := p.RunAll(ctx, []Job{intJob("never", 1, func() (int, error) { ran.Store(true); return 0, nil })})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunAll = %v, want context.Canceled", err)
+	}
+	if ran.Load() {
+		t.Fatal("a job ran on a canceled context")
+	}
+}
+
+// TestRunAllNestedSharesPoolWithoutDeadlock: a job running on a
+// Workers: 1 pool runs a batch of sub-jobs on the same pool. With the
+// only slot taken, the job's own goroutine drains the sub-jobs.
+func TestRunAllNestedSharesPoolWithoutDeadlock(t *testing.T) {
+	p := New(Options{Workers: 1})
+	var subRuns atomic.Int64
+	outer := NewJob("outer", "outer", 1, func(ctx context.Context) (*intRec, error) {
+		var subs []Job
+		for i := 0; i < 5; i++ {
+			subs = append(subs, intJob(fmt.Sprintf("sub-%d", i), 1, func() (int, error) {
+				subRuns.Add(1)
+				return 1, nil
+			}))
+		}
+		vals, err := p.RunAll(ctx, subs)
+		if err != nil {
+			return nil, err
+		}
+		sum := 0
+		for _, v := range vals {
+			sum += v.(*intRec).N
+		}
+		return &intRec{N: sum}, nil
+	})
+	type outcome struct {
+		vals []any
+		err  error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		vals, err := p.RunAll(context.Background(), []Job{outer})
+		done <- outcome{vals, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if got := o.vals[0].(*intRec).N; got != 5 {
+			t.Fatalf("outer result = %d, want 5", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("nested batch deadlocked on a 1-worker pool")
+	}
+	if subRuns.Load() != 5 {
+		t.Fatalf("ran %d sub-jobs, want 5", subRuns.Load())
+	}
+}
+
+// TestSkipStoreBypassesPersistence: a SkipStore job neither reads nor
+// writes the on-disk store, while in-process memoization still applies.
+func TestSkipStoreBypassesPersistence(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int64
+	j := intJob("volatile", 1, func() (int, error) { runs.Add(1); return 3, nil })
+	j.SkipStore = true
+	run := func(p *Pool) {
+		t.Helper()
+		vals, err := p.RunAll(context.Background(), []Job{j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := vals[0].(*intRec).N; got != 3 {
+			t.Fatalf("result = %d, want 3", got)
+		}
+	}
+	p := New(Options{Workers: 1, Store: store})
+	run(p)
+	if _, status := store.Lookup("volatile"); status != StatusMiss {
+		t.Fatal("SkipStore job was persisted")
+	}
+	// Same signature, same process: memoized, not recomputed.
+	run(p)
+	if runs.Load() != 1 {
+		t.Fatalf("job ran %d times, want 1 (memoized)", runs.Load())
+	}
+	// A fresh pool recomputes: nothing was persisted.
+	run(New(Options{Workers: 1, Store: store}))
+	if runs.Load() != 2 {
+		t.Fatalf("job ran %d times across pools, want 2 (store bypassed)", runs.Load())
 	}
 }
 
@@ -155,7 +366,10 @@ func TestCancellationDrainsWorkers(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	errc := make(chan error, 1)
-	go func() { errc <- p.RunAll(ctx, jobs) }()
+	go func() {
+		_, err := p.RunAll(ctx, jobs)
+		errc <- err
+	}()
 	<-started // at least one job is running
 	cancel()
 	select {
@@ -202,7 +416,10 @@ func TestRunAllRunsJobsConcurrently(t *testing.T) {
 		}))
 	}
 	done := make(chan error, 1)
-	go func() { done <- p.RunAll(context.Background(), jobs) }()
+	go func() {
+		_, err := p.RunAll(context.Background(), jobs)
+		done <- err
+	}()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -224,7 +441,7 @@ func TestSeedIsStableAndSignatureDependent(t *testing.T) {
 
 func TestRunAllEmptyAndNilLog(t *testing.T) {
 	p := New(Options{})
-	if err := p.RunAll(context.Background(), nil); err != nil {
+	if _, err := p.RunAll(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if p.Workers() < 1 {

@@ -248,7 +248,7 @@ func TestChaosMmapSnapshotsOfLiveTail(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- app.Run(context.Background(), 100*time.Microsecond) }()
 
-	src := NewTailSource(path, prog, TailConfig{Follow: true, Stall: 10 * time.Second, Seed: 4})
+	src := NewTailSource(path, prog, TailConfig{Follow: true, Stall: 10 * time.Second})
 	seq := src.OpenTail()
 	tailed := make(chan []program.BlockID, 1)
 	go func() { tailed <- drainTail(seq) }()

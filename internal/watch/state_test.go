@@ -171,7 +171,7 @@ func TestCheckpointsHashTraceOnce(t *testing.T) {
 
 	cfg := watchCfg(t, prog, path, dir)
 	cfg.CheckpointEvery = 64
-	cfg.Tail = TailConfig{Follow: true, Stall: 10 * time.Second, Seed: 1}
+	cfg.Tail = TailConfig{Follow: true, Stall: 10 * time.Second}
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		t.Fatal(err)

@@ -61,14 +61,12 @@ type TailConfig struct {
 	// decode), which is how the conformance tests exercise the source.
 	Follow bool
 	// Poll and MaxPoll bound the exponential backoff between polls of a
-	// quiet file (defaults 2ms and 250ms). Each sleep adds seeded jitter
-	// so a fleet of tailers does not poll in lockstep.
+	// quiet file (defaults 2ms and 250ms). Each sleep adds up to half its
+	// length as jitter, drawn from a fixed-seed RNG.
 	Poll, MaxPoll time.Duration
 	// Stall bounds how long a read waits for new bytes before giving up
 	// with ErrStalled; 0 waits forever.
 	Stall time.Duration
-	// Seed seeds the backoff jitter.
-	Seed uint64
 	// Done, when non-nil, cancels blocked reads: they return ErrCanceled.
 	Done <-chan struct{}
 }
@@ -126,7 +124,7 @@ type tailReader struct {
 }
 
 func newTailReader(path string, cfg TailConfig, off int64) *tailReader {
-	return &tailReader{path: path, cfg: cfg, rng: stats.NewRNG(cfg.Seed), off: off}
+	return &tailReader{path: path, cfg: cfg, rng: stats.NewRNG(0), off: off}
 }
 
 func (r *tailReader) Close() error {

@@ -91,7 +91,7 @@ func TestTailFollowsAppender(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- app.Run(context.Background(), 100*time.Microsecond) }()
 
-	src := NewTailSource(path, prog, TailConfig{Follow: true, Stall: 10 * time.Second, Seed: 1})
+	src := NewTailSource(path, prog, TailConfig{Follow: true, Stall: 10 * time.Second})
 	seq := src.OpenTail()
 	got := drainTail(seq)
 	if err := seq.Err(); err != nil {
@@ -148,7 +148,7 @@ func TestTailDamageMatchesOffline(t *testing.T) {
 			done := make(chan error, 1)
 			go func() { done <- app.Run(context.Background(), 100*time.Microsecond) }()
 
-			src := NewTailSource(path, prog, TailConfig{Follow: true, Stall: 10 * time.Second, Seed: 2})
+			src := NewTailSource(path, prog, TailConfig{Follow: true, Stall: 10 * time.Second})
 			seq := src.OpenTail()
 			got := drainTail(seq)
 			if err := seq.Err(); err != nil {
@@ -192,7 +192,7 @@ func TestTailStallAndResume(t *testing.T) {
 	cut := 2 * len(data) / 3
 	path := writeFile(t, dir, "trace.pt", data[:cut])
 
-	src := NewTailSource(path, prog, TailConfig{Follow: true, Poll: time.Millisecond, Stall: 50 * time.Millisecond, Seed: 3})
+	src := NewTailSource(path, prog, TailConfig{Follow: true, Poll: time.Millisecond, Stall: 50 * time.Millisecond})
 	seq := src.OpenTail()
 	first := drainTail(seq)
 	if !errors.Is(seq.Err(), ErrStalled) {
@@ -243,7 +243,7 @@ func TestTailRotationDetected(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "trace.pt", data[:len(data)/2])
 
-	src := NewTailSource(path, prog, TailConfig{Follow: true, Poll: time.Millisecond, Stall: 5 * time.Second, Seed: 4})
+	src := NewTailSource(path, prog, TailConfig{Follow: true, Poll: time.Millisecond, Stall: 5 * time.Second})
 	seq := src.OpenTail()
 	// Consume a little so the pass holds the original file open.
 	for i := 0; i < 10; i++ {
