@@ -291,7 +291,7 @@ func (p *Predictor) Retire(prog *program.Program, bid, actualNext program.BlockI
 	case isa.TermCondBranch:
 		taken := actualNext == b.TakenTarget
 		predTaken := p.predictDir(bid, p.committedGHR)
-		p.trainDir(bid, taken, predTaken)
+		p.trainDir(bid, taken)
 		if taken {
 			p.btbInstall(bid, b.TakenTarget)
 		}
@@ -335,7 +335,7 @@ func (p *Predictor) Retire(prog *program.Program, bid, actualNext program.BlockI
 	}
 }
 
-func (p *Predictor) trainDir(bid program.BlockID, taken, predTaken bool) {
+func (p *Predictor) trainDir(bid program.BlockID, taken bool) {
 	gi := p.gshareIdx(bid, p.committedGHR)
 	bi := p.bimodalIdx(bid)
 	gCorrect := (p.gshare[gi] >= 2) == taken
@@ -352,7 +352,6 @@ func (p *Predictor) trainDir(bid program.BlockID, taken, predTaken bool) {
 	}
 	bump(&p.gshare[gi], taken)
 	bump(&p.bimodal[bi], taken)
-	_ = predTaken
 }
 
 func (p *Predictor) trainIndirect(bid program.BlockID, ghr uint64, target program.BlockID) {

@@ -163,7 +163,7 @@ func TestBTBCapacityStallsColdDirects(t *testing.T) {
 	// Force its direction state toward taken without installing the BTB
 	// entry (train via another block ID that aliases nothing useful).
 	for i := 0; i < 20; i++ {
-		fresh.trainDir(0, true, false)
+		fresh.trainDir(0, true)
 		fresh.committedGHR <<= 1
 	}
 	fresh.ResyncSpec()

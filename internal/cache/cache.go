@@ -5,10 +5,15 @@
 // `invalidate` instruction), LRU demotion (the Sec. IV variant), and
 // attribution of fills to hint-freed ways (replacement coverage). A cache
 // can also journal its changes and roll back to a mark (Mark, Rollback),
-// which is how the frontend reuses one prewarmed outer hierarchy.
+// which is how the frontend reuses one prewarmed outer hierarchy, or keep
+// a line→way index over a line range (Index, TryHit), which is how the
+// frontend's L1I finds its hits without scanning tags.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // AccessInfo carries the metadata replacement policies may condition on.
 type AccessInfo struct {
@@ -160,15 +165,17 @@ func (s Stats) Coverage() float64 {
 
 // Cache is a single level of the instruction hierarchy.
 type Cache struct {
-	cfg     Config
 	policy  Policy
-	sets    []line // len = nsets*ways, row-major by set
-	nsets   int
+	sets    []line // ways entries per set, row-major by set
 	ways    int
 	setMask uint64
 	Stats   Stats
 	// j is the undo journal; nil until Mark.
 	j *journal
+	// idx is the line→way index (see Index): idx[l-idxFirst] is 1 + the
+	// way holding line l, 0 when l is not resident. Empty when unindexed.
+	idx      []uint8
+	idxFirst uint64
 }
 
 // journal holds what Rollback needs to return a cache to its mark: the
@@ -190,22 +197,14 @@ func New(cfg Config, p Policy) (*Cache, error) {
 		return nil, err
 	}
 	c := &Cache{
-		cfg:     cfg,
 		policy:  p,
-		nsets:   cfg.Sets(),
+		sets:    make([]line, cfg.Sets()*cfg.Ways),
 		ways:    cfg.Ways,
 		setMask: uint64(cfg.Sets() - 1),
 	}
-	c.sets = make([]line, c.nsets*c.ways)
-	p.Reset(c.nsets, c.ways)
+	p.Reset(cfg.Sets(), cfg.Ways)
 	return c, nil
 }
-
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
-// Policy returns the replacement policy in use.
-func (c *Cache) Policy() Policy { return c.policy }
 
 // SetOf returns the set index for a line address.
 func (c *Cache) SetOf(lineAddr uint64) int { return int(lineAddr & c.setMask) }
@@ -217,8 +216,8 @@ func (c *Cache) row(set int) []line {
 // AccessResult describes the outcome of one probe.
 type AccessResult struct {
 	Hit bool
-	// Set and Way locate the line after the access.
-	Set, Way int
+	// Way locates the line in its set after the access.
+	Way int
 	// Evicted holds the replaced line address when a valid line was
 	// evicted to make room; EvictedValid marks it meaningful.
 	Evicted      uint64
@@ -226,52 +225,34 @@ type AccessResult struct {
 	// HintFreed reports that a miss filled into a way freed by a Ripple
 	// invalidation (a Ripple-initiated replacement decision).
 	HintFreed bool
-	// PrefetchHit reports that a demand access hit a line that was
-	// prefetched and not yet demand-referenced (the prefetch was useful).
-	PrefetchHit bool
 }
 
 // Access probes for a line and fills it on a miss. Prefetch probes that
 // miss install the line marked as a prefetch; prefetch probes that hit are
 // counted but do not change prefetch bits.
 func (c *Cache) Access(ai AccessInfo) AccessResult {
-	c.Stats.Accesses++
-	if ai.Prefetch {
-		c.Stats.PrefetchProbes++
-	} else {
-		c.Stats.DemandAccesses++
-	}
 	set := c.SetOf(ai.Line)
 	c.journal(set)
 	row := c.row(set)
-	res := AccessResult{Set: set}
-
 	for w := range row {
 		if row[w].valid && row[w].tag == ai.Line {
-			res.Hit = true
-			res.Way = w
-			if !ai.Prefetch {
-				if row[w].prefetch {
-					res.PrefetchHit = true
-					c.Stats.PrefetchUseful++
-					row[w].prefetch = false
-				}
-				row[w].reref = true
-				// A demand re-use cancels an earlier demote hint's claim
-				// on this line.
-				row[w].demoted = false
-			}
-			c.policy.OnHit(set, w, ai)
-			return res
+			c.hit(set, w, ai)
+			return AccessResult{Hit: true, Way: w}
 		}
 	}
 
 	// Miss.
+	c.count(ai)
 	if !ai.Prefetch {
 		c.Stats.DemandMisses++
 	}
+	var res AccessResult
 	way := c.pickWay(set, ai, &res)
+	if res.EvictedValid {
+		c.note(res.Evicted, 0)
+	}
 	row[way] = line{tag: ai.Line, valid: true, prefetch: ai.Prefetch}
+	c.note(ai.Line, way+1)
 	c.Stats.Fills++
 	if ai.Prefetch {
 		c.Stats.PrefetchFills++
@@ -279,6 +260,48 @@ func (c *Cache) Access(ai AccessInfo) AccessResult {
 	res.Way = way
 	c.policy.OnFill(set, way, ai)
 	return res
+}
+
+// TryHit performs ai exactly as Access would when the index shows its line
+// resident, without scanning the set or building an AccessResult, and
+// reports whether it did. For a line the index shows absent, a line
+// outside the index, or any line of an unindexed cache it does nothing and
+// returns false: the caller then calls Access.
+func (c *Cache) TryHit(ai AccessInfo) bool {
+	i := ai.Line - c.idxFirst
+	if i >= uint64(len(c.idx)) || c.idx[i] == 0 {
+		return false
+	}
+	c.hit(c.SetOf(ai.Line), int(c.idx[i])-1, ai)
+	return true
+}
+
+// count counts one probe.
+func (c *Cache) count(ai AccessInfo) {
+	c.Stats.Accesses++
+	if ai.Prefetch {
+		c.Stats.PrefetchProbes++
+	} else {
+		c.Stats.DemandAccesses++
+	}
+}
+
+// hit counts and performs a hit on way w of set. A demand hit uses up the
+// line's prefetch, marks it re-referenced and cancels an earlier demote
+// hint's claim on it; every hit, prefetch probes included, reaches the
+// policy.
+func (c *Cache) hit(set, w int, ai AccessInfo) {
+	c.count(ai)
+	if !ai.Prefetch {
+		ln := &c.sets[set*c.ways+w]
+		if ln.prefetch {
+			c.Stats.PrefetchUseful++
+			ln.prefetch = false
+		}
+		ln.reref = true
+		ln.demoted = false
+	}
+	c.policy.OnHit(set, w, ai)
 }
 
 // pickWay selects the fill target: an invalid way if one exists (hint-freed
@@ -339,6 +362,7 @@ func (c *Cache) Invalidate(lineAddr uint64) bool {
 				c.Stats.PrefetchUnusedEvicted++
 			}
 			row[w] = line{hintFree: true}
+			c.note(lineAddr, 0)
 			c.Stats.HintInvalidations++
 			return true
 		}
@@ -382,17 +406,54 @@ func (c *Cache) Contains(lineAddr uint64) bool {
 	return false
 }
 
+// Index makes the cache keep a line→way index over the lines [first,
+// first+len(table)) in the caller's table, so that TryHit finds a
+// resident line in one read instead of a scan of its set. Index fills the
+// table from the cache's contents; from then on every fill, eviction and
+// invalidation keeps it exact, and the caller must not write it. The index
+// changes no outcome and no statistic. A cache with more than 255 ways
+// stays unindexed, because an entry is one byte, and serves every line by
+// the scan. A marked cache cannot be indexed, nor an indexed one marked:
+// Rollback does not restore the index.
+func (c *Cache) Index(first uint64, table []uint8) {
+	if c.j != nil {
+		panic("cache: a marked cache cannot be indexed")
+	}
+	if c.ways > math.MaxUint8 {
+		return
+	}
+	clear(table)
+	c.idx, c.idxFirst = table, first
+	for i, ln := range c.sets {
+		if ln.valid {
+			c.note(ln.tag, i%c.ways+1)
+		}
+	}
+}
+
+// note sets line l's index entry to e (1 + its way, or 0 for absent) when
+// l is indexed.
+func (c *Cache) note(l uint64, e int) {
+	if i := l - c.idxFirst; i < uint64(len(c.idx)) {
+		c.idx[i] = uint8(e)
+	}
+}
+
 // Mark starts journaling: from now on the cache copies each set, with
 // its policy words, before the set's first change, so that Rollback can
-// return it to the state it has now. The policy must implement Rewinder.
-// Marking costs nothing per access beyond one check; a rollback costs the
-// sets changed since the mark, not the cache's size.
+// return it to the state it has now. The policy must implement Rewinder,
+// and the cache must not be indexed. Marking costs nothing per access
+// beyond one check; a rollback costs the sets changed since the mark, not
+// the cache's size.
 func (c *Cache) Mark() {
 	rw, ok := c.policy.(Rewinder)
 	if !ok {
 		panic(fmt.Sprintf("cache: policy %s cannot be rolled back", c.policy.Name()))
 	}
-	c.j = &journal{rw: rw, stats: c.Stats, global: rw.Global(), saved: make([]bool, c.nsets)}
+	if c.idx != nil {
+		panic("cache: an indexed cache cannot be marked")
+	}
+	c.j = &journal{rw: rw, stats: c.Stats, global: rw.Global(), saved: make([]bool, c.setMask+1)}
 }
 
 // journal copies set before its first change since the mark.

@@ -190,13 +190,14 @@ func TestPrefetchBits(t *testing.T) {
 	if c.Stats.PrefetchFills != 1 || c.Stats.DemandMisses != 0 {
 		t.Fatalf("stats = %+v", c.Stats)
 	}
-	// First demand hit marks the prefetch useful.
+	// First demand hit marks the prefetch useful; it uses the prefetch
+	// up, so a second demand hit does not count again.
 	r := c.Access(AccessInfo{Line: 0})
-	if !r.Hit || !r.PrefetchHit {
-		t.Fatalf("demand on prefetched line: %+v", r)
+	if !r.Hit || c.Stats.PrefetchUseful != 1 {
+		t.Fatalf("demand on prefetched line: %+v, stats = %+v", r, c.Stats)
 	}
-	if c.Stats.PrefetchUseful != 1 {
-		t.Fatalf("stats = %+v", c.Stats)
+	if r = c.Access(AccessInfo{Line: 0}); !r.Hit || c.Stats.PrefetchUseful != 1 {
+		t.Fatalf("second demand hit: %+v, stats = %+v", r, c.Stats)
 	}
 	// An unused prefetch that gets evicted counts as pollution.
 	c.Access(AccessInfo{Line: 2, Prefetch: true})
@@ -318,14 +319,21 @@ func (r *refCache) contains(line uint64) bool {
 }
 
 // TestCacheMatchesReferenceModel drives 50k random operations through the
-// real cache and the reference model and checks they agree on every
-// outcome and on residency of every probed line.
+// real cache, the same cache indexed over half the probed lines (so both
+// TryHit and the scan serve hits), and the reference model, and checks
+// they agree on every outcome, on the stats and on residency of every
+// probed line, and that the index stays exact.
 func TestCacheMatchesReferenceModel(t *testing.T) {
 	cfg := Config{SizeBytes: 2048, Ways: 4, LineBytes: 64} // 8 sets
 	c, err := New(cfg, &fifoPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ci, err := New(cfg, &fifoPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci.Index(32, make([]uint8, 64))
 	ref := newRef(cfg)
 	// Deterministic xorshift for op selection.
 	x := uint64(0x9E3779B97F4A7C15)
@@ -341,33 +349,169 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 		case 0:
 			got := c.Invalidate(line)
 			want := ref.invalidate(line)
-			if got != want {
+			if got != want || ci.Invalidate(line) != want {
 				t.Fatalf("op %d: Invalidate(%d) = %v, ref %v", i, line, got, want)
 			}
 		case 1:
 			got := c.Demote(line)
 			want := ref.demote(line)
-			if got != want {
+			if got != want || ci.Demote(line) != want {
 				t.Fatalf("op %d: Demote(%d) = %v, ref %v", i, line, got, want)
 			}
 		default:
-			res := c.Access(AccessInfo{Line: line, Sig: line})
+			ai := AccessInfo{Line: line, Sig: line, Prefetch: i%5 == 4}
+			res := c.Access(ai)
 			want := ref.access(line)
 			if res.Hit != want {
 				t.Fatalf("op %d: Access(%d).Hit = %v, ref %v", i, line, res.Hit, want)
 			}
+			if hit := ci.TryHit(ai) || ci.Access(ai).Hit; hit != want {
+				t.Fatalf("op %d: indexed access of %d hit = %v, ref %v", i, line, hit, want)
+			}
 		}
-		if c.Contains(line) != ref.contains(line) {
+		if c.Contains(line) != ref.contains(line) || ci.Contains(line) != ref.contains(line) {
 			t.Fatalf("op %d: residency of %d diverged", i, line)
+		}
+		if ci.Stats != c.Stats {
+			t.Fatalf("op %d: indexed stats %+v, unindexed %+v", i, ci.Stats, c.Stats)
+		}
+		if i%1000 == 0 {
+			checkIndex(t, ci)
+		}
+	}
+	checkIndex(t, ci)
+}
+
+// checkIndex fails unless every entry of c's index says where a scan of
+// the line's set finds it.
+func checkIndex(t *testing.T, c *Cache) {
+	t.Helper()
+	for i, e := range c.idx {
+		l := c.idxFirst + uint64(i)
+		way := -1
+		for w, ln := range c.row(c.SetOf(l)) {
+			if ln.valid && ln.tag == l {
+				way = w
+			}
+		}
+		if int(e)-1 != way {
+			t.Fatalf("index entry of line %d is %d, scan finds way %d", l, e, way)
 		}
 	}
 }
 
+// TestIndexRefusals: a cache too wide for a one-byte entry stays
+// unindexed and serves hits by the scan (and may still be marked), and a
+// cache cannot be both indexed and marked.
+func TestIndexRefusals(t *testing.T) {
+	wide, err := New(Config{SizeBytes: 256 * 64, Ways: 256, LineBytes: 64}, &stampPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide.Index(0, make([]uint8, 16))
+	wide.Access(AccessInfo{Line: 3})
+	if wide.TryHit(AccessInfo{Line: 3}) || !wide.Access(AccessInfo{Line: 3}).Hit {
+		t.Fatal("a 256-way cache served a hit from an index")
+	}
+	wide.Mark()
+
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	marked, _ := New(Config{SizeBytes: 256, Ways: 2, LineBytes: 64}, &stampPolicy{})
+	marked.Mark()
+	mustPanic("Index of a marked cache", func() { marked.Index(0, make([]uint8, 4)) })
+	indexed, _ := New(Config{SizeBytes: 256, Ways: 2, LineBytes: 64}, &stampPolicy{})
+	indexed.Index(0, make([]uint8, 4))
+	mustPanic("Mark of an indexed cache", indexed.Mark)
+}
+
+// TestIndexFillsFromContents: Index overwrites whatever the table held
+// with the cache's current contents.
+func TestIndexFillsFromContents(t *testing.T) {
+	c := twoWay(t)
+	c.Access(AccessInfo{Line: 1})
+	c.Access(AccessInfo{Line: 4})
+	table := []uint8{9, 9, 9, 9, 9, 9}
+	c.Index(0, table)
+	checkIndex(t, c)
+	if !c.TryHit(AccessInfo{Line: 4}) || c.TryHit(AccessInfo{Line: 2}) {
+		t.Fatal("TryHit disagrees with the cache's contents")
+	}
+}
+
+// FuzzCacheIndex decodes op bytes into demand accesses, prefetch probes,
+// invalidations and demotions, runs them on an indexed and an unindexed
+// cache with an LRU-like policy (so a hit on the wrong way changes later
+// victims), and fails on any differing result, stats, residency or
+// policy state, or an index entry a scan contradicts.
+func FuzzCacheIndex(f *testing.F) {
+	f.Add([]byte{0, 20, 1, 21, 0, 20, 2, 20, 0, 28, 3, 36, 1, 44, 0, 52})
+	f.Add([]byte{1, 16, 0, 16, 0, 16, 1, 48, 0, 47, 0, 15, 2, 47, 3, 16})
+	f.Add([]byte{0, 8, 0, 24, 0, 40, 0, 56, 0, 8, 3, 24, 0, 72, 2, 8})
+	// A prefetch hit on an indexed line must reach the policy: it decides
+	// whether line 16 or 24 is the set's next victim.
+	f.Add([]byte{1, 16, 0, 24, 0, 32, 0, 40, 1, 16, 0, 48, 0, 16})
+	cfg := Config{SizeBytes: 2048, Ways: 4, LineBytes: 64} // 8 sets
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		up, xp := &stampPolicy{}, &stampPolicy{}
+		u, err := New(cfg, up)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, _ := New(cfg, xp)
+		x.Index(16, make([]uint8, 32)) // lines 16..47 of 0..63
+		for i := 0; i+1 < len(ops); i += 2 {
+			line := uint64(ops[i+1] % 64)
+			switch ops[i] % 4 {
+			case 0, 1:
+				ai := AccessInfo{Line: line, Sig: line, Prefetch: ops[i]%4 == 1}
+				want := u.Access(ai)
+				if x.TryHit(ai) {
+					if !want.Hit {
+						t.Fatalf("op %d: TryHit(%+v) hit, unindexed Access missed", i/2, ai)
+					}
+				} else if got := x.Access(ai); got != want {
+					t.Fatalf("op %d: Access(%+v) = %+v, unindexed %+v", i/2, ai, got, want)
+				}
+			case 2:
+				if got, want := x.Invalidate(line), u.Invalidate(line); got != want {
+					t.Fatalf("op %d: Invalidate(%d) = %v, unindexed %v", i/2, line, got, want)
+				}
+			case 3:
+				if got, want := x.Demote(line), u.Demote(line); got != want {
+					t.Fatalf("op %d: Demote(%d) = %v, unindexed %v", i/2, line, got, want)
+				}
+			}
+			if x.Stats != u.Stats || x.Contains(line) != u.Contains(line) {
+				t.Fatalf("op %d: stats or residency of %d diverged: %+v vs %+v", i/2, line, x.Stats, u.Stats)
+			}
+			if !slices.Equal(xp.stamp, up.stamp) || xp.clock != up.clock {
+				t.Fatalf("op %d: policy state diverged", i/2)
+			}
+			checkIndex(t, x)
+		}
+		if !slices.Equal(x.sets, u.sets) || x.Stats != u.Stats {
+			t.Fatal("final tags or stats diverged")
+		}
+	})
+}
+
 func TestAccessResultSetAndWay(t *testing.T) {
 	c := twoWay(t)
-	r := c.Access(AccessInfo{Line: 3}) // odd line -> set 1
-	if r.Set != 1 {
-		t.Fatalf("Set = %d, want 1", r.Set)
+	if set := c.SetOf(3); set != 1 { // odd line -> set 1
+		t.Fatalf("SetOf(3) = %d, want 1", set)
+	}
+	c.Access(AccessInfo{Line: 1})
+	r := c.Access(AccessInfo{Line: 3}) // the set's second way
+	if r.Hit || r.Way != 1 {
+		t.Fatalf("fill of line 3: %+v, want a miss into way 1", r)
 	}
 	r2 := c.Access(AccessInfo{Line: 3})
 	if !r2.Hit || r2.Way != r.Way {

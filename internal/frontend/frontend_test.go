@@ -473,8 +473,9 @@ func TestBranchMPKIExcludesWarmup(t *testing.T) {
 
 // TestSimulateAllocs bounds what one 20k-block kafka LRU+FDIP Run
 // allocates once a first run has left a prewarmed L2/L3 pair on the free
-// list: the L1I, the FDIP engine and the result (about 41 KB in 23
-// allocations measured, the policy and prefetcher included). The counts
+// list: the L1I, the FDIP engine and the result (about 41 KB in 20
+// allocations measured, the policy and prefetcher included; the L1I's
+// way index is kept in the pair, not allocated per run). The counts
 // are deterministic. A Run that built its own L2/L3 (5.13 MB in 3,344
 // allocations before the free list), or that allocated per block, fails.
 func TestSimulateAllocs(t *testing.T) {

@@ -27,14 +27,16 @@ type outer struct {
 	l2cfg, l3cfg cache.Config
 	layout       []blockSpan
 
-	// first is the current program's first text line; seen and ready are
-	// indexed by line minus first. seen marks lines demand-missed at least
-	// once (compulsory misses); ready holds the cycle an in-flight
+	// first is the current program's first text line; seen, ready and
+	// ways are indexed by line minus first. seen marks lines demand-missed
+	// at least once (compulsory misses); ready holds the cycle an in-flight
 	// prefetch's data arrives, -Inf when none is in flight (-Inf is never
-	// later than the clock, exactly like an absent entry).
+	// later than the clock, exactly like an absent entry); ways is the
+	// run's L1I line→way index (cache.Cache.Index clears and keeps it).
 	first uint64
 	seen  []bool
 	ready []float64
+	ways  []uint8
 	// hints is the per-block hint table of Options.Injections.
 	hints [][]uint64
 }
@@ -136,6 +138,7 @@ func (o *outer) clearLines(prog *program.Program) {
 	o.first = first
 	o.seen = resize(o.seen, n)
 	o.ready = resize(o.ready, n)
+	o.ways = resize(o.ways, n)
 	clear(o.seen)
 	for i := range o.ready {
 		o.ready[i] = math.Inf(-1)

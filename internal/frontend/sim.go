@@ -220,6 +220,7 @@ func Run(p Params, prog *program.Program, src blockseq.Source, opts Options) (Re
 	}
 	out := acquire(p, prog)
 	defer out.release()
+	l1i.Index(out.first, out.ways)
 	hints, err := out.hintTable(prog, opts.Injections)
 	if err != nil {
 		return Result{}, fmt.Errorf("frontend: %w", err)
@@ -266,7 +267,6 @@ func mispredicts(f *prefetch.FDIP) uint64 {
 }
 
 func (s *sim) run(src blockseq.Source) error {
-	var lineBuf [16]uint64
 	lastLine := ^uint64(0)
 	issue := s.issuePrefetch
 
@@ -290,7 +290,8 @@ func (s *sim) run(src blockseq.Source) error {
 
 		// Fetch the block's lines (coalescing within-line continuation,
 		// matching DemandLines).
-		for _, l := range b.Lines(lineBuf[:0]) {
+		first, end := b.LineRange()
+		for l := first; l < end; l++ {
 			if l == lastLine {
 				continue
 			}
@@ -373,14 +374,7 @@ func (s *sim) demandAccess(l uint64) {
 		s.opts.onEvent(opt.Event{Line: l})
 	}
 	ai := cache.AccessInfo{Line: l, Sig: l}
-	r := s.l1i.Access(ai)
-	if r.EvictedValid {
-		s.out.takeReady(r.Evicted)
-		if s.oracle != nil {
-			s.scoreEviction(r, l, s.pos)
-		}
-	}
-	if r.Hit {
+	if s.l1i.TryHit(ai) || s.scan(ai, s.pos) {
 		if ready := s.out.takeReady(l); ready > s.cycleF {
 			// Late prefetch: the line is allocated but its data is
 			// still in flight.
@@ -415,17 +409,11 @@ func (s *sim) demandAccess(l uint64) {
 // hierarchy) off the critical path.
 func (s *sim) issuePrefetch(l uint64) {
 	ai := cache.AccessInfo{Line: l, Sig: l, Prefetch: true}
-	r := s.l1i.Access(ai)
-	if r.EvictedValid {
-		s.out.takeReady(r.Evicted)
-		if s.oracle != nil {
-			s.scoreEviction(r, l, s.pos-1)
-		}
-	}
+	hit := s.l1i.TryHit(ai) || s.scan(ai, s.pos-1)
 	if s.opts.onEvent != nil {
 		s.opts.onEvent(opt.Event{Line: l, Prefetch: true})
 	}
-	if !r.Hit {
+	if !hit {
 		// Pull the line through L2/L3 off the critical path; the data
 		// arrives after the level's latency, and a demand access before
 		// then is a late prefetch.
@@ -438,6 +426,21 @@ func (s *sim) issuePrefetch(l uint64) {
 		}
 		s.out.setReady(l, s.cycleF+lat)
 	}
+}
+
+// scan performs an L1I access that TryHit did not serve (a miss, or a
+// line outside the index) by the tag scan, and reports whether it hit. An
+// evicted line forfeits its in-flight prefetch, and with MeasureAccuracy
+// the eviction is scored at oracle time pos.
+func (s *sim) scan(ai cache.AccessInfo, pos int32) bool {
+	r := s.l1i.Access(ai)
+	if r.EvictedValid {
+		s.out.takeReady(r.Evicted)
+		if s.oracle != nil {
+			s.scoreEviction(r, pos)
+		}
+	}
+	return r.Hit
 }
 
 // executeHint runs one injected invalidate/demote for a victim line.
@@ -463,8 +466,7 @@ func (s *sim) executeHint(victim uint64) {
 // metric: did it introduce a miss the ideal policy would have avoided?
 // Demote-path evictions (HintFreed) are attributed to Ripple; the rest to
 // the policy.
-func (s *sim) scoreEviction(r cache.AccessResult, filled uint64, pos int32) {
-	_ = filled
+func (s *sim) scoreEviction(r cache.AccessResult, pos int32) {
 	accurate := s.oracle.IsAccurateEviction(r.Evicted, pos)
 	if r.HintFreed {
 		s.res.HintEvictions++

@@ -64,9 +64,8 @@ func (None) OnBlockRetire(bid, next program.BlockID, issue IssueFunc) {}
 // block it prefetches the next `degree` lines following the block's last
 // line, exploiting the spatial layout of straight-line code.
 type NLP struct {
-	prog    *program.Program
-	degree  int
-	lineBuf []uint64
+	prog   *program.Program
+	degree int
 }
 
 // NewNLP builds a next-line prefetcher with the given degree.
@@ -79,11 +78,9 @@ func (p *NLP) Name() string { return "nlp" }
 
 // OnBlockRetire implements Prefetcher.
 func (p *NLP) OnBlockRetire(bid, next program.BlockID, issue IssueFunc) {
-	b := p.prog.Block(bid)
-	p.lineBuf = b.Lines(p.lineBuf[:0])
-	last := p.lineBuf[len(p.lineBuf)-1]
-	for d := 1; d <= p.degree; d++ {
-		issue(last + uint64(d))
+	_, end := p.prog.Block(bid).LineRange()
+	for d := 0; d < p.degree; d++ {
+		issue(end + uint64(d))
 	}
 }
 
@@ -106,14 +103,11 @@ type FDIP struct {
 
 	ftq     []program.BlockID
 	runPC   program.BlockID
-	stalled bool
 	started bool
-	lineBuf []uint64
 
 	// Stats
-	Issued      uint64
-	Squashes    uint64
-	StallCycles uint64 // runahead steps lost to unpredictable targets
+	Issued   uint64
+	Squashes uint64
 }
 
 // NewFDIP builds an FDIP engine with its own branch predictor and an FTQ
@@ -154,7 +148,6 @@ func (p *FDIP) OnBlockRetire(bid, next program.BlockID, issue IssueFunc) {
 		p.ftq = p.ftq[:0]
 		p.pred.ResyncSpec()
 		p.runPC = next
-		p.stalled = false
 	}
 	p.refill(issue)
 }
@@ -162,27 +155,20 @@ func (p *FDIP) OnBlockRetire(bid, next program.BlockID, issue IssueFunc) {
 // refill extends the FTQ up to depth, prefetching each newly predicted
 // block's lines.
 func (p *FDIP) refill(issue IssueFunc) {
-	if p.stalled {
-		// Retry: the indirect tables may have warmed since the stall.
-		p.stalled = false
-	}
 	for steps := 0; steps < p.stepsPerRetire && len(p.ftq) < p.depth && p.runPC != program.NoBlock; steps++ {
 		nb, ok := p.pred.PredictNextSpec(p.prog, p.runPC)
 		if !ok {
-			// Unpredictable target (cold indirect): the walk cannot
-			// continue past it; these are the paper's hard-to-prefetch
-			// lines.
-			p.stalled = true
-			p.StallCycles++
+			// Unpredictable target (cold indirect): the walk stops
+			// here, and the next refill retries from runPC; these are
+			// the paper's hard-to-prefetch lines.
 			return
 		}
 		p.ftq = append(p.ftq, nb)
-		b := p.prog.Block(nb)
-		p.lineBuf = b.Lines(p.lineBuf[:0])
-		for _, l := range p.lineBuf {
+		first, end := p.prog.Block(nb).LineRange()
+		for l := first; l < end; l++ {
 			issue(l)
-			p.Issued++
 		}
+		p.Issued += end - first
 		p.runPC = nb
 	}
 }

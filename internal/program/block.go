@@ -97,12 +97,18 @@ func (b *Block) FirstLine() uint64 { return isa.LineOf(b.Addr) }
 // laid-out address and full encoded size) to dst and returns the extended
 // slice. Blocks commonly span one or two lines.
 func (b *Block) Lines(dst []uint64) []uint64 {
-	n := isa.LinesSpanned(b.Addr, b.CodeBytes())
-	first := isa.LineOf(b.Addr)
-	for i := 0; i < n; i++ {
-		dst = append(dst, first+uint64(i))
+	first, end := b.LineRange()
+	for l := first; l < end; l++ {
+		dst = append(dst, l)
 	}
 	return dst
+}
+
+// LineRange returns the half-open range [first, end) of the cache lines
+// Lines appends, for loops that need no slice.
+func (b *Block) LineRange() (first, end uint64) {
+	first = isa.LineOf(b.Addr)
+	return first, first + uint64(isa.LinesSpanned(b.Addr, b.CodeBytes()))
 }
 
 // String renders a compact description for diagnostics.
