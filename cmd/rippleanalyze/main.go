@@ -36,7 +36,6 @@ import (
 	"ripple/internal/core"
 	"ripple/internal/frontend"
 	"ripple/internal/program"
-	"ripple/internal/rippled"
 	"ripple/internal/runner"
 )
 
@@ -50,26 +49,18 @@ func main() {
 	flag.IntVar(&o.Warmup, "warmup", 0, "warmup blocks excluded from tuning measurements")
 	flag.IntVar(&o.Workers, "j", 0, "parallel tuning simulations (default GOMAXPROCS)")
 	flag.StringVar(&o.CacheDir, "cachedir", "", "directory for the persistent result store (default: no persistence)")
-	flag.StringVar(&o.StoreURL, "store", "", "rippled URL for a shared fleet result store (e.g. http://127.0.0.1:8344); mutually exclusive with -cachedir")
 	flag.StringVar(&o.JSONOut, "json", "", "also write a JSON report to this path")
 	flag.IntVar(&o.Retries, "retries", 2, "retry budget for transiently failing simulations")
 	flag.Parse()
 	o.Stdout = os.Stdout
-	if o.CacheDir != "" && o.StoreURL != "" {
-		fmt.Fprintln(os.Stderr, "rippleanalyze: -cachedir and -store are mutually exclusive")
-		os.Exit(2)
-	}
 
 	stats, err := run(o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rippleanalyze:", err)
 		os.Exit(1)
 	}
-	if (o.CacheDir != "" || o.StoreURL != "") && o.Threshold == 0 {
+	if o.CacheDir != "" && o.Threshold == 0 {
 		line := fmt.Sprintf("jobs: %d simulated, %d from store", stats.Computed, stats.StoreHits)
-		if stats.FleetHits > 0 {
-			line += fmt.Sprintf(", %d from fleet", stats.FleetHits)
-		}
 		if stats.Retries > 0 {
 			line += fmt.Sprintf(", %d retried", stats.Retries)
 		}
@@ -89,7 +80,6 @@ type options struct {
 	Warmup             int
 	Workers            int
 	CacheDir           string
-	StoreURL           string
 	JSONOut            string
 	Retries            int
 	Stdout             io.Writer
@@ -235,9 +225,12 @@ func run(o options) (runner.Stats, error) {
 // pool (with a persistent store under -cachedir) and the trace's content
 // identity, so equal (program, trace, config) reruns hit the store.
 func parallelOpts(o options) (core.ParallelOptions, *runner.Pool, error) {
-	store, err := rippled.OpenStore(o.StoreURL, o.CacheDir, os.Stderr)
-	if err != nil {
-		return core.ParallelOptions{}, nil, err
+	var store *runner.Store
+	if o.CacheDir != "" {
+		var err error
+		if store, err = runner.OpenStore(o.CacheDir); err != nil {
+			return core.ParallelOptions{}, nil, err
+		}
 	}
 	pool := runner.New(runner.Options{Workers: o.Workers, Store: store, Retries: o.Retries})
 	srcID, err := cliflag.FileDigest(o.PTPath)

@@ -8,10 +8,7 @@
 // worker count. With -cachedir the
 // results are also persisted content-addressed on disk, so a repeated or
 // partially-overlapping invocation only simulates what changed; without
-// it results are memoized in-process only. With -store the results
-// instead flow through a shared rippled coordinator (see cmd/rippled):
-// many rippleexp processes drain one sweep, and each duplicate signature
-// is computed exactly once across the whole fleet.
+// it results are memoized in-process only.
 //
 // Usage:
 //
@@ -19,7 +16,6 @@
 //	rippleexp -run fig7
 //	rippleexp -run all -blocks 600000 -apps finagle-http,verilator
 //	rippleexp -run all -j 8 -cachedir ~/.cache/rippleexp
-//	rippleexp -run all -store http://127.0.0.1:8344
 package main
 
 import (
@@ -49,7 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	apps := fs.String("apps", "", "comma-separated application subset (default: all nine)")
 	workers := fs.Int("j", 0, "number of parallel simulation workers (default GOMAXPROCS)")
 	cachedir := fs.String("cachedir", "", "directory for the persistent result store (default: no persistence)")
-	storeURL := fs.String("store", "", "rippled URL for a shared fleet result store (e.g. http://127.0.0.1:8344); mutually exclusive with -cachedir")
 	quiet := fs.Bool("q", false, "suppress progress logging")
 	jsonOut := fs.String("json", "", "write a JSON run summary (experiments + job-runner counters) to this path")
 	if err := fs.Parse(args); err != nil {
@@ -71,15 +66,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *cachedir != "" && *storeURL != "" {
-		fmt.Fprintln(stderr, "rippleexp: -cachedir and -store are mutually exclusive")
-		return 2
-	}
 
 	// Leave unset fields zero: experiment.New centralizes the defaults.
 	// Only flags the user actually passed override the config, so e.g.
 	// `-apps x` does not silently reset the trace length.
-	cfg := experiment.Config{Log: stderr, Workers: *workers, CacheDir: *cachedir, StoreURL: *storeURL}
+	cfg := experiment.Config{Log: stderr, Workers: *workers, CacheDir: *cachedir}
 	if cliflag.PassedIn(fs, "blocks") {
 		cfg.TraceBlocks = *blocks
 	}
@@ -139,7 +130,6 @@ func writeSummary(path, ran string, suite *experiment.Suite) error {
 			Simulated   int64
 			StoreHits   int64
 			MemHits     int64
-			FleetHits   int64
 			Errors      int64
 			Retries     int64
 			Quarantined int64
@@ -149,7 +139,6 @@ func writeSummary(path, ran string, suite *experiment.Suite) error {
 	summary.Jobs.Simulated = st.Computed
 	summary.Jobs.StoreHits = st.StoreHits
 	summary.Jobs.MemHits = st.MemHits
-	summary.Jobs.FleetHits = st.FleetHits
 	summary.Jobs.Errors = st.Errors
 	summary.Jobs.Retries = st.Retries
 	summary.Jobs.Quarantined = st.Quarantined

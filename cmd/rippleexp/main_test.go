@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -19,8 +21,8 @@ var small = []string{"-apps", "kafka,drupal", "-blocks", "20000", "-warmup", "60
 // goldenCases are the invocations the golden pins, in file order: the
 // experiment list, three experiments (fig9 tunes every Ripple cell with
 // a warmup), the four argument errors, and an unknown experiment. The
-// cache-bogus and oracle-bogus cases pin that -cache and -oracle are
-// unknown flags.
+// cache-bogus, cachedir-and-store and oracle-bogus cases pin that
+// -cache, -store and -oracle are unknown flags.
 var goldenCases = []struct {
 	name string
 	args []string
@@ -70,4 +72,73 @@ func TestGoldenOutputs(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("outputs diverged from golden (if intentional, regenerate with -update):\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
 	}
+}
+
+// TestCachedirRerunSimulatesNothing: a second run over the same
+// -cachedir prints the same tables without simulating, and the -json
+// summary's Jobs block holds exactly the job runner's counters, in
+// order. StoreHits is not asserted: the suite's whole-table cache serves
+// the second run before any job is looked up.
+func TestCachedirRerunSimulatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	summary := filepath.Join(dir, "summary.json")
+	args := append([]string{"-run", "fig6"}, small...)
+	args = append(args, "-cachedir", filepath.Join(dir, "cache"), "-json", summary)
+	runOnce := func(name string) (string, map[string]int64) {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s run: exit %d\n%s", name, code, stderr.Bytes())
+		}
+		raw, err := os.ReadFile(summary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum struct{ Jobs json.RawMessage }
+		if err := json.Unmarshal(raw, &sum); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"Simulated", "StoreHits", "MemHits", "Errors", "Retries", "Quarantined", "Recovered"}
+		if got := objectKeys(t, sum.Jobs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s run: Jobs keys %v, want %v", name, got, want)
+		}
+		var jobs map[string]int64
+		if err := json.Unmarshal(sum.Jobs, &jobs); err != nil {
+			t.Fatal(err)
+		}
+		return stdout.String(), jobs
+	}
+	cold, coldJobs := runOnce("cold")
+	warm, warmJobs := runOnce("warm")
+	if coldJobs["Simulated"] <= 0 {
+		t.Fatalf("cold run simulated nothing: %v", coldJobs)
+	}
+	if warmJobs["Simulated"] != 0 {
+		t.Fatalf("warm run simulated %d jobs, want 0", warmJobs["Simulated"])
+	}
+	if cold != warm {
+		t.Fatalf("warm run's stdout differs:\ncold:\n%s\nwarm:\n%s", cold, warm)
+	}
+}
+
+// objectKeys returns the keys of a JSON object in document order.
+func objectKeys(t *testing.T, raw json.RawMessage) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %s", raw)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
 }

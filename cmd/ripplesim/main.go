@@ -42,7 +42,6 @@ import (
 	"ripple/internal/prefetch"
 	"ripple/internal/program"
 	"ripple/internal/replacement"
-	"ripple/internal/rippled"
 	"ripple/internal/runner"
 	"ripple/internal/trace"
 )
@@ -62,7 +61,6 @@ func main() {
 	flag.BoolVar(&o.JSON, "json", false, "emit machine-readable JSON instead of the report")
 	flag.IntVar(&o.Workers, "j", 0, "parallel workers for sweep mode (default GOMAXPROCS)")
 	flag.StringVar(&o.CacheDir, "cachedir", "", "persistent result store for sweep mode (default: none)")
-	flag.StringVar(&o.StoreURL, "store", "", "rippled URL for a shared fleet result store in sweep mode (e.g. http://127.0.0.1:8344); mutually exclusive with -cachedir")
 	flag.Parse()
 
 	// -blocks 0 legitimately means "simulate nothing", so "unset" must be
@@ -90,7 +88,7 @@ type options struct {
 	Limit, Warmup                 int
 	Accuracy, Ideal, Demote, JSON bool
 	Workers                       int
-	CacheDir, StoreURL            string
+	CacheDir                      string
 	// Stdout receives the report; Stderr the sweep's runner log. Nil
 	// discards.
 	Stdout, Stderr io.Writer
@@ -107,10 +105,7 @@ func run(o options) error {
 	}
 	policies := strings.Split(o.Policy, ",")
 	prefetchers := strings.Split(o.Prefetcher, ",")
-	switch {
-	case o.CacheDir != "" && o.StoreURL != "":
-		return fmt.Errorf("-cachedir and -store are mutually exclusive")
-	case len(policies) > 1 || len(prefetchers) > 1:
+	if len(policies) > 1 || len(prefetchers) > 1 {
 		if o.Ideal {
 			return fmt.Errorf("-ideal is only available in single-configuration mode, not sweeps")
 		}
@@ -250,9 +245,12 @@ func sweep(o options, policies, prefetchers []string) error {
 		base += "|bmpki=steady"
 	}
 
-	store, err := rippled.OpenStore(o.StoreURL, o.CacheDir, o.Stderr)
-	if err != nil {
-		return err
+	var store *runner.Store
+	if o.CacheDir != "" {
+		var err error
+		if store, err = runner.OpenStore(o.CacheDir); err != nil {
+			return err
+		}
 	}
 	pool := runner.New(runner.Options{Workers: o.Workers, Store: store, Log: o.Stderr})
 	hints := frontend.HintInvalidate

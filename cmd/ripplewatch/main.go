@@ -21,9 +21,9 @@
 //
 // Revisions land in -out as plan-NNNNN.json; each carries the plan
 // digest, predicted speedup, and the coverage accounting for the window
-// it was derived from. With -store the epoch simulations share a
-// rippled fleet store; a dead store degrades to local compute through
-// the client's breaker rather than stopping publication.
+// it was derived from. With -cachedir the epoch simulations persist in
+// a result store, so a restarted or second watcher over the same
+// windows simulates nothing twice.
 package main
 
 import (
@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"ripple/internal/cliflag"
-	"ripple/internal/rippled"
 	"ripple/internal/runner"
 	"ripple/internal/watch"
 )
@@ -63,13 +62,8 @@ func main() {
 	flag.DurationVar(&o.Stall, "stall", 0, "give up after this long without new bytes (0 = wait forever)")
 	flag.IntVar(&o.Workers, "j", 0, "parallel epoch simulations (default GOMAXPROCS)")
 	flag.StringVar(&o.CacheDir, "cachedir", "", "directory for the persistent result store (default: no persistence)")
-	flag.StringVar(&o.StoreURL, "store", "", "rippled URL for a shared fleet result store; mutually exclusive with -cachedir")
 	flag.IntVar(&o.Retries, "retries", 2, "retry budget for transiently failing simulations")
 	flag.Parse()
-	if o.CacheDir != "" && o.StoreURL != "" {
-		fmt.Fprintln(os.Stderr, "ripplewatch: -cachedir and -store are mutually exclusive")
-		os.Exit(2)
-	}
 	o.Stdout = os.Stdout
 
 	// SIGINT/SIGTERM close the tail's Done channel: the watcher unblocks,
@@ -102,7 +96,7 @@ type options struct {
 	Follow                              bool
 	Poll, MaxPoll, Stall                time.Duration
 	Workers                             int
-	CacheDir, StoreURL                  string
+	CacheDir                            string
 	Retries                             int
 	Done                                <-chan struct{}
 	Stdout                              io.Writer
@@ -126,9 +120,11 @@ func run(o options) (watch.Result, error) {
 	if err := os.MkdirAll(o.OutDir, 0o755); err != nil {
 		return res, err
 	}
-	store, err := rippled.OpenStore(o.StoreURL, o.CacheDir, os.Stderr)
-	if err != nil {
-		return res, err
+	var store *runner.Store
+	if o.CacheDir != "" {
+		if store, err = runner.OpenStore(o.CacheDir); err != nil {
+			return res, err
+		}
 	}
 	pool := runner.New(runner.Options{Workers: o.Workers, Store: store, Retries: o.Retries})
 	cfg := watch.Config{

@@ -15,7 +15,6 @@ import (
 	"ripple/internal/opt"
 	"ripple/internal/prefetch"
 	"ripple/internal/replacement"
-	"ripple/internal/rippled"
 	"ripple/internal/runner"
 	"ripple/internal/workload"
 )
@@ -45,11 +44,6 @@ type Config struct {
 	// suite runs across processes are incremental. Empty disables
 	// persistence (results are still memoized in-process).
 	CacheDir string
-	// StoreURL, when non-empty, persists results through a shared
-	// rippled coordinator instead of a local directory: many suite
-	// processes then drain one sweep, each duplicate signature computed
-	// exactly once fleet-wide. Mutually exclusive with CacheDir.
-	StoreURL string
 }
 
 // DefaultConfig returns the standard suite configuration.
@@ -128,13 +122,12 @@ type appState struct {
 func New(cfg Config) *Suite {
 	cfg = cfg.normalize()
 	// An unusable store degrades the suite to running without one.
-	store, err := rippled.OpenStore(cfg.StoreURL, cfg.CacheDir, cfg.Log)
-	if err != nil && cfg.Log != nil {
-		what := "result cache"
-		if cfg.StoreURL != "" {
-			what = "remote result store"
+	var store *runner.Store
+	if cfg.CacheDir != "" {
+		var err error
+		if store, err = runner.OpenStore(cfg.CacheDir); err != nil && cfg.Log != nil {
+			fmt.Fprintf(cfg.Log, "experiment: result cache disabled: %v\n", err)
 		}
-		fmt.Fprintf(cfg.Log, "experiment: %s disabled: %v\n", what, err)
 	}
 	pool := runner.New(runner.Options{Workers: cfg.Workers, Store: store, Log: cfg.Log})
 	s := &Suite{

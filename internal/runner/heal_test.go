@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -144,6 +145,33 @@ func TestCancellationStopsRetries(t *testing.T) {
 	}
 }
 
+// TestRetryBackoffHonorsCancellationMidSleep: cancelling a sweep during
+// a retry backoff sleep must drain promptly — the backoff here is far
+// longer than the whole test budget, so a time.Sleep that outlives the
+// cancellation would hang the drain visibly.
+func TestRetryBackoffHonorsCancellationMidSleep(t *testing.T) {
+	p := New(Options{Workers: 2, Retries: 5, RetryBackoff: time.Hour})
+	ctx, cancel := context.WithCancel(context.Background())
+	failed := make(chan struct{})
+	var once sync.Once
+	j := NewJob("cancel-mid-backoff", "cmb", 1, func(context.Context) (*payload, error) {
+		once.Do(func() { close(failed) })
+		return nil, ErrTransient
+	})
+	go func() {
+		<-failed // first attempt failed: the pool is now in backoff sleep
+		cancel()
+	}()
+	start := time.Now()
+	_, err := p.RunAll(ctx, []Job{j})
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Fatalf("cancelled sweep drained in %v; backoff sleep outlived cancellation", waited)
+	}
+	if err == nil {
+		t.Fatal("cancelled sweep reported success")
+	}
+}
+
 // TestQuarantineRecomputeOnce is the acceptance test for the silent
 // store-corruption loop: a corrupt entry is quarantined and recomputed
 // exactly once — the rewritten entry makes every later run a pure store
@@ -173,7 +201,7 @@ func TestQuarantineRecomputeOnce(t *testing.T) {
 	}
 
 	// Damage the entry on disk, deterministically.
-	path := filepath.Join(dir, Key(sig)+".json")
+	path := filepath.Join(dir, key(sig)+".json")
 	if err := fault.ScribbleJSON(path); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +218,7 @@ func TestQuarantineRecomputeOnce(t *testing.T) {
 	if !strings.Contains(logbuf.String(), "quarantined") {
 		t.Fatalf("corruption not logged: %q", logbuf.String())
 	}
-	qpath := filepath.Join(st.QuarantineDir(), Key(sig)+".json")
+	qpath := filepath.Join(st.QuarantineDir(), key(sig)+".json")
 	if _, err := os.Stat(qpath); err != nil {
 		t.Fatalf("damaged entry not preserved in quarantine: %v", err)
 	}
@@ -238,7 +266,7 @@ func TestStoreLookupStatuses(t *testing.T) {
 			if err := st.Put(sig, &payload{Name: d.name}); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(dir, Key(sig)+".json")
+			path := filepath.Join(dir, key(sig)+".json")
 			if err := d.hurt(path); err != nil {
 				t.Fatal(err)
 			}

@@ -88,10 +88,8 @@ type Options struct {
 	// Workers bounds the worker goroutines batches spawn; each batch's
 	// caller drains beside them (see RunAll). <= 0 uses GOMAXPROCS.
 	Workers int
-	// Store, when non-nil, persists every successful result. A backend
-	// that also implements Coordinator extends deduplication to fleet
-	// scope (see Coordinator).
-	Store StoreBackend
+	// Store, when non-nil, persists every successful result.
+	Store *Store
 	// Log receives progress lines (nil silences them).
 	Log io.Writer
 	// Retries bounds re-executions of a job attempt whose error is
@@ -122,10 +120,6 @@ type Stats struct {
 	// Recovered counts quarantined entries that were recomputed and
 	// rewritten, making the next warm run hit again.
 	Recovered int64
-	// FleetHits counts jobs resolved by waiting on another process's
-	// computation through a Coordinator backend: the fleet-scope analog
-	// of MemHits.
-	FleetHits int64
 	// ComputeTime is the summed wall time of executed jobs.
 	ComputeTime time.Duration
 }
@@ -140,7 +134,7 @@ type call struct {
 // Pool runs jobs across a bounded set of workers.
 type Pool struct {
 	workers int
-	store   StoreBackend
+	store   *Store
 	log     *syncWriter
 	retries int
 	backoff time.Duration
@@ -155,7 +149,6 @@ type Pool struct {
 	computed    atomic.Int64
 	storeHits   atomic.Int64
 	memHits     atomic.Int64
-	fleetHits   atomic.Int64
 	errs        atomic.Int64
 	retried     atomic.Int64
 	quarantined atomic.Int64
@@ -173,15 +166,9 @@ func New(opts Options) *Pool {
 	if backoff <= 0 {
 		backoff = 10 * time.Millisecond
 	}
-	store := opts.Store
-	if s, ok := store.(*Store); ok && s == nil {
-		// A typed-nil *Store smuggled into the interface must behave
-		// like "no store", not panic on first lookup.
-		store = nil
-	}
 	return &Pool{
 		workers: w,
-		store:   store,
+		store:   opts.Store,
 		log:     &syncWriter{w: opts.Log},
 		retries: opts.Retries,
 		backoff: backoff,
@@ -193,8 +180,8 @@ func New(opts Options) *Pool {
 // Workers returns the concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
 
-// Store returns the persistent store backend, or nil.
-func (p *Pool) Store() StoreBackend { return p.store }
+// Store returns the persistent store, or nil.
+func (p *Pool) Store() *Store { return p.store }
 
 // LogWriter returns a writer that serializes concurrent writes to the
 // configured log (safe to share with job bodies).
@@ -206,7 +193,6 @@ func (p *Pool) Stats() Stats {
 		Computed:    p.computed.Load(),
 		StoreHits:   p.storeHits.Load(),
 		MemHits:     p.memHits.Load(),
-		FleetHits:   p.fleetHits.Load(),
 		Errors:      p.errs.Load(),
 		Retries:     p.retried.Load(),
 		Quarantined: p.quarantined.Load(),
@@ -284,56 +270,20 @@ func (p *Pool) compute(ctx context.Context, j Job) (any, bool, error) {
 			p.logf("[runner] quarantined corrupt store entry for %s (recomputing)", j.label())
 		}
 	}
-	// Fleet-scope singleflight: with a coordinating backend, either wait
-	// for another process's published result or win the compute lease.
-	// Coordination failure (backend outage) degrades to local compute.
-	var lease Lease
-	if coord, ok := p.store.(Coordinator); ok && j.decode != nil && !j.SkipStore {
-		raw, l, cerr := coord.Coordinate(ctx, j.Sig)
-		if cerr != nil {
-			return nil, false, cerr
-		}
-		if raw != nil {
-			if v, err := j.decode(raw); err == nil {
-				p.fleetHits.Add(1)
-				return v, false, nil
-			}
-			// An undecodable published payload (schema drift): fall
-			// through and compute locally; Put will replace it.
-		}
-		lease = l
-	}
 	t0 := time.Now()
 	v, err := p.runWithRetry(ctx, j)
 	d := time.Since(t0)
 	if err != nil {
 		p.errs.Add(1)
-		if lease != nil {
-			lease.Release()
-		}
 		return nil, false, err
 	}
 	p.computed.Add(1)
 	p.computeTime.Add(int64(d))
-	published := false
 	if p.store != nil && !j.SkipStore {
 		if perr := p.store.Put(j.Sig, v); perr != nil {
 			p.logf("[runner] warning: persisting %s: %v", j.label(), perr)
-		} else {
-			published = true
-			if healing {
-				p.recovered.Add(1)
-			}
-		}
-	}
-	if lease != nil {
-		// A lease resolved without a published result returns the
-		// signature to the queue, so a waiting worker recomputes instead
-		// of waiting out the TTL on a result that never arrived.
-		if published {
-			lease.Done()
-		} else {
-			lease.Release()
+		} else if healing {
+			p.recovered.Add(1)
 		}
 	}
 	return v, true, nil

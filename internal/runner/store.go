@@ -25,8 +25,6 @@ type Store struct {
 	dir string
 }
 
-var _ StoreBackend = (*Store)(nil)
-
 // Status classifies a store lookup.
 type Status int
 
@@ -53,17 +51,14 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Key returns the content address (SHA-256 hex) of a signature.
-func Key(sig string) string {
+// key returns the content address (SHA-256 hex) of a signature.
+func key(sig string) string {
 	h := sha256.Sum256([]byte(sig))
 	return hex.EncodeToString(h[:])
 }
 
 func (s *Store) path(sig string) string {
-	return filepath.Join(s.dir, Key(sig)+".json")
+	return filepath.Join(s.dir, key(sig)+".json")
 }
 
 // entry is the on-disk framing of one result.
@@ -109,7 +104,7 @@ func (s *Store) QuarantineDir() string {
 func (s *Store) Quarantine(sig string) (string, error) {
 	path := s.path(sig)
 	if _, err := os.Stat(path); err != nil {
-		return "", fmt.Errorf("runner: quarantine %s: %w", Key(sig), err)
+		return "", fmt.Errorf("runner: quarantine %s: %w", key(sig), err)
 	}
 	dst := filepath.Join(s.QuarantineDir(), filepath.Base(path))
 	if err := os.MkdirAll(s.QuarantineDir(), 0o755); err != nil {

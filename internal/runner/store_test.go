@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -57,7 +58,7 @@ func TestStoreToleratesCorruptFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Plant garbage exactly where the entry would live.
-	path := filepath.Join(dir, Key("sig-b")+".json")
+	path := filepath.Join(dir, key("sig-b")+".json")
 	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestStoreRejectsSigMismatch(t *testing.T) {
 	// Move the entry under a different signature's address: the embedded
 	// signature no longer matches, so the entry is corrupt — never
 	// served, never a silent miss.
-	if err := os.Rename(filepath.Join(dir, Key("sig-c")+".json"), filepath.Join(dir, Key("sig-d")+".json")); err != nil {
+	if err := os.Rename(filepath.Join(dir, key("sig-c")+".json"), filepath.Join(dir, key("sig-d")+".json")); err != nil {
 		t.Fatal(err)
 	}
 	if _, status := st.Lookup("sig-d"); status != StatusCorrupt {
@@ -103,10 +104,10 @@ func TestStoreRejectsSigMismatch(t *testing.T) {
 }
 
 func TestKeyIsStableHex(t *testing.T) {
-	if Key("x") != Key("x") || len(Key("x")) != 64 {
-		t.Fatalf("Key = %q", Key("x"))
+	if key("x") != key("x") || len(key("x")) != 64 {
+		t.Fatalf("key = %q", key("x"))
 	}
-	if Key("x") == Key("y") {
+	if key("x") == key("y") {
 		t.Fatal("distinct signatures share a key")
 	}
 }
@@ -150,14 +151,14 @@ func TestOpenStoreRejectsEmptyDir(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentPutLookupSameSig is the local baseline for the
-// fleet single-flight stress test: many goroutines hammer Put and
+// TestStoreConcurrentPutLookupSameSig: many goroutines hammer Put and
 // Lookup of the same signature. Atomic temp-file + rename writes mean a
 // reader must observe either a miss (before any rename landed) or one
 // writer's complete entry — never a torn or corrupt one — and the final
 // state is exactly one winning write.
 func TestStoreConcurrentPutLookupSameSig(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestStoreConcurrentPutLookupSameSig(t *testing.T) {
 	}
 	// No temp droppings: every put either renamed into place or was
 	// cleaned up.
-	ents, err := os.ReadDir(st.Dir())
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,4 +220,76 @@ func TestStoreConcurrentPutLookupSameSig(t *testing.T) {
 			t.Fatalf("leftover temp file %s", e.Name())
 		}
 	}
+}
+
+// FuzzStoreLookup writes arbitrary bytes as one signature's entry file.
+// Lookup must not panic. It serves the entry's result exactly when the
+// framing is valid (version 1, the same signature, a non-empty result);
+// anything else is StatusCorrupt, with the file moved byte for byte into
+// quarantine, so the slot reads as a clean miss again.
+func FuzzStoreLookup(f *testing.F) {
+	const sig = "fuzz|sig=1"
+	st, err := OpenStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := st.path(sig)
+	qpath := filepath.Join(st.QuarantineDir(), filepath.Base(path))
+	// Lookup creates the quarantine directory on first use; creating it
+	// here makes each input's coverage depend on that input alone.
+	if err := os.MkdirAll(st.QuarantineDir(), 0o755); err != nil {
+		f.Fatal(err)
+	}
+	if err := st.Put(sig, &payload{Name: "seed", Vals: []float64{1.5, -2}, Count: 7}); err != nil {
+		f.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add([]byte(`{"v":2,"sig":"fuzz|sig=1","result":{"Name":"x"}}`))
+	f.Add([]byte(`{"v":1,"sig":"fuzz|sig=2","result":{"Name":"x"}}`))
+	f.Add([]byte(`{"v":1,"sig":"fuzz|sig=1"}`))
+	f.Add(good[:len(good)/2])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, s := st.Lookup(sig); s != StatusMiss {
+			t.Fatalf("absent entry = %v, want StatusMiss", s)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		raw, status := st.Lookup(sig)
+		var e entry
+		if json.Unmarshal(data, &e) == nil && e.Version == 1 && e.Sig == sig && len(e.Result) > 0 {
+			if status != StatusHit || !bytes.Equal(raw, e.Result) {
+				t.Fatalf("valid entry = %v with %q, want StatusHit with %q", status, raw, e.Result)
+			}
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		if status != StatusCorrupt || raw != nil {
+			t.Fatalf("invalid entry = %v with %q, want StatusCorrupt", status, raw)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("corrupt entry still in place: %v", err)
+		}
+		q, err := os.ReadFile(qpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(q, data) {
+			t.Fatalf("quarantined %q, want the entry's bytes %q", q, data)
+		}
+		if err := os.Remove(qpath); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

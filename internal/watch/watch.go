@@ -65,10 +65,10 @@ type Config struct {
 	// Params.L1I.
 	Params frontend.Params
 
-	// Pool runs the sweep's simulations; nil creates a local default
-	// pool. A pool backed by a rippled store that has died degrades to
-	// local compute through the client's breaker — the watcher never
-	// stops publishing because the fleet store is down.
+	// Pool runs the sweep's simulations; nil creates a pool with no
+	// result store. A pool with a runner.Store serves epochs whose
+	// window it has simulated before (see windowID) without simulating
+	// them again.
 	Pool *runner.Pool
 
 	// Tail configures the file-tailing layer.

@@ -13,7 +13,6 @@ import (
 	"ripple/internal/core"
 	"ripple/internal/frontend"
 	"ripple/internal/program"
-	"ripple/internal/rippled"
 	"ripple/internal/runner"
 	"ripple/internal/trace"
 )
@@ -240,45 +239,58 @@ func TestWatchStateStale(t *testing.T) {
 	}
 }
 
-// TestWatchStoreOutageDegrades: a watcher pointed at a dead rippled
-// store publishes exactly the revisions of a local-only watcher — the
-// client's breaker degrades to local compute instead of failing the
-// epochs.
-func TestWatchStoreOutageDegrades(t *testing.T) {
+// TestWatchStoreServesRerun: a watcher whose pool persists to a result
+// store publishes the revisions of a watcher with no store, and a second
+// watcher over the same store directory (fresh checkpoint, fresh output)
+// publishes the same files without simulating anything: windowID makes
+// equal windows reuse each other's results across watchers.
+func TestWatchStoreServesRerun(t *testing.T) {
 	prog, _, data := makeTrace(t, 2000, 128)
 	dir := t.TempDir()
 	path := writeFile(t, dir, "trace.pt", data)
+	storeDir := filepath.Join(dir, "store")
 
-	localOut := filepath.Join(dir, "local")
-	if err := os.MkdirAll(localOut, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	cfg := watchCfg(t, prog, path, localOut)
-	cfg.StatePath = filepath.Join(dir, "local.ptwatch")
-	want, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	run := func(name, cacheDir string) (Result, runner.Stats, map[string][]byte) {
+		t.Helper()
+		out := filepath.Join(dir, name)
+		if err := os.MkdirAll(out, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		cfg := watchCfg(t, prog, path, out)
+		cfg.StatePath = filepath.Join(dir, name+".ptwatch")
+		var store *runner.Store
+		if cacheDir != "" {
+			var err error
+			if store, err = runner.OpenStore(cacheDir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cfg.Pool = runner.New(runner.Options{Store: store})
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return res, cfg.Pool.Stats(), readDir(t, out)
 	}
 
-	cl, err := rippled.NewClient("http://127.0.0.1:1", rippled.ClientOptions{Retries: -1})
-	if err != nil {
-		t.Fatal(err)
+	want, _, wantFiles := run("local", "")
+	cold, coldStats, coldFiles := run("cold", storeDir)
+	if cold.Revisions != want.Revisions || cold.Total != want.Total {
+		t.Fatalf("store-backed run %+v, local run %+v", cold, want)
 	}
-	deadOut := filepath.Join(dir, "dead")
-	if err := os.MkdirAll(deadOut, 0o755); err != nil {
-		t.Fatal(err)
+	sameFiles(t, wantFiles, coldFiles, "store-backed revisions")
+	if coldStats.Computed == 0 {
+		t.Fatal("cold store-backed run simulated nothing; the fixture does not exercise the store")
 	}
-	cfg2 := watchCfg(t, prog, path, deadOut)
-	cfg2.StatePath = filepath.Join(dir, "dead.ptwatch")
-	cfg2.Pool = runner.New(runner.Options{Store: cl})
-	got, err := Run(cfg2)
-	if err != nil {
-		t.Fatal(err)
+
+	warm, warmStats, warmFiles := run("warm", storeDir)
+	if warm.Revisions != want.Revisions || warm.Total != want.Total {
+		t.Fatalf("second watcher %+v, local run %+v", warm, want)
 	}
-	if got.Revisions != want.Revisions || got.Total != want.Total {
-		t.Fatalf("dead-store run %+v, local run %+v", got, want)
+	sameFiles(t, wantFiles, warmFiles, "second watcher's revisions")
+	if warmStats.Computed != 0 || warmStats.StoreHits == 0 {
+		t.Fatalf("second watcher stats %+v, want 0 computed and some store hits", warmStats)
 	}
-	sameFiles(t, readDir(t, localOut), readDir(t, deadOut), "dead-store revisions")
 }
 
 // TestWatchHysteresisProperty drives the hysteresis state machine with

@@ -26,7 +26,6 @@
 package ripple
 
 import (
-	"fmt"
 	"io"
 	"time"
 
@@ -40,7 +39,6 @@ import (
 	"ripple/internal/prefetch"
 	"ripple/internal/program"
 	"ripple/internal/replacement"
-	"ripple/internal/rippled"
 	"ripple/internal/runner"
 	"ripple/internal/trace"
 	"ripple/internal/workload"
@@ -218,14 +216,6 @@ type ParallelOptions struct {
 	// signature, which includes SourceID — with an empty SourceID the
 	// store is bypassed (the source has no stable identity to key by).
 	CacheDir string
-	// StoreURL, when non-empty, persists results through a shared
-	// rippled coordinator (see cmd/rippled) instead of a local
-	// directory: concurrent sweeps across processes or machines share
-	// one cache, and each duplicate signature is computed exactly once
-	// fleet-wide. Signatures are unchanged, so a directory warmed via
-	// CacheDir serves the same results over the wire. Mutually
-	// exclusive with CacheDir.
-	StoreURL string
 	// SourceID is a stable content identity for the profile source, e.g.
 	// a trace file's content hash or "generator version + app + input +
 	// length" for a workload stream. Sweeps with equal SourceID (and
@@ -245,12 +235,12 @@ type ParallelOptions struct {
 
 // resolve builds the execution substrate the core package consumes.
 func (o ParallelOptions) resolve() (core.ParallelOptions, error) {
-	if o.CacheDir != "" && o.StoreURL != "" {
-		return core.ParallelOptions{}, fmt.Errorf("ripple: CacheDir and StoreURL are mutually exclusive")
-	}
-	store, err := rippled.OpenStore(o.StoreURL, o.CacheDir, o.Log)
-	if err != nil {
-		return core.ParallelOptions{}, err
+	var store *runner.Store
+	if o.CacheDir != "" {
+		var err error
+		if store, err = runner.OpenStore(o.CacheDir); err != nil {
+			return core.ParallelOptions{}, err
+		}
 	}
 	pool := runner.New(runner.Options{
 		Workers:      o.Workers,
