@@ -13,9 +13,8 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
+	"slices"
 	"sort"
-	"sync"
 
 	"ripple/internal/blockseq"
 	"ripple/internal/cache"
@@ -49,13 +48,14 @@ func DefaultAnalysisConfig() AnalysisConfig {
 // index range (start, end] executed between the victim's last use and its
 // ideal eviction, within one of the analyzed sources.
 type window struct {
-	li         int32 // victim line's index into Analysis.tables
-	trace      int32 // index into Analysis.sources
+	li         int32 // victim line's index into Analysis.lines
+	trace      int32 // index into Analysis.blocks
 	start, end int32 // block-trace indices; blocks in (start, end] form the window
 }
 
 // Analysis is the result of replaying the ideal policy over a profile:
-// everything needed to emit an injection plan at any threshold.
+// everything needed to emit an injection plan at any threshold. It is
+// read-only once AnalyzeMulti returns, so concurrent callers may share it.
 type Analysis struct {
 	Prog *program.Program
 	cfg  AnalysisConfig
@@ -74,113 +74,29 @@ type Analysis struct {
 	// packet stream.
 	Coverage *SourceCoverage
 
-	sources   []blockseq.Source
+	// blocks holds each source's block IDs in trace order; the windows
+	// index into it.
+	blocks    [][]program.BlockID
 	windows   []window
 	execCount []uint32
-	// tables holds one block -> window-count table per victim line, in
-	// the order the lines first appear as victims; lineIndex maps a
-	// victim line to its table. Both are read-only once AnalyzeMulti
-	// returns.
-	tables    []lineTable
+	// lines lists the victim lines in the order they first appear as
+	// victims; lineIndex maps a victim line to its index. byLine holds
+	// the window indices grouped by victim line, each line's in window
+	// order: line li's are byLine[lineStart[li]:lineStart[li+1]].
+	lines     []uint64
 	lineIndex map[uint64]int32
-	// cues caches the per-window cue selection (threshold-independent);
-	// cueOnce makes the lazy computation safe when one Analysis is shared
-	// by concurrent PlanAt callers (the parallel experiment runner).
-	cues    []CueChoice
-	cueOnce sync.Once
-	cueErr  error
-	// mark/markGen implement O(1) per-window candidate deduplication.
-	mark    []uint32
-	markGen uint32
-}
-
-// lineTable counts, for one victim line, the distinct eviction windows
-// of that line containing each candidate block. Every window belongs to
-// one line, so a window's updates all land in one small table. It is an
-// open-addressing table with linear probing: a power-of-two number of
-// slots, at most half of them used, doubled when an insert would pass
-// that load.
-type lineTable struct {
-	line  uint64
-	slots []lineSlot
-	used  int
-	shift uint8 // 32 - log2(len(slots)): a key's home slot is its hash >> shift
-}
-
-// lineSlot is one candidate block's window count. key is the block ID
-// plus one, so the zero slot is empty.
-type lineSlot struct {
-	key, count uint32
-}
-
-// lineTableMinSlots is a new table's size. A table is made with its
-// line's first window, which always holds a block, so none stays empty.
-const lineTableMinSlots = 8
-
-// home is the Fibonacci hash of key, reduced to the table's size.
-func (t *lineTable) home(key uint32) uint32 { return (key * 0x9E3779B9) >> t.shift }
-
-// count returns the number of the line's windows that contain block.
-func (t *lineTable) count(block program.BlockID) uint32 {
-	key := uint32(block) + 1
-	mask := uint32(len(t.slots) - 1)
-	for i := t.home(key); ; i = (i + 1) & mask {
-		switch t.slots[i].key {
-		case key:
-			return t.slots[i].count
-		case 0:
-			return 0
-		}
-	}
-}
-
-// add counts one more window of the line that contains block.
-func (t *lineTable) add(block program.BlockID) {
-	key := uint32(block) + 1
-	mask := uint32(len(t.slots) - 1)
-	for i := t.home(key); ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.key == key {
-			s.count++
-			return
-		}
-		if s.key == 0 {
-			if 2*(t.used+1) > len(t.slots) {
-				t.resize(2 * len(t.slots))
-				t.add(block)
-				return
-			}
-			*s = lineSlot{key: key, count: 1}
-			t.used++
-			return
-		}
-	}
-}
-
-// resize rehashes the table into n slots (a power of two).
-func (t *lineTable) resize(n int) {
-	old := t.slots
-	t.slots = make([]lineSlot, n)
-	t.shift = uint8(32 - bits.TrailingZeros(uint(n)))
-	mask := uint32(n - 1)
-	for _, s := range old {
-		if s.key == 0 {
-			continue
-		}
-		i := t.home(s.key)
-		for t.slots[i].key != 0 {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = s
-	}
+	byLine    []int32
+	lineStart []int32
+	// cues holds every window's cue, in window order. The choice does not
+	// depend on the invalidation threshold, so PlanAt filters this one
+	// list per threshold.
+	cues []CueChoice
 }
 
 // Analyze profiles the block source against the ideal replacement policy
-// and computes the eviction windows and conditional-probability tables.
-// The source must have been produced against prog's current layout, and
-// must be replayable: the analysis makes several passes over it (and
-// PlanAt's lazy cue selection makes one more), holding only O(windows)
-// state instead of the materialized trace.
+// and computes the eviction windows and their cue blocks. The source must
+// have been produced against prog's current layout. The analysis reads it
+// once and keeps its block IDs (4 B per block).
 func Analyze(prog *program.Program, src blockseq.Source, cfg AnalysisConfig) (*Analysis, error) {
 	return AnalyzeMulti(prog, []blockseq.Source{src}, cfg)
 }
@@ -188,10 +104,11 @@ func Analyze(prog *program.Program, src blockseq.Source, cfg AnalysisConfig) (*A
 // AnalyzeMulti analyzes several independent profiles together: each source
 // is replayed through the ideal policy separately (the I-cache state does
 // not carry across), but execution counts and window membership accumulate
-// into one conditional-probability table. Two uses: merging the profiles
-// of multiple inputs (strengthens Fig. 13-style generalization), and
-// analyzing the short fragments an LBR-style sampling profiler produces
-// instead of a full PT trace (Sec. III-A mentions both trace sources).
+// into one conditional probability per (line, block). Two uses: merging
+// the profiles of multiple inputs (strengthens Fig. 13-style
+// generalization), and analyzing the short fragments an LBR-style sampling
+// profiler produces instead of a full PT trace (Sec. III-A mentions both
+// trace sources).
 func AnalyzeMulti(prog *program.Program, sources []blockseq.Source, cfg AnalysisConfig) (*Analysis, error) {
 	if err := cfg.L1I.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -203,31 +120,25 @@ func AnalyzeMulti(prog *program.Program, sources []blockseq.Source, cfg Analysis
 	a := &Analysis{
 		Prog:      prog,
 		cfg:       cfg,
-		sources:   sources,
+		blocks:    make([][]program.BlockID, len(sources)),
 		execCount: make([]uint32, prog.NumBlocks()),
 		lineIndex: make(map[uint64]int32),
-		mark:      make([]uint32, prog.NumBlocks()),
 	}
 	for ti, src := range sources {
 		if src == nil {
 			continue
 		}
-		n, err := a.analyzeOne(int32(ti), src)
-		if err != nil {
+		if err := a.analyzeOne(int32(ti), src); err != nil {
 			return nil, err
 		}
-		a.TraceBlocks += n
+		a.TraceBlocks += len(a.blocks[ti])
 	}
 	if a.TraceBlocks == 0 {
 		return nil, fmt.Errorf("core: empty trace")
 	}
 	a.Windows = len(a.windows)
-	// Force the cue selection now: it replays the sources, so any replay
-	// error belongs to the analysis, not to a later PlanAt call.
+	a.groupByLine()
 	a.selectCues()
-	if a.cueErr != nil {
-		return nil, a.cueErr
-	}
 	a.Coverage = gatherCoverage(sources)
 	return a, nil
 }
@@ -251,7 +162,7 @@ func (c SourceCoverage) Fraction() float64 {
 	return float64(c.Decoded) / float64(c.Declared)
 }
 
-// gatherCoverage collects decode reports after the analysis passes have
+// gatherCoverage collects decode reports after the analysis pass has
 // completed (a recovering source publishes its report at the end of a
 // pass); nil when no source exposes one.
 func gatherCoverage(sources []blockseq.Source) *SourceCoverage {
@@ -280,34 +191,26 @@ func gatherCoverage(sources []blockseq.Source) *SourceCoverage {
 
 // analyzeOne expands one source into its demand line stream (identical to
 // what the simulator fetches — Sec. III-A: no speculative accesses),
-// replays Belady's MIN over it logging evictions, and accumulates window
-// membership counts. It returns the source's block count.
-//
-// The source is streamed twice: the demand-line expansion (whose output
-// the MIN oracle inherently needs in full) counts executions as it
-// pulls, and a ring-buffered replay then serves every window's block
-// range without the materialized trace.
-func (a *Analysis) analyzeOne(traceIdx int32, src blockseq.Source) (int, error) {
-	blocksHint := 0
-	if n, ok := blockseq.LenHint(src); ok {
-		blocksHint = n
-	}
-	seq := &countingSeq{Seq: src.Open(), execCount: a.execCount}
-	lines, blockOf, err := frontend.DemandLinesSeq(a.Prog, seq, blocksHint)
+// keeping the source's block IDs and execution counts as it pulls them,
+// then replays Belady's MIN over the lines and logs each eviction's
+// window.
+func (a *Analysis) analyzeOne(traceIdx int32, src blockseq.Source) error {
+	hint := blockseq.CapHint(src, 0)
+	seq := &countingSeq{Seq: src.Open(), execCount: a.execCount, blocks: make([]program.BlockID, 0, hint)}
+	lines, blockOf, err := frontend.DemandLinesSeq(a.Prog, seq, hint)
 	if err != nil {
-		return 0, fmt.Errorf("core: %w", err)
+		return fmt.Errorf("core: %w", err)
 	}
-	length := seq.n
-	if length == 0 {
-		return 0, nil
+	a.blocks[traceIdx] = seq.blocks
+	if len(seq.blocks) == 0 {
+		return nil
 	}
 	res, err := opt.SimulateSource(opt.LineEvents(lines), a.cfg.L1I, opt.ModeMIN, true)
 	if err != nil {
-		return 0, fmt.Errorf("core: %w", err)
+		return fmt.Errorf("core: %w", err)
 	}
 	a.IdealMisses += res.DemandMisses
 
-	first := len(a.windows)
 	for _, ev := range res.EvictionLog {
 		w := window{
 			trace: traceIdx,
@@ -323,90 +226,66 @@ func (a *Analysis) analyzeOne(traceIdx int32, src blockseq.Source) (int, error) 
 		w.li = a.lineOf(ev.Line)
 		a.windows = append(a.windows, w)
 	}
-
-	err = replayWindows(src, a.windows[first:], a.cfg.MaxWindowBlocks, func(w window, blocks []program.BlockID) {
-		t := &a.tables[w.li]
-		a.markGen++
-		for _, bid := range blocks {
-			if a.mark[bid] == a.markGen {
-				continue // already counted for this window
-			}
-			a.mark[bid] = a.markGen
-			t.add(bid)
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	return length, nil
+	return nil
 }
 
-// lineOf returns the victim line's index into a.tables, giving a line
-// seen for the first time the next index and an empty table.
+// lineOf returns the victim line's index into a.lines, giving a line seen
+// for the first time the next index.
 func (a *Analysis) lineOf(line uint64) int32 {
 	li, ok := a.lineIndex[line]
 	if !ok {
-		li = int32(len(a.tables))
+		li = int32(len(a.lines))
 		a.lineIndex[line] = li
-		t := lineTable{line: line}
-		t.resize(lineTableMinSlots)
-		a.tables = append(a.tables, t)
+		a.lines = append(a.lines, line)
 	}
 	return li
 }
 
-// countingSeq counts each block's executions as a pass is pulled through
-// it.
+// countingSeq keeps the block IDs of a pass, and counts each block's
+// executions, as the pass is pulled through it.
 type countingSeq struct {
 	blockseq.Seq
 	execCount []uint32
-	n         int
+	blocks    []program.BlockID
 }
 
 func (s *countingSeq) Next() (program.BlockID, bool) {
 	bid, ok := s.Seq.Next()
 	if ok {
 		s.execCount[bid]++
-		s.n++
+		s.blocks = append(s.blocks, bid)
 	}
 	return bid, ok
 }
 
-// replayWindows streams src once and visits each window with its blocks,
-// (start, end] in trace order. It relies on two invariants: windows are
-// ordered by non-decreasing end (the eviction log is in eviction-time
-// order and blockOf is monotone), and every window spans at most maxWin
-// blocks (Analyze clamps longer ones) — so a ring of the last maxWin
-// blocks always covers the visited window. The ring holds each block
-// twice, maxWin slots apart, so every window is one contiguous slice of
-// it.
-func replayWindows(src blockseq.Source, windows []window, maxWin int, visit func(w window, blocks []program.BlockID)) error {
-	if len(windows) == 0 {
-		return nil
+// windowBlocks returns the blocks of window wi, in trace order.
+func (a *Analysis) windowBlocks(wi int32) []program.BlockID {
+	w := a.windows[wi]
+	return a.blocks[w.trace][w.start+1 : w.end+1]
+}
+
+// groupByLine buckets the window indices by victim line with a counting
+// sort, so each line's windows stay in window order.
+func (a *Analysis) groupByLine() {
+	a.lineStart = make([]int32, len(a.lines)+1)
+	for _, w := range a.windows {
+		a.lineStart[w.li+1]++
 	}
-	ring := make([]program.BlockID, 2*maxWin)
-	seq := src.Open()
-	pos := int32(-1)   // index of the last block read
-	slot := maxWin - 1 // pos mod maxWin
-	for _, w := range windows {
-		for pos < w.end {
-			bid, ok := seq.Next()
-			if !ok {
-				if err := seq.Err(); err != nil {
-					return fmt.Errorf("core: %w", err)
-				}
-				return fmt.Errorf("core: source replay ended at block %d but window extends to %d (source not replayable?)", pos, w.end)
-			}
-			pos++
-			if slot++; slot == maxWin {
-				slot = 0
-			}
-			ring[slot], ring[slot+maxWin] = bid, bid
-		}
-		lo := int(w.start+1) % maxWin
-		visit(w, ring[lo:lo+int(w.end-w.start)])
+	for li := range a.lines {
+		a.lineStart[li+1] += a.lineStart[li]
 	}
-	return nil
+	a.byLine = make([]int32, len(a.windows))
+	next := slices.Clone(a.lineStart)
+	for wi, w := range a.windows {
+		a.byLine[next[w.li]] = int32(wi)
+		next[w.li]++
+	}
+}
+
+// lineWindows returns the indices of line li's eviction windows, in
+// window order.
+func (a *Analysis) lineWindows(li int32) []int32 {
+	return a.byLine[a.lineStart[li]:a.lineStart[li+1]]
 }
 
 // Probability returns P(evict line | execute block): the fraction of the
@@ -416,7 +295,13 @@ func (a *Analysis) Probability(line uint64, block program.BlockID) float64 {
 	if !ok {
 		return 0
 	}
-	return a.probability(a.tables[li].count(block), block)
+	var n uint32
+	for _, wi := range a.lineWindows(li) {
+		if slices.Contains(a.windowBlocks(wi), block) {
+			n++
+		}
+	}
+	return a.probability(n, block)
 }
 
 // probability is Probability given the count n of the line's windows
@@ -432,62 +317,55 @@ func (a *Analysis) probability(n uint32, block program.BlockID) float64 {
 type CueChoice struct {
 	Line        uint64
 	Block       program.BlockID
-	li          int32 // Line's index into Analysis.tables
 	Probability float64
 }
 
-// selectCues picks, for every eviction window, the candidate block with
-// the highest conditional probability (ties broken toward the block
-// closest to the eviction, then lowest ID — "arbitrarily" per the paper,
-// but deterministic here). The selection does not depend on the
-// invalidation threshold, so it is computed once and cached; PlanAt then
-// filters it per threshold. AnalyzeMulti forces the computation before
-// returning (the replay can fail on a misbehaving source, and this is
-// where that error surfaces), so by the time concurrent PlanAt callers
-// share the Analysis the Once is already settled.
-func (a *Analysis) selectCues() []CueChoice {
-	a.cueOnce.Do(func() { a.cueErr = a.computeCues() })
-	return a.cues
-}
-
-// computeCues scans each window's blocks closest-to-eviction first via
-// the same ring-buffered source replay the accumulation pass uses.
-func (a *Analysis) computeCues() error {
-	choices := make([]CueChoice, 0, len(a.windows))
-	// a.windows groups each source's windows contiguously, in analysis
-	// order: replay one source per group.
-	for lo := 0; lo < len(a.windows); {
-		hi := lo
-		src := a.windows[lo].trace
-		for hi < len(a.windows) && a.windows[hi].trace == src {
-			hi++
-		}
-		err := replayWindows(a.sources[src], a.windows[lo:hi], a.cfg.MaxWindowBlocks, func(w window, blocks []program.BlockID) {
-			t := &a.tables[w.li]
-			a.markGen++
-			best := CueChoice{Line: t.line, Block: program.NoBlock, li: w.li}
-			for i := len(blocks) - 1; i >= 0; i-- {
-				bid := blocks[i]
-				if a.mark[bid] == a.markGen {
+// selectCues picks every window's cue, one victim line at a time. A
+// window's cue depends only on its own line's counts (Sec. III-B), so one
+// block-indexed count array serves every line: the line's windows count
+// their distinct blocks into it, each of those windows takes the block
+// with the highest conditional probability, and the entries the line
+// touched are cleared before the next line. Ties go to the block closest
+// to the eviction ("arbitrarily" per the paper, but deterministic here).
+func (a *Analysis) selectCues() {
+	a.cues = make([]CueChoice, len(a.windows))
+	count := make([]uint32, a.Prog.NumBlocks())
+	// lastWin[b] is 1 + the index of the last window that counted b, so a
+	// block repeated within one window counts once; window indices are
+	// unique across lines, so it never needs clearing.
+	lastWin := make([]int32, a.Prog.NumBlocks())
+	var touched []program.BlockID
+	for li, line := range a.lines {
+		wins := a.lineWindows(int32(li))
+		for _, wi := range wins {
+			for _, bid := range a.windowBlocks(wi) {
+				if lastWin[bid] == wi+1 {
 					continue
 				}
-				a.mark[bid] = a.markGen
-				if p := a.probability(t.count(bid), bid); p > best.Probability {
-					best.Block = bid
-					best.Probability = p
+				lastWin[bid] = wi + 1
+				if count[bid] == 0 {
+					touched = append(touched, bid)
+				}
+				count[bid]++
+			}
+		}
+		for _, wi := range wins {
+			// Closest to the eviction first: a later block displaces the
+			// choice only with a strictly higher probability.
+			blocks := a.windowBlocks(wi)
+			best := CueChoice{Line: line, Block: program.NoBlock}
+			for i := len(blocks) - 1; i >= 0; i-- {
+				if p := a.probability(count[blocks[i]], blocks[i]); p > best.Probability {
+					best.Block, best.Probability = blocks[i], p
 				}
 			}
-			if best.Block != program.NoBlock {
-				choices = append(choices, best)
-			}
-		})
-		if err != nil {
-			return err
+			a.cues[wi] = best
 		}
-		lo = hi
+		for _, bid := range touched {
+			count[bid] = 0
+		}
+		touched = touched[:0]
 	}
-	a.cues = choices
-	return nil
 }
 
 // Candidates returns the candidate cue blocks of the given victim line
@@ -498,19 +376,21 @@ func (a *Analysis) Candidates(line uint64) []CueChoice {
 	if !ok {
 		return nil
 	}
-	t := &a.tables[li]
-	out := make([]CueChoice, 0, t.used)
-	for _, s := range t.slots {
-		if s.key == 0 {
-			continue
+	type tally struct {
+		n       uint32
+		lastWin int32 // 1 + the last window that counted the block
+	}
+	tallies := make(map[program.BlockID]tally)
+	for _, wi := range a.lineWindows(li) {
+		for _, bid := range a.windowBlocks(wi) {
+			if t := tallies[bid]; t.lastWin != wi+1 {
+				tallies[bid] = tally{n: t.n + 1, lastWin: wi + 1}
+			}
 		}
-		block := program.BlockID(s.key - 1)
-		out = append(out, CueChoice{
-			Line:        line,
-			Block:       block,
-			li:          li,
-			Probability: a.probability(s.count, block),
-		})
+	}
+	out := make([]CueChoice, 0, len(tallies))
+	for block, t := range tallies {
+		out = append(out, CueChoice{Line: line, Block: block, Probability: a.probability(t.n, block)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Probability != out[j].Probability {
@@ -524,14 +404,10 @@ func (a *Analysis) Candidates(line uint64) []CueChoice {
 // MostEvictedLine returns the victim line with the most eviction windows
 // and that count — the natural subject for a Fig. 5-style worked example.
 func (a *Analysis) MostEvictedLine() (uint64, int) {
-	counts := make([]int, len(a.tables))
-	for _, w := range a.windows {
-		counts[w.li]++
-	}
 	var best uint64
 	bestN := 0
-	for li, n := range counts {
-		line := a.tables[li].line
+	for li, line := range a.lines {
+		n := len(a.lineWindows(int32(li)))
 		if n > bestN || (n == bestN && line < best) {
 			best, bestN = line, n
 		}

@@ -117,10 +117,8 @@ func TestAnalysisWindowCap(t *testing.T) {
 	}
 	sum := func(a *Analysis) int {
 		n := 0
-		for _, t := range a.tables {
-			for _, s := range t.slots {
-				n += int(s.count)
-			}
+		for wi := range a.windows {
+			n += len(a.windowBlocks(int32(wi)))
 		}
 		return n
 	}

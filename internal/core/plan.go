@@ -45,11 +45,11 @@ func (a *Analysis) PlanAt(threshold float64) *Plan {
 		WindowsTotal: a.Windows,
 	}
 	type pk struct {
-		li    int32
+		line  uint64
 		block program.BlockID
 	}
 	planned := make(map[pk]bool)
-	for _, c := range a.selectCues() {
+	for _, c := range a.cues {
 		if c.Probability < threshold {
 			continue
 		}
@@ -62,7 +62,7 @@ func (a *Analysis) PlanAt(threshold float64) *Plan {
 			continue
 		}
 		p.WindowsCovered++
-		k := pk{li: c.li, block: c.Block}
+		k := pk{line: c.Line, block: c.Block}
 		if planned[k] {
 			continue // one static instruction covers all matching windows
 		}

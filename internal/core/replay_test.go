@@ -60,7 +60,7 @@ func requireSameAnalysis(t *testing.T, a, b *Analysis) {
 		t.Fatalf("summaries differ: {%d %d %d} vs {%d %d %d}",
 			a.TraceBlocks, a.Windows, a.IdealMisses, b.TraceBlocks, b.Windows, b.IdealMisses)
 	}
-	ca, cb := a.selectCues(), b.selectCues()
+	ca, cb := a.cues, b.cues
 	if len(ca) != len(cb) {
 		t.Fatalf("cue counts differ: %d vs %d", len(ca), len(cb))
 	}
@@ -107,12 +107,11 @@ func TestAnalyzeFileMatchesSlice(t *testing.T) {
 	}
 }
 
-// TestAnalyzeFailingSource: a source that fails on any of the
-// analysis's three passes — the execution-count and demand-line pass,
-// window accumulation, or cue replay — fails Analyze with the source's
-// error, whether the pass fails at Open or mid-stream. The failures
-// leave the source intact: a fresh Analyze over it still matches the
-// slice analysis.
+// TestAnalyzeFailingSource: the analysis reads its source in one pass,
+// so a source that fails on that pass, at Open or mid-stream, fails
+// Analyze with the source's error, and a fault armed for a second pass is
+// never reached. The failures leave the source intact: a fresh Analyze
+// over it still matches the slice analysis.
 func TestAnalyzeFailingSource(t *testing.T) {
 	app := replayApp(t)
 	tr := app.Trace(0, 20_000)
@@ -122,15 +121,13 @@ func TestAnalyzeFailingSource(t *testing.T) {
 	cfg.L1I.Ways = 2
 
 	src := trace.FileSourceOptions(path, app.Prog, trace.FileOptions{})
-	for pass := 1; pass <= 3; pass++ {
-		for _, f := range []fault.SourceFaults{
-			{Pass: pass, OpenErr: true},
-			{Pass: pass, AfterNext: 100},
-		} {
-			_, err := Analyze(app.Prog, fault.NewSource(src, f), cfg)
-			if !errors.Is(err, fault.ErrInjected) {
-				t.Errorf("fault %+v: Analyze returned %v, want ErrInjected", f, err)
-			}
+	for _, f := range []fault.SourceFaults{
+		{Pass: 1, OpenErr: true},
+		{Pass: 1, AfterNext: 100},
+	} {
+		_, err := Analyze(app.Prog, fault.NewSource(src, f), cfg)
+		if !errors.Is(err, fault.ErrInjected) {
+			t.Errorf("fault %+v: Analyze returned %v, want ErrInjected", f, err)
 		}
 	}
 
@@ -138,19 +135,23 @@ func TestAnalyzeFailingSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromFile, err := Analyze(app.Prog, src, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if fromSlice.Windows == 0 {
 		t.Fatal("test is vacuous: no eviction windows found")
 	}
-	requireSameAnalysis(t, fromSlice, fromFile)
+	for _, f := range []fault.SourceFaults{
+		{Pass: 2, OpenErr: true},
+		{Pass: 2, AfterNext: 100},
+	} {
+		fromFile, err := Analyze(app.Prog, fault.NewSource(src, f), cfg)
+		if err != nil {
+			t.Fatalf("fault %+v: Analyze returned %v, want no error", f, err)
+		}
+		requireSameAnalysis(t, fromSlice, fromFile)
+	}
 }
 
-// TestAnalyzeOpenCountFlat: a full analysis makes several passes over
-// the profile, but with the shared-descriptor file source it must cost
-// exactly one file open.
+// TestAnalyzeOpenCountFlat: a full analysis of a file source costs
+// exactly one file open and decodes each of the trace's blocks once.
 func TestAnalyzeOpenCountFlat(t *testing.T) {
 	app := replayApp(t)
 	tr := app.Trace(0, 20_000)
@@ -159,61 +160,19 @@ func TestAnalyzeOpenCountFlat(t *testing.T) {
 	cfg.L1I.SizeBytes = 1 << 10
 	cfg.L1I.Ways = 2
 
-	before := trace.FileOpens()
-	if _, err := Analyze(app.Prog, trace.FileSourceOptions(path, app.Prog, trace.FileOptions{}), cfg); err != nil {
-		t.Fatal(err)
-	}
-	if n := trace.FileOpens() - before; n != 1 {
-		t.Fatalf("multi-pass analysis performed %d file opens, want 1", n)
-	}
-}
-
-// windowList builds a sparse window list: 9 windows of span 200 spread
-// over a trace of the given length.
-func windowList(blocks int32) []window {
-	const span, stride = 200, 2_000
-	var ws []window
-	for end := int32(stride); end < blocks; end += stride {
-		ws = append(ws, window{trace: 0, start: end - span, end: end})
-	}
-	return ws
-}
-
-// TestWindowReplayDecodeBudget: serving a window list takes one forward
-// pass that stops at the last window — it decodes the prefix through
-// the last window's end (plus at most one decode-ahead batch), never
-// the rest of the trace or any block twice — and serves the real trace
-// blocks from its ring.
-func TestWindowReplayDecodeBudget(t *testing.T) {
-	app := replayApp(t)
-	const blocks = 20_000
-	tr := app.Trace(0, blocks)
-	path := writeSyncTrace(t, app, tr)
 	src := trace.FileSourceOptions(path, app.Prog, trace.FileOptions{})
-
-	windows := windowList(blocks)
-	counting := src.(trace.DecodeCounting)
-	visited := 0
-	err := replayWindows(src, windows, 256, func(w window, blocks []program.BlockID) {
-		if len(blocks) != int(w.end-w.start) {
-			t.Fatalf("window (%d, %d] served %d blocks", w.start, w.end, len(blocks))
-		}
-		for i, bid := range blocks {
-			if ti := w.start + 1 + int32(i); bid != tr[ti] {
-				t.Fatalf("window ending at %d served wrong block at %d", w.end, ti)
-			}
-		}
-		visited++
-	})
+	before := trace.FileOpens()
+	a, err := Analyze(app.Prog, src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if visited != len(windows) {
-		t.Fatalf("visited %d windows, want %d", visited, len(windows))
+	if a.Windows == 0 {
+		t.Fatal("test is vacuous: no eviction windows found")
 	}
-	// The decoder fills a 512-block batch ahead of the consumer.
-	prefix := uint64(windows[len(windows)-1].end) + 1
-	if decoded := counting.DecodedBlocks(); decoded < prefix || decoded >= prefix+512 {
-		t.Fatalf("replay decoded %d blocks, want the %d-block prefix plus less than one 512-block batch", decoded, prefix)
+	if n := trace.FileOpens() - before; n != 1 {
+		t.Fatalf("analysis performed %d file opens, want 1", n)
+	}
+	if n := src.(trace.DecodeCounting).DecodedBlocks(); n != uint64(len(tr)) {
+		t.Fatalf("analysis decoded %d blocks, want the trace's %d", n, len(tr))
 	}
 }

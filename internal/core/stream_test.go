@@ -10,9 +10,8 @@ import (
 )
 
 // TestAnalyzeStreamMatchesSlice drives the whole analysis (MIN replay,
-// window accumulation, cue selection) from a walker-backed streaming
-// source and from the materialized trace, and requires identical output:
-// the ring-buffered multi-pass replay must be a pure refactor.
+// window scan, cue selection) from a walker-backed streaming source and
+// from the materialized trace, and requires identical output.
 func TestAnalyzeStreamMatchesSlice(t *testing.T) {
 	app, err := workload.Build(workload.Model{
 		Name: "core-stream", Seed: 17,
@@ -29,7 +28,7 @@ func TestAnalyzeStreamMatchesSlice(t *testing.T) {
 	const blocks = 20_000
 	cfg := AnalysisConfig{
 		L1I:             frontend.DefaultParams().L1I,
-		MaxWindowBlocks: 64, // small cap so the ring actually wraps
+		MaxWindowBlocks: 64, // small cap so windows get clamped
 	}
 	// Shrink the cache until even the tiny app's hot set thrashes.
 	cfg.L1I.SizeBytes = 1 << 10
@@ -54,7 +53,7 @@ func TestAnalyzeStreamMatchesSlice(t *testing.T) {
 	if fromStream.Windows == 0 {
 		t.Fatal("test is vacuous: no eviction windows found")
 	}
-	sc, zc := fromStream.selectCues(), fromSlice.selectCues()
+	sc, zc := fromStream.cues, fromSlice.cues
 	if len(sc) != len(zc) {
 		t.Fatalf("cue counts differ: %d vs %d", len(sc), len(zc))
 	}

@@ -615,7 +615,6 @@ func TestStoreSignatureShapes(t *testing.T) {
 	for _, c := range []struct{ got, want string }{
 		{s.oracleSig("a", "fdip"), "|oracle|app=a|pf=fdip"},
 		{s.cellSig("fig3", "x"), "|cell|th=" + th + "|exp=fig3|key=x"},
-		{s.tableSig("fig3"), "|table|th=" + th + "|apps=finagle-http|id=fig3"},
 	} {
 		if c.got != s.base+c.want {
 			t.Errorf("signature %q, want base + %q", c.got, c.want)

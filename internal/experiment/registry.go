@@ -1,11 +1,8 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-
-	"ripple/internal/runner"
 )
 
 // entry couples an experiment ID with its description and runner.
@@ -78,47 +75,14 @@ func Describe(id string) (string, bool) {
 }
 
 // Tables computes the tables of one experiment without rendering them.
-// With a result store configured, finished experiments are additionally
-// cached whole (keyed by the full config signature plus the experiment
-// ID), so a repeat invocation skips even the serial assembly work that
-// stitches cell results into tables.
+// Every table is assembled from the suite's cell jobs, so with a result
+// store configured a repeat invocation is served from the persisted
+// cells.
 func (s *Suite) Tables(id string) ([]*Table, error) {
 	for _, e := range registry {
-		if e.id != id {
-			continue
+		if e.id == id {
+			return e.run(s)
 		}
-		store := s.pool.Store()
-		sig := s.tableSig(id)
-		if store != nil {
-			// One read path: Lookup classifies the entry, so a corrupt
-			// table cache is quarantined and reported rather than
-			// silently re-missing on every run.
-			raw, st := store.Lookup(sig)
-			switch st {
-			case runner.StatusHit:
-				var tables []*Table
-				if json.Unmarshal(raw, &tables) == nil {
-					s.logf("[%s] tables served from cache", id)
-					return tables, nil
-				}
-				// Valid framing, undecodable payload (schema drift):
-				// quarantine it like the job runner does.
-				store.Quarantine(sig)
-				s.logf("[%s] quarantined undecodable cached tables (recomputing)", id)
-			case runner.StatusCorrupt:
-				s.logf("[%s] quarantined corrupt cached tables (recomputing)", id)
-			}
-		}
-		tables, err := e.run(s)
-		if err != nil {
-			return nil, err
-		}
-		if store != nil {
-			if err := store.Put(sig, tables); err != nil {
-				s.logf("[%s] table cache write failed: %v", id, err)
-			}
-		}
-		return tables, nil
 	}
 	return nil, fmt.Errorf("experiment: unknown id %q (have %v)", id, IDs())
 }

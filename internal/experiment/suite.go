@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -175,10 +174,6 @@ func (s *Suite) rippleSig(app, prefetcher, policy string) string {
 
 func (s *Suite) cellSig(exp, key string) string {
 	return fmt.Sprintf("%s|cell|th=%s|exp=%s|key=%s", s.base, s.thSig(), exp, key)
-}
-
-func (s *Suite) tableSig(id string) string {
-	return fmt.Sprintf("%s|table|th=%s|apps=%s|id=%s", s.base, s.thSig(), strings.Join(s.cfg.Apps, ","), id)
 }
 
 // warm fans a batch of jobs out across the worker pool before table

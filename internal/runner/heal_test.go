@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -259,6 +260,21 @@ func TestStoreLookupStatuses(t *testing.T) {
 		{"bit flips", func(p string) error { _, err := fault.CorruptFile(p, 3, 64); return err }},
 		{"truncated", func(p string) error { _, err := fault.TruncateFile(p, 0.3); return err }},
 		{"empty", func(p string) error { return os.WriteFile(p, nil, 0o644) }},
+		{"null result", func(p string) error {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				return err
+			}
+			var e entry
+			if err := json.Unmarshal(data, &e); err != nil {
+				return err
+			}
+			e.Result = json.RawMessage("null")
+			if data, err = json.Marshal(e); err != nil {
+				return err
+			}
+			return os.WriteFile(p, data, 0o644)
+		}},
 	}
 	for _, d := range damage {
 		t.Run(d.name, func(t *testing.T) {

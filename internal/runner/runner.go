@@ -53,13 +53,24 @@ type Job struct {
 }
 
 // NewJob builds a job whose result is a *T. Results are persisted as
-// JSON, so T must round-trip through encoding/json.
+// JSON, so T must round-trip through encoding/json. A body that returns
+// a nil *T without an error fails the job: persisted, it would read back
+// as a zero T.
 func NewJob[T any](sig, label string, cost float64, fn func(context.Context) (*T, error)) Job {
 	return Job{
 		Sig:   sig,
 		Label: label,
 		Cost:  cost,
-		run:   func(ctx context.Context) (any, error) { return fn(ctx) },
+		run: func(ctx context.Context) (any, error) {
+			v, err := fn(ctx)
+			if err != nil {
+				return nil, err
+			}
+			if v == nil {
+				return nil, errors.New("runner: job returned neither a result nor an error")
+			}
+			return v, nil
+		},
 		decode: func(raw []byte) (any, error) {
 			v := new(T)
 			if err := json.Unmarshal(raw, v); err != nil {

@@ -330,6 +330,27 @@ func TestSkipStoreBypassesPersistence(t *testing.T) {
 	}
 }
 
+// TestNilResultJobFails: a job body that returns neither a result nor
+// an error fails the job, and nothing is persisted for it (a stored JSON
+// null would decode as a zero result on the next run).
+func TestNilResultJobFails(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := NewJob("nil-result", "nil-result", 1, func(context.Context) (*intRec, error) { return nil, nil })
+	p := New(Options{Workers: 1, Store: store})
+	if vals, err := p.RunAll(context.Background(), []Job{j}); err == nil {
+		t.Fatalf("RunAll = %v with no error, want the job to fail", vals)
+	}
+	if st := p.Stats(); st.Computed != 0 || st.Errors != 1 {
+		t.Fatalf("stats %+v, want 0 computed and 1 error", st)
+	}
+	if _, status := store.Lookup("nil-result"); status != StatusMiss {
+		t.Fatalf("store lookup = %v, want StatusMiss: the failed job left an entry", status)
+	}
+}
+
 func TestPanicCapturedAsError(t *testing.T) {
 	p := New(Options{Workers: 1})
 	j := intJob("panics", 1, func() (int, error) { panic("kaboom") })

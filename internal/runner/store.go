@@ -34,7 +34,8 @@ const (
 	// StatusHit: a valid entry was found and returned.
 	StatusHit
 	// StatusCorrupt: an entry existed but was unreadable, torn, version-
-	// mismatched, or signature-mismatched; it has been quarantined so it
+	// mismatched, signature-mismatched, or without a result; it has been
+	// quarantined so it
 	// cannot shadow the recomputed result, and the damaged bytes remain
 	// inspectable under QuarantineDir.
 	StatusCorrupt
@@ -70,9 +71,10 @@ type entry struct {
 
 // Lookup returns the raw JSON payload stored for sig and the lookup's
 // classification. A damaged entry — unreadable, torn JSON, version or
-// signature mismatch, empty payload — is quarantined as a side effect
-// and reported as StatusCorrupt, so callers can count and recompute it
-// exactly once instead of silently re-missing on every run.
+// signature mismatch, empty or null payload — is quarantined as a side
+// effect and reported as StatusCorrupt, so callers can count and
+// recompute it exactly once instead of silently re-missing on every run.
+// (A null payload would decode as a zero result without an error.)
 func (s *Store) Lookup(sig string) (raw []byte, st Status) {
 	path := s.path(sig)
 	data, err := os.ReadFile(path)
@@ -84,7 +86,7 @@ func (s *Store) Lookup(sig string) (raw []byte, st Status) {
 		return nil, StatusCorrupt
 	}
 	var e entry
-	if json.Unmarshal(data, &e) != nil || e.Version != storeVersion || e.Sig != sig || len(e.Result) == 0 {
+	if json.Unmarshal(data, &e) != nil || e.Version != storeVersion || e.Sig != sig || len(e.Result) == 0 || string(e.Result) == "null" {
 		s.quarantineFile(path)
 		return nil, StatusCorrupt
 	}

@@ -224,9 +224,9 @@ func TestStoreConcurrentPutLookupSameSig(t *testing.T) {
 
 // FuzzStoreLookup writes arbitrary bytes as one signature's entry file.
 // Lookup must not panic. It serves the entry's result exactly when the
-// framing is valid (version 1, the same signature, a non-empty result);
-// anything else is StatusCorrupt, with the file moved byte for byte into
-// quarantine, so the slot reads as a clean miss again.
+// framing is valid (version 1, the same signature, a non-empty, non-null
+// result); anything else is StatusCorrupt, with the file moved byte for
+// byte into quarantine, so the slot reads as a clean miss again.
 func FuzzStoreLookup(f *testing.F) {
 	const sig = "fuzz|sig=1"
 	st, err := OpenStore(f.TempDir())
@@ -254,6 +254,7 @@ func FuzzStoreLookup(f *testing.F) {
 	f.Add([]byte(`{"v":2,"sig":"fuzz|sig=1","result":{"Name":"x"}}`))
 	f.Add([]byte(`{"v":1,"sig":"fuzz|sig=2","result":{"Name":"x"}}`))
 	f.Add([]byte(`{"v":1,"sig":"fuzz|sig=1"}`))
+	f.Add([]byte(`{"v":1,"sig":"fuzz|sig=1","result":null}`))
 	f.Add(good[:len(good)/2])
 	f.Add([]byte{})
 
@@ -266,7 +267,7 @@ func FuzzStoreLookup(f *testing.F) {
 		}
 		raw, status := st.Lookup(sig)
 		var e entry
-		if json.Unmarshal(data, &e) == nil && e.Version == 1 && e.Sig == sig && len(e.Result) > 0 {
+		if json.Unmarshal(data, &e) == nil && e.Version == 1 && e.Sig == sig && len(e.Result) > 0 && string(e.Result) != "null" {
 			if status != StatusHit || !bytes.Equal(raw, e.Result) {
 				t.Fatalf("valid entry = %v with %q, want StatusHit with %q", status, raw, e.Result)
 			}

@@ -191,8 +191,8 @@ func Speedup(baseline, r Result) float64 { return frontend.Speedup(baseline, r) 
 
 // Analyze replays the ideal replacement policy over a profiled trace and
 // computes Ripple's eviction windows and cue-block probabilities. The
-// analysis makes several streaming passes, holding O(windows) state
-// rather than the trace.
+// analysis reads the source once and keeps its block IDs (4 B per block)
+// beside O(windows) state.
 func Analyze(prog *Program, src BlockSource, cfg AnalysisConfig) (*Analysis, error) {
 	return core.Analyze(prog, src, cfg)
 }
@@ -313,8 +313,8 @@ func DecodeTraceRecover(r io.Reader, prog *Program) ([]BlockID, DecodeReport, er
 }
 
 // TraceFileSource wraps an on-disk PT-like trace file as a replayable
-// BlockSource: each pass re-opens and re-decodes the file, so even
-// multi-pass analyses never materialize the trace.
+// BlockSource: each pass re-opens and re-decodes the file, so multi-pass
+// consumers such as tuning never materialize the trace.
 func TraceFileSource(path string, prog *Program) BlockSource {
 	return trace.FileSourceOptions(path, prog, trace.FileOptions{})
 }

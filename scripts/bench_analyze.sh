@@ -4,9 +4,8 @@
 # memory at two trace lengths.
 #
 # The committed file documents what core.Analyze costs on this codebase
-# (MIN replay, window accumulation into the per-line tables, and cue
-# selection over a finagle-http trace held in memory): blocks/s is its
-# throughput. Rerun after touching internal/core's analysis:
+# (demand-line expansion, MIN replay, and per-line cue selection over a
+# finagle-http trace held in memory): blocks/s is its throughput. Rerun after touching internal/core's analysis:
 #
 #	scripts/bench_analyze.sh [-benchtime 10x]
 set -eu
@@ -37,7 +36,7 @@ END {
 	if (n == 0) { print "bench_analyze: no benchmark lines parsed" > "/dev/stderr"; exit 1 }
 	print "{"
 	printf "  \"benchtime\": \"%s\",\n", benchtime
-	print "  \"metric_note\": \"blocks_per_sec is profiled blocks analyzed per second by core.Analyze on an in-memory finagle-http trace; bytes_per_op includes the per-line window-count tables\","
+	print "  \"metric_note\": \"blocks_per_sec is profiled blocks analyzed per second by core.Analyze on an in-memory finagle-http trace; bytes_per_op includes the kept block array and the MIN oracle state\","
 	print "  \"benchmarks\": {"
 	for (i = 1; i <= n; i++) {
 		name = order[i]
