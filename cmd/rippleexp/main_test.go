@@ -19,18 +19,16 @@ var update = flag.Bool("update", false, "rewrite golden files")
 var small = []string{"-apps", "kafka,drupal", "-blocks", "20000", "-warmup", "6000", "-j", "1", "-q"}
 
 // goldenCases are the invocations the golden pins, in file order: the
-// experiment list, three experiments (fig9 tunes every Ripple cell with
-// a warmup), the four argument errors, and an unknown experiment. The
-// cache-bogus, cachedir-and-store and oracle-bogus cases pin that
-// -cache, -store and -oracle are unknown flags.
+// experiment list, every table at small scale (-run all), the four
+// argument errors, and an unknown experiment. The cache-bogus,
+// cachedir-and-store and oracle-bogus cases pin that -cache, -store and
+// -oracle are unknown flags.
 var goldenCases = []struct {
 	name string
 	args []string
 }{
 	{"list", []string{"-list"}},
-	{"fig6", append([]string{"-run", "fig6"}, small...)},
-	{"fig9", append([]string{"-run", "fig9"}, small...)},
-	{"lbr", append([]string{"-run", "lbr"}, small...)},
+	{"all", append([]string{"-run", "all"}, small...)},
 	{"no-run", []string{"-q"}},
 	{"cache-bogus", []string{"-run", "fig6", "-cache", "bogus"}},
 	{"cachedir-and-store", []string{"-run", "fig6", "-cachedir", "x", "-store", "http://127.0.0.1:1"}},

@@ -1,7 +1,10 @@
 // Command rippleinject is the link-time rewriting stage as a standalone
 // tool: it applies an injection plan (from rippleanalyze) to a program
-// image (from ripplegen) and writes the rewritten, re-laid-out image —
-// what a production deployment would feed to its post-link optimizer.
+// image (from ripplegen) and writes the rewritten image — what a
+// production deployment would feed to its post-link optimizer. The
+// invalidate instructions go where rippleanalyze tuned them: into
+// existing alignment padding and NOP slots, so no code byte moves and a
+// trace recorded on the original image decodes against the rewritten one.
 //
 // Usage:
 //
@@ -41,7 +44,7 @@ func run(progPath, planPath, out string) error {
 		return err
 	}
 
-	injected := plan.Apply(prog)
+	injected := plan.ApplyPreservingLayout(prog)
 	of, err := os.Create(out)
 	if err != nil {
 		return err

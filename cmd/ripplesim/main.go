@@ -1,7 +1,9 @@
 // Command ripplesim drives a recorded trace through the simulated frontend
 // under a chosen prefetcher and replacement policy, optionally with a
 // Ripple injection plan applied, and reports the paper's metrics: IPC,
-// MPKI, coverage, accuracy, and instruction overheads.
+// MPKI, coverage, accuracy, and instruction overheads. A plan is placed
+// the way rippleanalyze tuned it: into existing alignment padding and NOP
+// slots, so no code byte moves.
 //
 // Comma-separated -policy/-prefetcher values sweep the cross product: the
 // configurations simulate in parallel across -j workers and print one
@@ -121,14 +123,11 @@ func simulate(o options) error {
 		return err
 	}
 	w := o.Stdout
+	plan := &core.Plan{} // without -plan: no injections
 	if o.PlanPath != "" {
-		plan, err := cliflag.LoadPlan(o.PlanPath, prog)
-		if err != nil {
+		if plan, err = cliflag.LoadPlan(o.PlanPath, prog); err != nil {
 			return err
 		}
-		prog = plan.Apply(prog)
-		fmt.Fprintf(w, "applied plan: %d invalidate instructions in %d cue blocks\n",
-			plan.StaticInstructions(), len(plan.Injections))
 	}
 
 	pol, err := replacement.New(o.Policy)
@@ -149,6 +148,7 @@ func simulate(o options) error {
 		Hints:           hints,
 		MeasureAccuracy: o.Accuracy,
 		WarmupBlocks:    o.Warmup,
+		Injections:      plan.Injections,
 	})
 	if err != nil {
 		return err
@@ -156,7 +156,7 @@ func simulate(o options) error {
 
 	var ideal *uint64
 	if o.Ideal {
-		misses, err := idealOf(prog, tr, o.Policy, o.Prefetcher, hints, o.Warmup)
+		misses, err := idealOf(prog, tr, o.Policy, o.Prefetcher, hints, o.Warmup, plan.Injections)
 		if err != nil {
 			return err
 		}
@@ -165,6 +165,10 @@ func simulate(o options) error {
 
 	if o.JSON {
 		return emitJSON(w, res, coverageOf(reporter), ideal)
+	}
+	if o.PlanPath != "" {
+		fmt.Fprintf(w, "applied plan: %d invalidate instructions in %d cue blocks\n",
+			plan.StaticInstructions(), len(plan.Injections))
 	}
 	fmt.Fprintf(w, "%s: %s prefetcher, %s replacement\n", res.Program, res.Prefetcher, res.Policy)
 	printCoverage(w, reporter)
@@ -206,12 +210,11 @@ func sweep(o options, policies, prefetchers []string) error {
 		return err
 	}
 	planHash := "none"
+	plan := &core.Plan{} // without -plan: no injections
 	if o.PlanPath != "" {
-		plan, err := cliflag.LoadPlan(o.PlanPath, prog)
-		if err != nil {
+		if plan, err = cliflag.LoadPlan(o.PlanPath, prog); err != nil {
 			return err
 		}
-		prog = plan.Apply(prog)
 		if h, err := cliflag.FileDigest(o.PlanPath); err == nil {
 			planHash = h
 		}
@@ -243,6 +246,12 @@ func sweep(o options, policies, prefetchers []string) error {
 		// the measured instructions; entries stored before the fix must
 		// not be served. Without a warmup the value never changed.
 		base += "|bmpki=steady"
+	}
+	if o.PlanPath != "" {
+		// Plans used to be simulated by full relayout, not in the padding
+		// placement rippleanalyze tunes; entries stored then must not be
+		// served.
+		base += "|place=padding"
 	}
 
 	var store *runner.Store
@@ -279,6 +288,7 @@ func sweep(o options, policies, prefetchers []string) error {
 					Hints:           hints,
 					MeasureAccuracy: o.Accuracy,
 					WarmupBlocks:    o.Warmup,
+					Injections:      plan.Injections,
 				})
 				if err != nil {
 					return nil, err
@@ -321,13 +331,13 @@ func sweep(o options, policies, prefetchers []string) error {
 }
 
 // idealOf replays the exact access stream the simulation produced — same
-// policy, prefetcher, hints, and warmup — through the Demand-MIN oracle
+// policy, prefetcher, plan, hints, and warmup — through the Demand-MIN oracle
 // and returns its miss count (prefetches included in the stream): the
 // lower bound any replacement policy for the same prefetcher is compared
 // against. The trace is re-decoded per oracle pass; nothing is
 // materialized.
 func idealOf(prog *program.Program, tr blockseq.Source, policy, prefetcher string,
-	hints frontend.HintMode, warmup int) (uint64, error) {
+	hints frontend.HintMode, warmup int, injections map[program.BlockID][]uint64) (uint64, error) {
 	params := frontend.DefaultParams()
 	newOpts := func() (frontend.Options, error) {
 		pol, err := replacement.New(policy)
@@ -338,7 +348,7 @@ func idealOf(prog *program.Program, tr blockseq.Source, policy, prefetcher strin
 		if err != nil {
 			return frontend.Options{}, err
 		}
-		return frontend.Options{Policy: pol, Prefetcher: pf, Hints: hints, WarmupBlocks: warmup}, nil
+		return frontend.Options{Policy: pol, Prefetcher: pf, Hints: hints, WarmupBlocks: warmup, Injections: injections}, nil
 	}
 	r, err := opt.SimulateSource(frontend.AccessEvents(params, prog, tr, newOpts), params.L1I, opt.ModeDemandMIN, false)
 	if err != nil {

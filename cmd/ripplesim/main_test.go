@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"ripple/internal/cliflag"
 	"ripple/internal/core"
 	"ripple/internal/fault"
+	"ripple/internal/frontend"
 	"ripple/internal/program"
 	"ripple/internal/trace"
 	"ripple/internal/workload"
@@ -175,5 +177,63 @@ func TestPlanForAnotherProgramFails(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("%s: run returned %v, want an error containing %q", name, err, want)
 		}
+	}
+}
+
+// TestPlanSimulatesAsTuned: -plan simulates a plan in the placement
+// rippleanalyze tunes it in (core.RunPlan's padding placement), in
+// single-configuration and sweep mode, and -json prints one parseable
+// document; only the text report names the applied plan.
+func TestPlanSimulatesAsTuned(t *testing.T) {
+	progPath, ptPath, _ := fixture(t)
+	tr := cliflag.Trace{ProgPath: progPath, PTPath: ptPath}
+	prog, src, _, err := tr.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := core.Analyze(prog, src, core.DefaultAnalysisConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := a.PlanAt(0.5)
+	if len(plan.Injections) == 0 {
+		t.Fatal("fixture yields an empty plan")
+	}
+	planPath := filepath.Join(t.TempDir(), "app.plan")
+	f, err := os.Create(planPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.RunPlan(prog, src, core.TuneConfig{
+		Params: frontend.DefaultParams(), Policy: "lru", Prefetcher: "fdip",
+	}, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	single := options{Trace: tr, PlanPath: planPath, Policy: "lru", Prefetcher: "fdip", JSON: true, Limit: -1}
+	var one struct{ Cycles uint64 }
+	if err := json.Unmarshal(runOutput(t, single), &one); err != nil {
+		t.Fatalf("single -plan -json: %v", err)
+	}
+	sweep := single
+	sweep.Policy = "lru,srrip"
+	var many []struct{ Cycles uint64 }
+	if err := json.Unmarshal(runOutput(t, sweep), &many); err != nil {
+		t.Fatalf("sweep -plan -json: %v", err)
+	}
+	if one.Cycles != want.Cycles || many[0].Cycles != want.Cycles {
+		t.Fatalf("-plan simulated %d cycles (sweep %d), core.RunPlan %d", one.Cycles, many[0].Cycles, want.Cycles)
+	}
+
+	single.JSON = false
+	if out := runOutput(t, single); !bytes.HasPrefix(out, []byte("applied plan: ")) {
+		t.Fatalf("text report does not name the plan:\n%s", out)
 	}
 }

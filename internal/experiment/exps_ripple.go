@@ -214,48 +214,45 @@ func (s *Suite) Fig12() (*Table, error) {
 	return t, nil
 }
 
-// fig13Cell computes one application's cross-input row: the input-#0
+// fig13Row computes one application's cross-input row: the input-#0
 // plan's mean speedup on inputs #1-#3 vs. input-specific retuning.
-func (s *Suite) fig13Cell(app string) runner.Job {
-	cost := float64(s.cfg.TraceBlocks) * float64(3*(len(s.cfg.Thresholds)+4))
-	return s.cell("fig13", app, cost, func() ([]float64, error) {
-		st, err := s.state(app)
+func (s *Suite) fig13Row(app string) ([]float64, error) {
+	st, err := s.state(app)
+	if err != nil {
+		return nil, err
+	}
+	ev, err := s.rippleFor(app, "fdip", "lru")
+	if err != nil {
+		return nil, err
+	}
+	tcfg := s.tuneCfg("fdip", "lru", frontend.HintInvalidate)
+	var genSum, specSum float64
+	for input := 1; input <= 3; input++ {
+		tr := s.source(st, input)
+		base, err := core.RunPlan(st.app.Prog, tr, tcfg, nil)
 		if err != nil {
 			return nil, err
 		}
-		ev, err := s.rippleFor(app, "fdip", "lru")
+		gen, err := core.RunPlan(st.app.Prog, tr, tcfg, ev.BestPlan)
 		if err != nil {
 			return nil, err
 		}
-		tcfg := s.tuneCfg("fdip", "lru", frontend.HintInvalidate)
-		var genSum, specSum float64
-		for input := 1; input <= 3; input++ {
-			tr := s.source(st, input)
-			base, err := core.RunPlan(st.app.Prog, tr, tcfg, nil)
-			if err != nil {
-				return nil, err
-			}
-			gen, err := core.RunPlan(st.app.Prog, tr, tcfg, ev.BestPlan)
-			if err != nil {
-				return nil, err
-			}
-			genSum += speedupPct(base.Cycles, gen.Cycles)
+		genSum += speedupPct(base.Cycles, gen.Cycles)
 
-			acfg := core.DefaultAnalysisConfig()
-			acfg.L1I = s.cfg.Params.L1I
-			a, err := core.Analyze(st.app.Prog, tr, acfg)
-			if err != nil {
-				return nil, err
-			}
-			tune, err := core.TuneParallel(a, tr, tcfg, s.tuneOpts(app, input))
-			if err != nil {
-				return nil, err
-			}
-			specSum += tune.BestPoint().SpeedupPct
+		acfg := core.DefaultAnalysisConfig()
+		acfg.L1I = s.cfg.Params.L1I
+		a, err := core.Analyze(st.app.Prog, tr, acfg)
+		if err != nil {
+			return nil, err
 		}
-		s.logf("[%s] fig13 done", app)
-		return []float64{genSum / 3, specSum / 3}, nil
-	})
+		tune, err := core.TuneParallel(a, tr, tcfg, s.tuneOpts(app, input))
+		if err != nil {
+			return nil, err
+		}
+		specSum += tune.BestPoint().SpeedupPct
+	}
+	s.logf("[%s] fig13 done", app)
+	return []float64{genSum / 3, specSum / 3}, nil
 }
 
 // Fig13 reproduces Figure 13: cross-input generalization under FDIP+LRU.
@@ -263,24 +260,11 @@ func (s *Suite) fig13Cell(app string) runner.Job {
 // inputs #1-#3, against plans tuned on each input's own profile. Paper:
 // input-specific profiles give 17% more IPC gain.
 func (s *Suite) Fig13() (*Table, error) {
-	var jobs []runner.Job
-	for _, app := range s.cfg.Apps {
-		jobs = append(jobs, s.fig13Cell(app))
-	}
-	if err := s.warm(jobs...); err != nil {
-		return nil, err
-	}
 	t := NewTable("fig13", "Cross-input speedup under FDIP+LRU (%, mean over inputs #1-#3)",
 		"application", "profile#0%", "input-specific%").WithMean()
-	for _, app := range s.cfg.Apps {
-		row, err := s.cellRow(s.fig13Cell(app))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRowF(app, "%.2f", row...)
-	}
 	t.Note = "paper: input-specific profiles give 17% more IPC gain"
-	return t, nil
+	cost := float64(s.cfg.TraceBlocks) * float64(3*(len(s.cfg.Thresholds)+4))
+	return s.cellTable(t, cost, appCells(s.cfg.Apps, s.fig13Row))
 }
 
 // Fig6 reproduces Figure 6: the coverage/accuracy trade-off across the
@@ -365,32 +349,29 @@ func (s *Suite) Fig5() (*Table, error) {
 	return t, nil
 }
 
-// demoteCell evaluates one application's invalidate-vs-demote pair.
-func (s *Suite) demoteCell(app string) runner.Job {
-	cost := float64(s.cfg.TraceBlocks) * float64(len(s.cfg.Thresholds)+5)
-	return s.cell("demote", app, cost, func() ([]float64, error) {
-		st, err := s.state(app)
-		if err != nil {
-			return nil, err
-		}
-		base, err := s.run(app, "fdip", "lru", false)
-		if err != nil {
-			return nil, err
-		}
-		ev, err := s.rippleFor(app, "fdip", "lru")
-		if err != nil {
-			return nil, err
-		}
-		dcfg := s.tuneCfg("fdip", "lru", frontend.HintDemote)
-		dem, err := core.RunPlan(st.app.Prog, s.source(st, 0), dcfg, ev.BestPlan)
-		if err != nil {
-			return nil, err
-		}
-		return []float64{
-			speedupPct(base.Cycles, ev.Best.Cycles),
-			speedupPct(base.Cycles, dem.Cycles),
-		}, nil
-	})
+// demoteRow evaluates one application's invalidate-vs-demote pair.
+func (s *Suite) demoteRow(app string) ([]float64, error) {
+	st, err := s.state(app)
+	if err != nil {
+		return nil, err
+	}
+	base, err := s.run(app, "fdip", "lru", false)
+	if err != nil {
+		return nil, err
+	}
+	ev, err := s.rippleFor(app, "fdip", "lru")
+	if err != nil {
+		return nil, err
+	}
+	dcfg := s.tuneCfg("fdip", "lru", frontend.HintDemote)
+	dem, err := core.RunPlan(st.app.Prog, s.source(st, 0), dcfg, ev.BestPlan)
+	if err != nil {
+		return nil, err
+	}
+	return []float64{
+		speedupPct(base.Cycles, ev.Best.Cycles),
+		speedupPct(base.Cycles, dem.Cycles),
+	}, nil
 }
 
 // Demote reproduces the Sec. IV "invalidation vs. reducing LRU priority"
@@ -398,74 +379,45 @@ func (s *Suite) demoteCell(app string) runner.Job {
 // of invalidations, under FDIP. Paper: demotion nudges the mean speedup
 // from 1.6% to 1.7% (all apps but verilator benefit).
 func (s *Suite) Demote() (*Table, error) {
-	var jobs []runner.Job
-	for _, app := range s.cfg.Apps {
-		jobs = append(jobs, s.demoteCell(app))
-	}
-	if err := s.warm(jobs...); err != nil {
-		return nil, err
-	}
 	t := NewTable("demote", "Ripple-LRU with invalidate vs. demote hints, FDIP (% speedup over LRU)",
 		"application", "invalidate%", "demote%").WithMean()
-	for _, app := range s.cfg.Apps {
-		row, err := s.cellRow(s.demoteCell(app))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRowF(app, "%.2f", row...)
-	}
 	t.Note = "paper: demote variant slightly ahead on average (1.6% -> 1.7%)"
-	return t, nil
+	cost := float64(s.cfg.TraceBlocks) * float64(len(s.cfg.Thresholds)+5)
+	return s.cellTable(t, cost, appCells(s.cfg.Apps, s.demoteRow))
 }
 
-// granularityCell evaluates one application's line-vs-block pair.
-func (s *Suite) granularityCell(app string) runner.Job {
-	cost := float64(s.cfg.TraceBlocks) * float64(len(s.cfg.Thresholds)+5)
-	return s.cell("granularity", app, cost, func() ([]float64, error) {
-		st, err := s.state(app)
-		if err != nil {
-			return nil, err
-		}
-		base, err := s.run(app, "fdip", "lru", false)
-		if err != nil {
-			return nil, err
-		}
-		ev, err := s.rippleFor(app, "fdip", "lru")
-		if err != nil {
-			return nil, err
-		}
-		tcfg := s.tuneCfg("fdip", "lru", frontend.HintInvalidate)
-		wide := ev.BestPlan.ExpandVictimsToBlocks(st.app.Prog)
-		wr, err := core.RunPlan(st.app.Prog, s.source(st, 0), tcfg, wide)
-		if err != nil {
-			return nil, err
-		}
-		return []float64{
-			speedupPct(base.Cycles, ev.Best.Cycles),
-			speedupPct(base.Cycles, wr.Cycles),
-		}, nil
-	})
+// granularityRow evaluates one application's line-vs-block pair.
+func (s *Suite) granularityRow(app string) ([]float64, error) {
+	st, err := s.state(app)
+	if err != nil {
+		return nil, err
+	}
+	base, err := s.run(app, "fdip", "lru", false)
+	if err != nil {
+		return nil, err
+	}
+	ev, err := s.rippleFor(app, "fdip", "lru")
+	if err != nil {
+		return nil, err
+	}
+	tcfg := s.tuneCfg("fdip", "lru", frontend.HintInvalidate)
+	wide := ev.BestPlan.ExpandVictimsToBlocks(st.app.Prog)
+	wr, err := core.RunPlan(st.app.Prog, s.source(st, 0), tcfg, wide)
+	if err != nil {
+		return nil, err
+	}
+	return []float64{
+		speedupPct(base.Cycles, ev.Best.Cycles),
+		speedupPct(base.Cycles, wr.Cycles),
+	}, nil
 }
 
 // Granularity reproduces the Sec. III-C invalidation-granularity ablation:
 // the tuned plan's line-granularity victims vs. the same victims widened
 // to whole basic blocks, under FDIP+LRU.
 func (s *Suite) Granularity() (*Table, error) {
-	var jobs []runner.Job
-	for _, app := range s.cfg.Apps {
-		jobs = append(jobs, s.granularityCell(app))
-	}
-	if err := s.warm(jobs...); err != nil {
-		return nil, err
-	}
 	t := NewTable("granularity", "Victim granularity: cache line vs. whole block, FDIP+LRU (% speedup over LRU)",
 		"application", "line%", "block%").WithMean()
-	for _, app := range s.cfg.Apps {
-		row, err := s.cellRow(s.granularityCell(app))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRowF(app, "%.2f", row...)
-	}
-	return t, nil
+	cost := float64(s.cfg.TraceBlocks) * float64(len(s.cfg.Thresholds)+5)
+	return s.cellTable(t, cost, appCells(s.cfg.Apps, s.granularityRow))
 }

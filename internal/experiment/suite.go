@@ -95,6 +95,9 @@ type Suite struct {
 	ctx  context.Context
 	base string // signature prefix shared by every job of this config
 
+	// ext is the extension experiments' application list (see extApps).
+	ext []string
+
 	mu   sync.Mutex
 	apps map[string]*appState
 }
@@ -119,6 +122,10 @@ type appState struct {
 
 // New builds a suite. Invalid app names surface on first use.
 func New(cfg Config) *Suite {
+	ext := cfg.Apps
+	if len(ext) == 0 {
+		ext = extApps
+	}
 	cfg = cfg.normalize()
 	// An unusable store degrades the suite to running without one.
 	var store *runner.Store
@@ -134,6 +141,7 @@ func New(cfg Config) *Suite {
 		pool: pool,
 		log:  pool.LogWriter(),
 		ctx:  context.Background(),
+		ext:  ext,
 		apps: make(map[string]*appState),
 	}
 	s.base = fmt.Sprintf("rexp1|wl=%s|params=%+v|blocks=%d|warmup=%d",
@@ -176,8 +184,9 @@ func (s *Suite) cellSig(exp, key string) string {
 	return fmt.Sprintf("%s|cell|th=%s|exp=%s|key=%s", s.base, s.thSig(), exp, key)
 }
 
-// warm fans a batch of jobs out across the worker pool before table
-// assembly; assembly then reads every cell from the in-process cache.
+// warm fans a batch of jobs out across the worker pool before a table
+// reads their results one by one; each read is then served from the
+// in-process cache.
 func (s *Suite) warm(jobs ...runner.Job) error {
 	_, err := s.pool.RunAll(s.ctx, jobs)
 	return err
@@ -515,29 +524,62 @@ func (s *Suite) rippleFor(name, prefetcher, policy string) (*rippleEval, error) 
 	return v.(*rippleEval), nil
 }
 
-// cell wraps one experiment's per-application tail computation as a
-// persistable job returning a numeric row. Cells may freely call
-// s.run/s.rippleFor/s.oracle — nested job requests coalesce through the
-// pool and compute inline on the calling worker, so they cannot
-// deadlock.
-func (s *Suite) cell(exp, key string, cost float64, f func() ([]float64, error)) runner.Job {
-	return runner.NewJob(s.cellSig(exp, key), exp+" "+key, cost,
-		func(context.Context) (*[]float64, error) {
-			row, err := f()
-			if err != nil {
-				return nil, err
-			}
-			return &row, nil
-		})
+// cell is one row of a cell experiment: its key, unique within the
+// experiment, and the computation of its values.
+type cell struct {
+	key string
+	row func() ([]float64, error)
 }
 
-// cellRow executes (or fetches) a cell and returns its row.
-func (s *Suite) cellRow(j runner.Job) ([]float64, error) {
-	v, err := s.pool.Do(s.ctx, j)
+// appCells makes one cell per application, keyed by its name.
+func appCells(apps []string, row func(app string) ([]float64, error)) []cell {
+	cells := make([]cell, len(apps))
+	for i, app := range apps {
+		cells[i] = cell{app, func() ([]float64, error) { return row(app) }}
+	}
+	return cells
+}
+
+// cellRows runs one experiment's cells as one batch of persistable jobs
+// and returns their rows in cell order. A row may freely call
+// s.run/s.rippleFor/s.oracle: nested job requests coalesce through the
+// pool and compute inline on the calling worker, so they cannot
+// deadlock.
+func (s *Suite) cellRows(exp string, cost float64, cells []cell) ([][]float64, error) {
+	jobs := make([]runner.Job, len(cells))
+	for i, c := range cells {
+		jobs[i] = runner.NewJob(s.cellSig(exp, c.key), exp+" "+c.key, cost,
+			func(context.Context) (*[]float64, error) {
+				row, err := c.row()
+				if err != nil {
+					return nil, err
+				}
+				return &row, nil
+			})
+	}
+	vals, err := s.pool.RunAll(s.ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
-	return *(v.(*[]float64)), nil
+	rows := make([][]float64, len(vals))
+	for i, v := range vals {
+		rows[i] = *(v.(*[]float64))
+	}
+	return rows, nil
+}
+
+// cellTable fills t with its cells' rows, one per cell, labeled by the
+// cell's key and printed with two decimals. The cells are keyed under
+// the table's ID.
+func (s *Suite) cellTable(t *Table, cost float64, cells []cell) (*Table, error) {
+	rows, err := s.cellRows(t.ID, cost, cells)
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range cells {
+		t.AddRowF(c.key, "%.2f", rows[i]...)
+	}
+	return t, nil
 }
 
 // --- warm-up job enumeration ------------------------------------------

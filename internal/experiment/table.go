@@ -6,7 +6,6 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -192,73 +191,6 @@ func (t *Table) Render(w io.Writer) {
 		line(sep)
 		line(cells)
 	}
-}
-
-// tableJSON mirrors Table for persistence in the result store (the row
-// fields are unexported to keep the mutation API narrow). Values are
-// encoded as hex floats so NaN/Inf survive and every float round-trips
-// bit-exactly: a table served from the cache renders byte-identically to
-// a freshly computed one.
-type tableJSON struct {
-	ID        string
-	Title     string
-	Note      string
-	RowHeader string
-	Cols      []string
-	MeanCols  []bool
-	Rows      []tableRowJSON
-}
-
-type tableRowJSON struct {
-	Label string
-	Cells []string
-	Vals  []string
-	IsNum []bool
-}
-
-// MarshalJSON implements json.Marshaler.
-func (t *Table) MarshalJSON() ([]byte, error) {
-	out := tableJSON{
-		ID: t.ID, Title: t.Title, Note: t.Note,
-		RowHeader: t.RowHeader, Cols: t.Cols, MeanCols: t.meanCols,
-	}
-	for _, r := range t.rows {
-		vals := make([]string, len(r.vals))
-		for i, v := range r.vals {
-			vals[i] = strconv.FormatFloat(v, 'x', -1, 64)
-		}
-		out.Rows = append(out.Rows, tableRowJSON{
-			Label: r.label, Cells: r.cells, Vals: vals, IsNum: r.isNum,
-		})
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (t *Table) UnmarshalJSON(data []byte) error {
-	var in tableJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	*t = Table{
-		ID: in.ID, Title: in.Title, Note: in.Note,
-		RowHeader: in.RowHeader, Cols: in.Cols, meanCols: in.MeanCols,
-	}
-	for _, r := range in.Rows {
-		vals := make([]float64, len(r.Vals))
-		for i, s := range r.Vals {
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return fmt.Errorf("experiment: decode table value %q: %w", s, err)
-			}
-			vals[i] = v
-		}
-		if len(r.Cells) != len(vals) || len(r.IsNum) != len(vals) {
-			return fmt.Errorf("experiment: decode table row %q: ragged lengths", r.Label)
-		}
-		t.rows = append(t.rows, tableRow{label: r.Label, cells: r.Cells, vals: vals, isNum: r.IsNum})
-	}
-	return nil
 }
 
 func (t *Table) anyMean() bool {
