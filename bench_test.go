@@ -13,6 +13,7 @@ import (
 
 	"ripple"
 	"ripple/internal/experiment"
+	"ripple/internal/prefetch"
 )
 
 var (
@@ -210,6 +211,44 @@ func BenchmarkAnalyze(b *testing.B) {
 			b.ReportMetric(float64(len(trace)*b.N)/b.Elapsed().Seconds(), "blocks/s")
 		})
 	}
+}
+
+// BenchmarkTune measures the threshold sweep rippleanalyze runs after the
+// analysis: ripple.TuneParallel over a 100k-block kafka trace held in
+// memory, LRU+FDIP, the default thresholds, one worker. blocks/s is
+// trace blocks tuned per second (one sweep is the baseline plus ten
+// plans, all replaying one FDIP tape); tape_B/block is that tape's size
+// per trace block.
+func BenchmarkTune(b *testing.B) {
+	app, err := ripple.BuildWorkload(ripple.MustWorkload("kafka"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	trace := app.Trace(0, 100_000)
+	tr := ripple.SliceSource(trace)
+	a, err := ripple.Analyze(app.Prog, tr, ripple.DefaultAnalysisConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := ripple.TuneConfig{Params: ripple.DefaultParams(), Policy: "lru", Prefetcher: "fdip"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ripple.TuneParallel(a, tr, cfg, ripple.ParallelOptions{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(trace)*b.N)/b.Elapsed().Seconds(), "blocks/s")
+	b.StopTimer()
+	pf, err := prefetch.New("fdip", app.Prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tape, err := prefetch.RecordTape(pf.(*prefetch.FDIP), tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(tape.Bytes())/float64(len(trace)), "tape_B/block")
 }
 
 // --- streaming vs materialized allocation benchmarks ---

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"ripple/internal/blockseq"
@@ -266,6 +267,14 @@ func sweep(o options, policies, prefetchers []string) error {
 	if o.Demote {
 		hints = frontend.HintDemote
 	}
+	// The FDIP runs replay one tape, recorded by the first of them that
+	// simulates, when there are enough of them for the pool's Workers+1
+	// concurrent jobs to pay for the recording.
+	fdipRuns := 0
+	if slices.Contains(prefetchers, "fdip") {
+		fdipRuns = len(policies)
+	}
+	pfs := prefetch.NewBatch(prog, tr, fdipRuns, pool.Workers()+1)
 	job := func(pol, pf string) runner.Job {
 		sig := fmt.Sprintf("%s|pol=%s|pf=%s", base, pol, pf)
 		cost := 1.0
@@ -278,7 +287,7 @@ func sweep(o options, policies, prefetchers []string) error {
 				if err != nil {
 					return nil, err
 				}
-				pre, err := prefetch.New(pf, prog)
+				pre, err := pfs.New(pf, prog)
 				if err != nil {
 					return nil, err
 				}

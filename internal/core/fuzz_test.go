@@ -2,9 +2,14 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
+	"ripple/internal/blockseq"
+	"ripple/internal/frontend"
 	"ripple/internal/program"
+	"ripple/internal/replacement"
+	"ripple/internal/workload"
 )
 
 // FuzzLoadPlan feeds arbitrary bytes to the plan loader (rippleinject's
@@ -51,6 +56,53 @@ func FuzzLoadPlan(f *testing.F) {
 		}
 		if len(again.Injections) != len(plan.Injections) {
 			t.Fatalf("round trip kept %d of %d cue blocks", len(again.Injections), len(plan.Injections))
+		}
+	})
+}
+
+// FuzzFDIPTape: a run that replays its batch's FDIP tape returns the
+// live FDIP run's Result field for field, over fuzzed walk seeds, trace
+// lengths (the empty trace included), warmups, policies, hint modes,
+// layouts and plan thresholds.
+func FuzzFDIPTape(f *testing.F) {
+	m, _ := workload.ByName("kafka")
+	app, err := workload.Build(m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint64(0), uint16(3000), uint16(1000), uint8(0), false, false, uint8(55))
+	f.Add(uint64(7), uint16(1), uint16(0), uint8(6), true, true, uint8(5))
+	f.Add(uint64(42), uint16(5000), uint16(5000), uint8(3), false, true, uint8(95))
+	f.Fuzz(func(t *testing.T, seed uint64, blocks, warmup uint16, policy uint8, demote, shift bool, threshold uint8) {
+		walk := *app
+		walk.Model.Seed ^= seed
+		src := blockseq.SliceSource(walk.Trace(0, int(blocks)%6000))
+		var plan *Plan
+		if len(src) > 0 {
+			a, err := Analyze(app.Prog, src, DefaultAnalysisConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan = a.PlanAt(float64(threshold%101) / 100)
+		}
+		names := replacement.Names()
+		cfg := TuneConfig{
+			Params: frontend.DefaultParams(), Policy: names[int(policy)%len(names)], Prefetcher: "fdip",
+			WarmupBlocks: int(warmup), ShiftLayout: shift,
+		}
+		if demote {
+			cfg.Hints = frontend.HintDemote
+		}
+		live, err := RunPlan(app.Prog, src, cfg, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed, err := runPlan(app.Prog, src, cfg, plan, tapeBatch(t, app.Prog, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(live, replayed) {
+			t.Fatalf("replay differs from live FDIP\nlive:   %+v\nreplay: %+v", live, replayed)
 		}
 	})
 }

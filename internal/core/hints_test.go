@@ -18,7 +18,7 @@ func runInjected(prog *program.Program, src blockseq.Source, cfg TuneConfig, pla
 		return frontend.Result{}, err
 	}
 	target := plan.ApplyPreservingLayout(prog)
-	pf, err := cfg.newPrefetcher(target)
+	pf, err := cfg.newPrefetcher(target, nil)
 	if err != nil {
 		return frontend.Result{}, err
 	}

@@ -75,11 +75,13 @@ func (c *TuneConfig) newPolicy() (cache.Policy, error) {
 	return replacement.New(c.Policy)
 }
 
-func (c *TuneConfig) newPrefetcher(prog *program.Program) (prefetch.Prefetcher, error) {
+// newPrefetcher builds the prefetcher of one run on prog: from pfs, the
+// prefetchers of the run's batch, or live when pfs is nil.
+func (c *TuneConfig) newPrefetcher(prog *program.Program, pfs *prefetch.Batch) (prefetch.Prefetcher, error) {
 	if c.Prefetcher == "" {
 		return prefetch.None{}, nil
 	}
-	return prefetch.New(c.Prefetcher, prog)
+	return pfs.New(c.Prefetcher, prog)
 }
 
 // Tune sweeps the invalidation threshold: each candidate plan is applied
@@ -145,19 +147,27 @@ func TuneParallel(a *Analysis, src blockseq.Source, cfg TuneConfig, opts Paralle
 		plans[i] = a.PlanAt(th)
 	}
 
+	// The sweep's FDIP runs replay one tape, recorded by the first run that
+	// simulates and dropped when the sweep returns, unless they are too
+	// few for the runs that go at once to pay for the recording.
+	slots := 1
+	if opts.Pool != nil {
+		slots = opts.Pool.Workers() + 1 // a batch runs Workers+1 jobs at once
+	}
+	pfs := prefetch.NewBatch(a.Prog, src, len(plans)+1, slots)
 	var baseline frontend.Result
 	results := make([]frontend.Result, len(thresholds))
 	if opts.Pool == nil {
 		var err error
-		if baseline, err = RunPlan(a.Prog, src, cfg, nil); err != nil {
+		if baseline, err = runPlan(a.Prog, src, cfg, nil, pfs); err != nil {
 			return nil, err
 		}
 		for i, plan := range plans {
-			if results[i], err = RunPlan(a.Prog, src, cfg, plan); err != nil {
+			if results[i], err = runPlan(a.Prog, src, cfg, plan, pfs); err != nil {
 				return nil, err
 			}
 		}
-	} else if err := runSweepJobs(a, src, cfg, opts, thresholds, plans, &baseline, results); err != nil {
+	} else if err := runSweepJobs(a, src, cfg, opts, pfs, thresholds, plans, &baseline, results); err != nil {
 		return nil, err
 	}
 	return assembleTune(a, thresholds, plans, baseline, results), nil
@@ -165,7 +175,7 @@ func TuneParallel(a *Analysis, src blockseq.Source, cfg TuneConfig, opts Paralle
 
 // runSweepJobs fans the sweep out across the pool and collects every
 // result back into sweep order.
-func runSweepJobs(a *Analysis, src blockseq.Source, cfg TuneConfig, opts ParallelOptions,
+func runSweepJobs(a *Analysis, src blockseq.Source, cfg TuneConfig, opts ParallelOptions, pfs *prefetch.Batch,
 	thresholds []float64, plans []*Plan, baseline *frontend.Result, results []frontend.Result) error {
 	srcID := opts.SourceID
 	skipStore := false
@@ -188,7 +198,7 @@ func runSweepJobs(a *Analysis, src blockseq.Source, cfg TuneConfig, opts Paralle
 
 	job := func(sig, label string, plan *Plan) runner.Job {
 		j := runner.NewJob(sig, label, cost, func(context.Context) (*frontend.Result, error) {
-			res, err := RunPlan(a.Prog, src, cfg, plan)
+			res, err := runPlan(a.Prog, src, cfg, plan, pfs)
 			if err != nil {
 				return nil, err
 			}
@@ -285,6 +295,11 @@ func assembleTune(a *Analysis, thresholds []float64, plans []*Plan, baseline fro
 // block outside prog is an error. Set cfg.ShiftLayout to evaluate the
 // naive relayout instead (the `layout` ablation), which rewrites a copy.
 func RunPlan(prog *program.Program, src blockseq.Source, cfg TuneConfig, plan *Plan) (frontend.Result, error) {
+	return runPlan(prog, src, cfg, plan, nil)
+}
+
+// runPlan is RunPlan with its prefetcher from pfs (nil: a live one).
+func runPlan(prog *program.Program, src blockseq.Source, cfg TuneConfig, plan *Plan, pfs *prefetch.Batch) (frontend.Result, error) {
 	pol, err := cfg.newPolicy()
 	if err != nil {
 		return frontend.Result{}, err
@@ -298,7 +313,7 @@ func RunPlan(prog *program.Program, src blockseq.Source, cfg TuneConfig, plan *P
 			hints = plan.Injections
 		}
 	}
-	pf, err := cfg.newPrefetcher(target)
+	pf, err := cfg.newPrefetcher(target, pfs)
 	if err != nil {
 		return frontend.Result{}, err
 	}

@@ -444,29 +444,49 @@ func TestRunRejectsBadGeometry(t *testing.T) {
 }
 
 // TestBranchMPKIExcludesWarmup: with a warmup of W blocks, the reported
-// branch MPKI counts exactly the mispredictions after the warmup. The
-// predictor's retire hook for block W-1 sees block W, so the warmup's
-// share is what a run over the first W+1 blocks mispredicts.
+// branch MPKI counts exactly the mispredictions after the warmup, for a
+// live FDIP and for a replay of its tape. The predictor's retire hook for
+// block W-1 sees block W, so the warmup's share is what a run over the
+// first W+1 blocks mispredicts.
 func TestBranchMPKIExcludesWarmup(t *testing.T) {
 	app := catalogApps(t)["kafka"]
 	tr := blockseq.SliceSource(app.Trace(0, 20_000))
-	mispredictsOver := func(src blockseq.Source) uint64 {
-		pf := prefetch.NewFDIP(app.Prog, bpred.DefaultConfig(), 32)
-		if _, err := Run(DefaultParams(), app.Prog, src, Options{Prefetcher: pf}); err != nil {
-			t.Fatal(err)
-		}
-		return mispredicts(pf)
+	engines := map[string]func(blockseq.Source) (prefetch.Prefetcher, error){
+		"live": func(blockseq.Source) (prefetch.Prefetcher, error) {
+			return prefetch.NewFDIP(app.Prog, bpred.DefaultConfig(), 32), nil
+		},
+		"replay": func(src blockseq.Source) (prefetch.Prefetcher, error) {
+			pfs := prefetch.NewBatch(app.Prog, src, 100, 1) // enough serial FDIP runs to record a tape
+			if pfs == nil {
+				t.Fatal("100 serial FDIP runs record no tape")
+			}
+			return pfs.New("fdip", app.Prog)
+		},
 	}
-	total := mispredictsOver(tr)
-	for _, w := range []int{1, 5_000, 15_000} {
-		pf := prefetch.NewFDIP(app.Prog, bpred.DefaultConfig(), 32)
-		res, err := Run(DefaultParams(), app.Prog, tr, Options{Prefetcher: pf, WarmupBlocks: w})
-		if err != nil {
-			t.Fatal(err)
+	for name, newPF := range engines {
+		run := func(src blockseq.Source, warmup int) (Result, uint64) {
+			pf, err := newPF(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(DefaultParams(), app.Prog, src, Options{Prefetcher: pf, WarmupBlocks: warmup})
+			if err != nil {
+				t.Fatal(err)
+			}
+			missed, err := pf.(predicting).Mispredicts()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, missed
 		}
-		steady := total - mispredictsOver(blockseq.Limit(tr, w+1))
-		if want := float64(steady) / float64(res.Instrs) * 1000; res.BranchMPKI != want {
-			t.Errorf("warmup %d: branch MPKI %v, want %v (%d steady-state mispredictions)", w, res.BranchMPKI, want, steady)
+		_, total := run(tr, 0)
+		for _, w := range []int{1, 5_000, 15_000} {
+			res, _ := run(tr, w)
+			_, warm := run(blockseq.Limit(tr, w+1), 0)
+			steady := total - warm
+			if want := float64(steady) / float64(res.Instrs) * 1000; res.BranchMPKI != want {
+				t.Errorf("%s, warmup %d: branch MPKI %v, want %v (%d steady-state mispredictions)", name, w, res.BranchMPKI, want, steady)
+			}
 		}
 	}
 }

@@ -154,6 +154,17 @@ func Speedup(baseline, r Result) float64 {
 	return (float64(baseline.Cycles)/float64(r.Cycles) - 1) * 100
 }
 
+// predicting is implemented by prefetchers driven by a branch predictor
+// (FDIP, live or replayed from a tape); a run's BranchMPKI comes from it.
+type predicting interface {
+	// Mispredicts returns the control-flow mispredictions over the blocks
+	// retired so far. A tape replay also fails here when those blocks are
+	// not the stream its tape was recorded over; it cannot tell a short
+	// stream from one still running, so the error is final only once the
+	// last block has retired.
+	Mispredicts() (uint64, error)
+}
+
 // sim bundles one run's mutable state.
 type sim struct {
 	p    Params
@@ -253,17 +264,16 @@ func Run(p Params, prog *program.Program, src blockseq.Source, opts Options) (Re
 	res.Cycles = uint64(s.cycleF)
 	res.L1I = s.l1i.Stats
 	res.subtract(s.warmSnap)
-	if f, ok := opts.Prefetcher.(*prefetch.FDIP); ok && res.Instrs > 0 {
-		res.BranchMPKI = float64(mispredicts(f)-s.warmMispredicts) / float64(res.Instrs) * 1000
+	if bp, ok := opts.Prefetcher.(predicting); ok {
+		missed, err := bp.Mispredicts()
+		if err != nil {
+			return Result{}, fmt.Errorf("frontend: %w", err)
+		}
+		if res.Instrs > 0 {
+			res.BranchMPKI = float64(missed-s.warmMispredicts) / float64(res.Instrs) * 1000
+		}
 	}
 	return res, nil
-}
-
-// mispredicts returns the FDIP branch predictor's control-flow
-// mispredictions so far.
-func mispredicts(f *prefetch.FDIP) uint64 {
-	pr := f.Predictor()
-	return pr.CondMispredicts + pr.IndMispredicts + pr.RetMispredicts
 }
 
 func (s *sim) run(src blockseq.Source) error {
@@ -330,8 +340,9 @@ func (s *sim) snapshotWarm() {
 	snap.Cycles = uint64(s.cycleF)
 	snap.L1I = s.l1i.Stats
 	s.warmSnap = &snap
-	if f, ok := s.opts.Prefetcher.(*prefetch.FDIP); ok {
-		s.warmMispredicts = mispredicts(f)
+	if bp, ok := s.opts.Prefetcher.(predicting); ok {
+		// A replay's error is final only at the end of the run.
+		s.warmMispredicts, _ = bp.Mispredicts()
 	}
 	if s.opts.onWarmupEnd != nil {
 		s.opts.onWarmupEnd()

@@ -10,6 +10,9 @@
 // misprediction before the squash) are deliberately left in the cache —
 // they are precisely the pollution the paper's ideal replacement policy
 // cleans up early (Sec. II-C, Observation #1).
+//
+// A batch of runs over one trace needs FDIP's predictions only once:
+// Batch records them as a Tape and gives every FDIP run a replay of it.
 package prefetch
 
 import (
@@ -126,8 +129,12 @@ func NewFDIP(prog *program.Program, cfg bpred.Config, depth int) *FDIP {
 // Name implements Prefetcher.
 func (p *FDIP) Name() string { return "fdip" }
 
-// Predictor exposes the underlying branch predictor (for reporting).
-func (p *FDIP) Predictor() *bpred.Predictor { return p.pred }
+// Mispredicts returns the branch predictor's control-flow mispredictions
+// so far; a live engine never fails.
+func (p *FDIP) Mispredicts() (uint64, error) {
+	pr := p.pred
+	return pr.CondMispredicts + pr.IndMispredicts + pr.RetMispredicts, nil
+}
 
 // OnBlockRetire implements Prefetcher.
 func (p *FDIP) OnBlockRetire(bid, next program.BlockID, issue IssueFunc) {

@@ -41,12 +41,21 @@ func (p *Program) Save(w io.Writer) error {
 // fingerprints are structurally identical and simulate identically, so
 // content-addressed job signatures use it to key results by what the
 // program is rather than what it is called.
+//
+// The first call computes it and later ones return the memo, until Layout
+// runs again; concurrent callers are safe. A program changed without a
+// new Layout keeps its old fingerprint.
 func (p *Program) Fingerprint() (string, error) {
+	if fp := p.fingerprint.Load(); fp != nil {
+		return *fp, nil
+	}
 	h := sha256.New()
 	if err := p.Save(h); err != nil {
 		return "", err
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	fp := hex.EncodeToString(h.Sum(nil))
+	p.fingerprint.Store(&fp)
+	return fp, nil
 }
 
 // Load reads a program image written by Save, validates it, and rebuilds

@@ -3,6 +3,7 @@ package program
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"ripple/internal/isa"
 )
@@ -26,6 +27,8 @@ type Program struct {
 	laidOut     bool
 	byAddr      []BlockID          // block IDs sorted by Addr, built by Layout
 	entryByAddr map[uint64]BlockID // block entry address -> ID, for TIP decode
+	// fingerprint memoizes Fingerprint until the next Layout.
+	fingerprint atomic.Pointer[string]
 }
 
 // Block returns the block with the given ID. It panics on an out-of-range
@@ -74,6 +77,7 @@ func (p *Program) Layout(base uint64) {
 	}
 	p.buildIndexes()
 	p.laidOut = true
+	p.fingerprint.Store(nil)
 }
 
 func (p *Program) buildIndexes() {

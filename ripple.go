@@ -199,7 +199,8 @@ func Analyze(prog *Program, src BlockSource, cfg AnalysisConfig) (*Analysis, err
 
 // Tune sweeps the invalidation threshold and returns the best plan for the
 // configured policy and prefetcher (one simulation pass per candidate
-// threshold).
+// threshold; under FDIP, one more pass records the prefetches every run
+// of the sweep replays).
 func Tune(a *Analysis, src BlockSource, cfg TuneConfig) (*TuneResult, error) {
 	return core.Tune(a, src, cfg)
 }
