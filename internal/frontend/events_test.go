@@ -3,6 +3,7 @@ package frontend
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ripple/internal/blockseq"
@@ -11,20 +12,15 @@ import (
 	"ripple/internal/workload"
 )
 
-// drainEvents pulls one full pass out of an event source, failing the
+// drainEvents collects one full pass of an event source, failing the
 // test on a stream error.
 func drainEvents(t *testing.T, src opt.EventSource) []opt.Event {
 	t.Helper()
-	seq := src.Open()
 	var out []opt.Event
-	for {
-		e, ok := seq.Next()
-		if !ok {
-			break
-		}
+	if err := src.Events(func(e opt.Event) bool {
 		out = append(out, e)
-	}
-	if err := seq.Err(); err != nil {
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -36,7 +32,11 @@ func opaque(src blockseq.Source) blockseq.Source {
 	return blockseq.Func(func() blockseq.Seq { return src.Open() })
 }
 
-func TestDemandEventsMatchesDemandLines(t *testing.T) {
+// TestDemandEventsMatchesSimulator: DemandEvents yields, line for line,
+// the demand stream the simulator itself fetches (a run with no
+// prefetcher and no warmup, observed through AccessEvents), on every pass
+// and with or without a block-count hint.
+func TestDemandEventsMatchesSimulator(t *testing.T) {
 	app, err := workload.Build(workload.Model{
 		Name: "ev-demand", Seed: 7,
 		Funcs: 30, ServiceFuncs: 3, UtilityFuncs: 3, Levels: 3,
@@ -50,29 +50,25 @@ func TestDemandEventsMatchesDemandLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := blockseq.SliceSource(app.Trace(0, 4000))
-	lines, _, err := DemandLines(app.Prog, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := drainEvents(t, AccessEvents(DefaultParams(), app.Prog, tr, func() (Options, error) {
+		return Options{Policy: replacement.NewLRU()}, nil
+	}))
 	for _, src := range []blockseq.Source{tr, opaque(tr)} {
 		es := DemandEvents(app.Prog, src)
 		for pass := 0; pass < 2; pass++ {
 			got := drainEvents(t, es)
-			if len(got) != len(lines) {
-				t.Fatalf("pass %d: %d events, DemandLines has %d", pass, len(got), len(lines))
+			if len(got) != len(want) {
+				t.Fatalf("pass %d: %d events, the simulator fetched %d", pass, len(got), len(want))
 			}
 			for i, e := range got {
-				if e.Prefetch {
-					t.Fatalf("demand source yielded a prefetch event at %d", i)
-				}
-				if e.Line != lines[i] {
-					t.Fatalf("pass %d: event %d line %#x, want %#x", pass, i, e.Line, lines[i])
+				if e != want[i] {
+					t.Fatalf("pass %d: event %d = %+v, the simulator fetched %+v", pass, i, e, want[i])
 				}
 			}
 		}
 	}
-	if n, ok := opt.LenHint(DemandEvents(app.Prog, tr)); !ok || n < len(lines) {
-		t.Fatalf("LenHint = %d,%v; want a capacity >= %d", n, ok, len(lines))
+	if n, ok := opt.LenHint(DemandEvents(app.Prog, tr)); !ok || n < len(want) {
+		t.Fatalf("LenHint = %d,%v; want a capacity >= %d", n, ok, len(want))
 	}
 	if _, ok := opt.LenHint(DemandEvents(app.Prog, opaque(tr))); ok {
 		t.Fatal("opaque source leaked a LenHint")
@@ -145,26 +141,39 @@ func TestAccessEventsFeedsOracle(t *testing.T) {
 	}
 }
 
-func TestAccessEventsStop(t *testing.T) {
+// TestAccessEventsStopsEarly: a pass whose yield returns false ends
+// after that one call, cleanly and on the caller's goroutine, and leaves
+// later passes whole.
+func TestAccessEventsStopsEarly(t *testing.T) {
 	p := smallParams()
 	prog := loopProgram(t)
 	tr := trace(0, 1, 2, 3, 4, 0, 1, 2, 3, 4)
-	es := AccessEvents(p, prog, tr, func() (Options, error) {
-		return Options{Policy: replacement.NewLRU()}, nil
-	})
-	seq := es.Open()
-	if _, ok := seq.Next(); !ok {
-		t.Fatal("empty stream")
+	newOpts := func() (Options, error) {
+		return Options{Policy: replacement.NewLRU(), Prefetcher: prefetchNLP(prog)}, nil
 	}
-	st, ok := seq.(opt.EventStopper)
-	if !ok {
-		t.Fatal("access sequence does not implement opt.EventStopper")
+	opts, _ := newOpts()
+	res, err := Run(p, prog, tr, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st.Stop()
-	st.Stop() // idempotent
-	// An abandoned pass must not wedge later ones.
-	if n := len(drainEvents(t, es)); n == 0 {
-		t.Fatal("fresh pass after Stop yielded nothing")
+	es := AccessEvents(p, prog, tr, newOpts)
+	goroutines := runtime.NumGoroutine()
+	calls := 0
+	if err := es.Events(func(opt.Event) bool {
+		calls++
+		return false
+	}); err != nil {
+		t.Fatalf("stopped pass returned %v", err)
+	}
+	if calls != 1 {
+		t.Fatalf("yield called %d times after returning false on the first event", calls)
+	}
+	if n := runtime.NumGoroutine(); n != goroutines {
+		t.Fatalf("goroutines: %d before the pass, %d after", goroutines, n)
+	}
+	if n := uint64(len(drainEvents(t, es))); n != res.L1I.DemandAccesses+res.L1I.PrefetchProbes {
+		t.Fatalf("fresh pass after an early stop yielded %d events, the run counted %d",
+			n, res.L1I.DemandAccesses+res.L1I.PrefetchProbes)
 	}
 }
 
@@ -175,12 +184,16 @@ func TestAccessEventsPropagatesOptionsError(t *testing.T) {
 	es := AccessEvents(p, prog, trace(0, 1), func() (Options, error) {
 		return Options{}, boom
 	})
-	seq := es.Open()
-	if _, ok := seq.Next(); ok {
+	calls := 0
+	err := es.Events(func(opt.Event) bool {
+		calls++
+		return true
+	})
+	if calls != 0 {
 		t.Fatal("event yielded despite options error")
 	}
-	if err := seq.Err(); !errors.Is(err, boom) {
-		t.Fatalf("Err = %v, want %v", err, boom)
+	if !errors.Is(err, boom) {
+		t.Fatalf("Events = %v, want %v", err, boom)
 	}
 }
 
@@ -191,13 +204,7 @@ func TestAccessEventsPropagatesRunError(t *testing.T) {
 	es := AccessEvents(p, prog, trace(0, 1), func() (Options, error) {
 		return Options{Policy: replacement.NewLRU()}, nil
 	})
-	seq := es.Open()
-	for {
-		if _, ok := seq.Next(); !ok {
-			break
-		}
-	}
-	if seq.Err() == nil {
-		t.Fatal("bad geometry did not surface through Err")
+	if err := es.Events(func(opt.Event) bool { return true }); err == nil {
+		t.Fatal("bad geometry did not surface through Events")
 	}
 }

@@ -38,20 +38,35 @@ func DemandLinesSeq(prog *program.Program, seq blockseq.Seq, blocksHint int) (li
 	}
 	lines = make([]uint64, 0, capHint)
 	blockOf = make([]int32, 0, capHint)
-	var buf [16]uint64
+	err = demandWalk(prog, seq, func(l uint64, ti int32) bool {
+		lines = append(lines, l)
+		blockOf = append(blockOf, ti)
+		return true
+	})
+	return lines, blockOf, err
+}
+
+// demandWalk runs one pass of seq and calls visit with every demand line
+// in fetch order and the stream index of the block that fetched it,
+// until the pass ends or visit returns false. It is the expansion rule
+// of DemandLines and DemandEvents; sim.run keeps its own inline copy on
+// the hot path, and the tests hold the two equal.
+func demandWalk(prog *program.Program, seq blockseq.Seq, visit func(line uint64, block int32) bool) error {
 	last := ^uint64(0)
 	for ti := int32(0); ; ti++ {
 		bid, ok := seq.Next()
 		if !ok {
-			return lines, blockOf, seq.Err()
+			return seq.Err()
 		}
-		for _, l := range prog.Block(bid).Lines(buf[:0]) {
+		first, end := prog.Block(bid).LineRange()
+		for l := first; l < end; l++ {
 			if l == last {
 				continue
 			}
 			last = l
-			lines = append(lines, l)
-			blockOf = append(blockOf, ti)
+			if !visit(l, ti) {
+				return nil
+			}
 		}
 	}
 }

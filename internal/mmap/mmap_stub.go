@@ -6,6 +6,3 @@ import "os"
 
 // Map reports ErrUnsupported on platforms without mmap.
 func Map(f *os.File, size int64) ([]byte, error) { return nil, ErrUnsupported }
-
-// Unmap is a no-op on platforms without mmap.
-func Unmap(b []byte) error { return nil }

@@ -29,12 +29,3 @@ func Map(f *os.File, size int64) ([]byte, error) {
 	}
 	return b, nil
 }
-
-// Unmap releases a mapping returned by Map. Empty mappings are a no-op.
-// The caller must guarantee no reader still holds a subslice.
-func Unmap(b []byte) error {
-	if len(b) == 0 {
-		return nil
-	}
-	return syscall.Munmap(b)
-}

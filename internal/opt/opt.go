@@ -175,40 +175,30 @@ func replayOracle(src EventSource, cfg cache.Config, mode Mode, logEvictions boo
 	var clock uint64
 	n := len(idx.nextAny)
 
-	seq := src.Open()
 	i := 0
-	for {
-		ev, ok := seq.Next()
-		if !ok {
-			break
-		}
-		if i >= n {
-			stopSeq(seq)
-			return Result{}, ErrNotReplayable
+	err := src.Events(func(ev Event) bool {
+		if i == n {
+			i++ // more events than pass one indexed: i != n below
+			return false
 		}
 		if !ev.Prefetch {
 			res.DemandAccesses++
 		}
 		s := sets[ev.Line&setMask]
-		hit := false
 		for w := range s {
 			if s[w].line == ev.Line {
-				hit = true
 				clock++
 				s[w].last = int32(i)
 				s[w].stamp = clock
 				if !ev.Prefetch {
 					s[w].dead = false
 				}
-				break
+				if onAccess != nil {
+					onAccess(ev, int32(i), false)
+				}
+				i++
+				return true
 			}
-		}
-		if hit {
-			if onAccess != nil {
-				onAccess(ev, int32(i), false)
-			}
-			i++
-			continue
 		}
 		if onAccess != nil {
 			onAccess(ev, int32(i), true)
@@ -223,7 +213,7 @@ func replayOracle(src EventSource, cfg cache.Config, mode Mode, logEvictions boo
 		if len(s) < cfg.Ways {
 			sets[ev.Line&setMask] = append(s, ne)
 			i++
-			continue
+			return true
 		}
 		w := victim(s, mode, idx.nextAny, idx.nextDemand)
 		res.Evictions++
@@ -239,8 +229,9 @@ func replayOracle(src EventSource, cfg cache.Config, mode Mode, logEvictions boo
 		}
 		s[w] = ne
 		i++
-	}
-	if err := seq.Err(); err != nil {
+		return true
+	})
+	if err != nil {
 		return Result{}, err
 	}
 	if i != n {
@@ -332,16 +323,12 @@ func buildNextIndexesSource(src EventSource) (nextIndex, error) {
 	demand := make([]bool, 0, capHint)
 	lastAny := make(map[uint64]int32, 1<<14)
 
-	seq := src.Open()
-	n := 0
-	for {
-		ev, ok := seq.Next()
-		if !ok {
-			break
-		}
+	tooLong := false
+	err := src.Events(func(ev Event) bool {
+		n := len(nextAny)
 		if n >= maxStreamEvents {
-			stopSeq(seq)
-			return nextIndex{}, ErrStreamTooLong
+			tooLong = true
+			return false
 		}
 		if j, ok := lastAny[ev.Line]; ok {
 			nextAny[j] = int32(n)
@@ -349,12 +336,16 @@ func buildNextIndexesSource(src EventSource) (nextIndex, error) {
 		lastAny[ev.Line] = int32(n)
 		nextAny = append(nextAny, never)
 		demand = append(demand, !ev.Prefetch)
-		n++
-	}
-	if err := seq.Err(); err != nil {
+		return true
+	})
+	if err != nil {
 		return nextIndex{}, err
 	}
+	if tooLong {
+		return nextIndex{}, ErrStreamTooLong
+	}
 
+	n := len(nextAny)
 	nextDemand := make([]int32, n)
 	for i := n - 1; i >= 0; i-- {
 		j := nextAny[i]

@@ -248,23 +248,72 @@ func TestStreamTooLong(t *testing.T) {
 	}
 }
 
-// growingSource yields one extra event on every Open — a contract
-// violation the engine must detect rather than mis-align on.
-type growingSource struct {
-	ev    []Event
-	opens int
+// changingSource yields first on its first pass and later on every pass
+// after it — a contract violation when the two differ in length, which
+// the engine must detect rather than mis-align on.
+type changingSource struct {
+	first, later []Event
+	passes       int
 }
 
-func (g *growingSource) Open() EventSeq {
-	g.opens++
-	extra := make([]Event, g.opens-1)
-	return &sliceSeq{ev: append(append([]Event{}, g.ev...), extra...)}
+func (c *changingSource) Events(yield func(Event) bool) error {
+	ev := c.later
+	if c.passes == 0 {
+		ev = c.first
+	}
+	c.passes++
+	return SliceEvents(ev).Events(yield)
 }
 
 func TestNonReplayableSourceDetected(t *testing.T) {
-	src := &growingSource{ev: demand(0, 2, 4, 0, 2)}
-	if _, err := SimulateSource(src, cfg1set, ModeMIN, false); !errors.Is(err, ErrNotReplayable) {
-		t.Fatalf("err = %v, want ErrNotReplayable", err)
+	ev := demand(0, 2, 4, 0, 2)
+	for name, later := range map[string][]Event{
+		"longer":  demand(0, 2, 4, 0, 2, 6),
+		"shorter": ev[:len(ev)-1],
+	} {
+		src := &changingSource{first: ev, later: later}
+		if _, err := SimulateSource(src, cfg1set, ModeMIN, false); !errors.Is(err, ErrNotReplayable) {
+			t.Fatalf("%s: err = %v, want ErrNotReplayable", name, err)
+		}
+	}
+}
+
+var errSourceFailed = errors.New("source failed")
+
+// failingSource fails its pass number failPass (1-based) after yielding
+// its first after events; every other pass yields all of ev.
+type failingSource struct {
+	ev              []Event
+	failPass, after int
+	passes          int
+}
+
+func (f *failingSource) Events(yield func(Event) bool) error {
+	f.passes++
+	if f.passes != f.failPass {
+		return SliceEvents(f.ev).Events(yield)
+	}
+	SliceEvents(f.ev[:f.after]).Events(yield)
+	return errSourceFailed
+}
+
+// TestSourceErrorsPropagate: a pass that fails, in the indexing pass or
+// the replay, fails every engine entry point with the source's error.
+func TestSourceErrorsPropagate(t *testing.T) {
+	ev := demand(0, 2, 4, 0, 2, 6, 4, 0)
+	for _, failPass := range []int{1, 2} {
+		for _, after := range []int{0, 3, len(ev)} {
+			src := func() *failingSource { return &failingSource{ev: ev, failPass: failPass, after: after} }
+			if _, err := SimulateSource(src(), cfg1set, ModeDemandMIN, true); !errors.Is(err, errSourceFailed) {
+				t.Errorf("pass %d after %d: SimulateSource err = %v", failPass, after, err)
+			}
+			if _, err := SimulateSourceModes(src(), cfg1set, []Mode{ModeMIN, ModeDemandMIN}, false); !errors.Is(err, errSourceFailed) {
+				t.Errorf("pass %d after %d: SimulateSourceModes err = %v", failPass, after, err)
+			}
+			if _, err := BuildOracleSource(src(), cfg1set); !errors.Is(err, errSourceFailed) {
+				t.Errorf("pass %d after %d: BuildOracleSource err = %v", failPass, after, err)
+			}
+		}
 	}
 }
 
@@ -329,7 +378,7 @@ func TestDemandMINReplayBoundedByExhaustive(t *testing.T) {
 }
 
 // TestSliceAndLineSources: the adapters honour the source contract,
-// including exact length hints and replayability.
+// including exact length hints, replayability and early stop.
 func TestSliceAndLineSources(t *testing.T) {
 	ev := demand(1, 2, 3)
 	if n, ok := SliceEvents(ev).LenHint(); !ok || n != 3 {
@@ -340,23 +389,23 @@ func TestSliceAndLineSources(t *testing.T) {
 		t.Fatalf("LineEvents hint %d/%v", n, ok)
 	}
 	for pass := 0; pass < 2; pass++ {
-		seq := lines.Open()
 		var got []uint64
-		for {
-			e, ok := seq.Next()
-			if !ok {
-				break
-			}
+		if err := lines.Events(func(e Event) bool {
 			if e.Prefetch {
 				t.Fatal("LineEvents must be demand-only")
 			}
 			got = append(got, e.Line)
-		}
-		if seq.Err() != nil {
-			t.Fatal(seq.Err())
+			return true
+		}); err != nil {
+			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, []uint64{5, 6}) {
 			t.Fatalf("pass %d: %v", pass, got)
 		}
+	}
+	calls := 0
+	stop := func(Event) bool { calls++; return false }
+	if SliceEvents(ev).Events(stop) != nil || lines.Events(stop) != nil || calls != 2 {
+		t.Fatalf("a pass whose yield returns false went on: %d calls over two sources", calls)
 	}
 }

@@ -3,20 +3,15 @@ package opt
 import "errors"
 
 // EventSource is a replayable stream of access events — the oracle-layer
-// mirror of blockseq.Source. Every Open starts an independent pass that
-// yields the identical event sequence; the streaming engines rely on that
-// to run their two passes (next-use indexing, then the policy replay)
-// without ever materializing the stream.
+// mirror of blockseq.Source. Every call of Events runs one independent
+// pass on the caller's goroutine, handing each event to yield in order,
+// and every pass yields the identical event sequence; the streaming
+// engines rely on that to run their two passes (next-use indexing, then
+// the policy replay) without ever materializing the stream. A pass stops
+// early when yield returns false. Events returns what ended the pass: nil
+// after a clean end or an early stop, else the error that cut it short.
 type EventSource interface {
-	Open() EventSeq
-}
-
-// EventSeq is one pass over an event stream. Next returns the next event
-// until the stream ends; Err reports what terminated the pass (nil after
-// a clean end) and must be checked once Next returns !ok.
-type EventSeq interface {
-	Next() (Event, bool)
-	Err() error
+	Events(yield func(Event) bool) error
 }
 
 // LenHinter is optionally implemented by sources that know (or can
@@ -27,21 +22,7 @@ type LenHinter interface {
 	LenHint() (int, bool)
 }
 
-// EventStopper is optionally implemented by passes that hold resources —
-// a producing goroutine, a decoder. Consumers that abandon a pass before
-// draining it must call Stop; fully drained passes need no Stop.
-type EventStopper interface {
-	Stop()
-}
-
-// stopSeq releases an abandoned pass if it supports early termination.
-func stopSeq(seq EventSeq) {
-	if s, ok := seq.(EventStopper); ok {
-		s.Stop()
-	}
-}
-
-// lenHint reads a source's event-count hint if it offers one.
+// LenHint reads a source's event-count hint if it offers one.
 func LenHint(src EventSource) (int, bool) {
 	if h, ok := src.(LenHinter); ok {
 		return h.LenHint()
@@ -65,51 +46,33 @@ var maxStreamEvents = int(1<<31 - 1)
 // the slice-in APIs (Simulate, BuildOracle) are thin wrappers over it.
 type SliceEvents []Event
 
-// Open implements EventSource.
-func (s SliceEvents) Open() EventSeq { return &sliceSeq{ev: s} }
+// Events implements EventSource.
+func (s SliceEvents) Events(yield func(Event) bool) error {
+	for _, e := range s {
+		if !yield(e) {
+			break
+		}
+	}
+	return nil
+}
 
 // LenHint implements LenHinter exactly.
 func (s SliceEvents) LenHint() (int, bool) { return len(s), true }
-
-type sliceSeq struct {
-	ev []Event
-	i  int
-}
-
-func (q *sliceSeq) Next() (Event, bool) {
-	if q.i >= len(q.ev) {
-		return Event{}, false
-	}
-	e := q.ev[q.i]
-	q.i++
-	return e, true
-}
-
-func (q *sliceSeq) Err() error { return nil }
 
 // LineEvents adapts a demand line stream ([]uint64, as produced by
 // frontend.DemandLines) to the source contract without copying it into
 // []Event — every event is a demand access to the line at its position.
 type LineEvents []uint64
 
-// Open implements EventSource.
-func (s LineEvents) Open() EventSeq { return &lineSeq{lines: s} }
+// Events implements EventSource.
+func (s LineEvents) Events(yield func(Event) bool) error {
+	for _, l := range s {
+		if !yield(Event{Line: l}) {
+			break
+		}
+	}
+	return nil
+}
 
 // LenHint implements LenHinter exactly.
 func (s LineEvents) LenHint() (int, bool) { return len(s), true }
-
-type lineSeq struct {
-	lines []uint64
-	i     int
-}
-
-func (q *lineSeq) Next() (Event, bool) {
-	if q.i >= len(q.lines) {
-		return Event{}, false
-	}
-	e := Event{Line: q.lines[q.i]}
-	q.i++
-	return e, true
-}
-
-func (q *lineSeq) Err() error { return nil }

@@ -56,7 +56,10 @@ type (
 	// every Open replays the identical sequence. All trace-consuming entry
 	// points accept one.
 	BlockSource = blockseq.Source
-	// BlockSeq is one pull-based pass over a BlockSource.
+	// BlockSeq is one pull-based pass over a BlockSource: Next returns
+	// the next block until the pass ends, then Err reports what ended it.
+	// It is what BlockSource.Open returns, so code outside this package
+	// implements a BlockSource through it.
 	BlockSeq = blockseq.Seq
 	// SliceSource adapts a materialized []BlockID to a BlockSource.
 	SliceSource = blockseq.SliceSource
@@ -102,11 +105,6 @@ type (
 
 	// TraceStats reports a PT encode's density.
 	TraceStats = trace.Stats
-	// DecodeReport accounts a recovery-mode decode: declared vs decoded
-	// blocks and the damaged stream regions skipped at sync points.
-	DecodeReport = trace.DecodeReport
-	// DamageRegion is one skipped span of a damaged trace stream.
-	DamageRegion = trace.DamageRegion
 	// SourceCoverage aggregates the decode reports of an analysis's
 	// recovering sources (Analysis.Coverage).
 	SourceCoverage = core.SourceCoverage
@@ -114,9 +112,13 @@ type (
 	// AccessEvent is one cache-line access (demand or prefetch) of a
 	// simulated run; AccessEventSource streams them.
 	AccessEvent = opt.Event
-	// EventSource is a replayable iterator factory over access events —
-	// the oracle engine's streaming input (see SliceEventSource,
-	// AccessEventSource).
+	// EventSource is a replayable stream of access events, the oracle
+	// engine's streaming input (see AccessEventSource and
+	// IdealMissesSource). Its one method, Events(yield func(AccessEvent)
+	// bool) error, runs one pass on the caller's goroutine, handing each
+	// event to yield until the stream ends or yield returns false, and
+	// returns what ended the pass. Every pass must yield the identical
+	// sequence: the engine reads the stream twice.
 	EventSource = opt.EventSource
 
 	// LBRConfig parameterizes LBR-style profile sampling.
@@ -305,14 +307,6 @@ func DecodeTrace(r io.Reader, prog *Program) ([]BlockID, error) {
 	return trace.Decode(r, prog)
 }
 
-// DecodeTraceRecover decodes a possibly damaged packet stream in
-// recovery mode: on any packet error it scans to the next sync point
-// (EncodeTrace's syncEvery), resumes, and accounts what was lost in the
-// returned DecodeReport.
-func DecodeTraceRecover(r io.Reader, prog *Program) ([]BlockID, DecodeReport, error) {
-	return trace.DecodeRecover(r, prog)
-}
-
 // TraceFileSource wraps an on-disk PT-like trace file as a replayable
 // BlockSource: each pass re-opens and re-decodes the file, so multi-pass
 // consumers such as tuning never materialize the trace.
@@ -327,15 +321,6 @@ func TraceFileSource(path string, prog *Program) BlockSource {
 func RecoverTraceFileSource(path string, prog *Program) BlockSource {
 	return trace.FileSourceOptions(path, prog, trace.FileOptions{Recover: true})
 }
-
-// CollectSource drains one pass of a source into a materialized trace.
-func CollectSource(src BlockSource) ([]BlockID, error) {
-	return blockseq.Collect(src)
-}
-
-// SliceEventSource adapts a materialized access stream to a replayable
-// EventSource.
-func SliceEventSource(stream []AccessEvent) EventSource { return opt.SliceEvents(stream) }
 
 // AccessEventSource exposes a configured simulation's full demand+
 // prefetch access stream as a replayable EventSource: each pass re-runs
