@@ -31,11 +31,14 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"ripple/internal/cliflag"
 	"ripple/internal/core"
 	"ripple/internal/frontend"
+	"ripple/internal/prefetch"
 	"ripple/internal/program"
+	"ripple/internal/replacement"
 	"ripple/internal/runner"
 )
 
@@ -44,8 +47,8 @@ func main() {
 	o.Trace.Register(flag.CommandLine, "program image from ripplegen (required)")
 	flag.StringVar(&o.Out, "out", "", "output plan path (required)")
 	flag.Float64Var(&o.Threshold, "threshold", 0, "invalidation threshold; 0 tunes it by simulation")
-	flag.StringVar(&o.Policy, "policy", "lru", "underlying replacement policy to tune against")
-	flag.StringVar(&o.Prefetcher, "prefetcher", "fdip", "prefetcher to tune against (none, nlp, fdip)")
+	flag.StringVar(&o.Policy, "policy", "lru", "underlying replacement policy to tune against ("+strings.Join(replacement.Names(), ", ")+")")
+	flag.StringVar(&o.Prefetcher, "prefetcher", "fdip", "prefetcher to tune against ("+strings.Join(prefetch.Names(), ", ")+")")
 	flag.IntVar(&o.Warmup, "warmup", 0, "warmup blocks excluded from tuning measurements")
 	flag.IntVar(&o.Workers, "j", 0, "parallel tuning simulations (default GOMAXPROCS)")
 	flag.StringVar(&o.CacheDir, "cachedir", "", "directory for the persistent result store (default: no persistence)")

@@ -28,7 +28,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -97,6 +96,23 @@ type options struct {
 	Stdout, Stderr io.Writer
 }
 
+// config is the configuration of one run of o under policy and
+// prefetcher.
+func (o options) config(policy, prefetcher string) core.TuneConfig {
+	hints := frontend.HintInvalidate
+	if o.Demote {
+		hints = frontend.HintDemote
+	}
+	return core.TuneConfig{
+		Params:          frontend.DefaultParams(),
+		Policy:          policy,
+		Prefetcher:      prefetcher,
+		Hints:           hints,
+		MeasureAccuracy: o.Accuracy,
+		WarmupBlocks:    o.Warmup,
+	}
+}
+
 // run validates the options and simulates one configuration, or sweeps
 // the policy x prefetcher cross product.
 func run(o options) error {
@@ -108,6 +124,11 @@ func run(o options) error {
 	}
 	policies := strings.Split(o.Policy, ",")
 	prefetchers := strings.Split(o.Prefetcher, ",")
+	if slices.Contains(policies, "") || slices.Contains(prefetchers, "") {
+		// An empty name would run the default (LRU, no prefetcher) under
+		// no name at all.
+		return fmt.Errorf("empty name in -policy %q or -prefetcher %q", o.Policy, o.Prefetcher)
+	}
 	if len(policies) > 1 || len(prefetchers) > 1 {
 		if o.Ideal {
 			return fmt.Errorf("-ideal is only available in single-configuration mode, not sweeps")
@@ -124,44 +145,28 @@ func simulate(o options) error {
 		return err
 	}
 	w := o.Stdout
-	plan := &core.Plan{} // without -plan: no injections
+	var plan *core.Plan
 	if o.PlanPath != "" {
 		if plan, err = cliflag.LoadPlan(o.PlanPath, prog); err != nil {
 			return err
 		}
 	}
-
-	pol, err := replacement.New(o.Policy)
-	if err != nil {
-		return err
-	}
-	pf, err := prefetch.New(o.Prefetcher, prog)
-	if err != nil {
-		return err
-	}
-	hints := frontend.HintInvalidate
-	if o.Demote {
-		hints = frontend.HintDemote
-	}
-	res, err := frontend.Run(frontend.DefaultParams(), prog, tr, frontend.Options{
-		Policy:          pol,
-		Prefetcher:      pf,
-		Hints:           hints,
-		MeasureAccuracy: o.Accuracy,
-		WarmupBlocks:    o.Warmup,
-		Injections:      plan.Injections,
-	})
+	cfg := o.config(o.Policy, o.Prefetcher)
+	res, err := core.RunPlan(prog, tr, cfg, plan)
 	if err != nil {
 		return err
 	}
 
+	// -ideal replays the run's exact access stream, re-simulated once per
+	// oracle pass, through the Demand-MIN oracle: the lower bound any
+	// replacement policy under the same prefetcher is compared against.
 	var ideal *uint64
 	if o.Ideal {
-		misses, err := idealOf(prog, tr, o.Policy, o.Prefetcher, hints, o.Warmup, plan.Injections)
+		r, err := opt.SimulateSource(core.AccessEvents(prog, tr, cfg, plan), cfg.Params.L1I, opt.ModeDemandMIN, false)
 		if err != nil {
 			return err
 		}
-		ideal = &misses
+		ideal = &r.DemandMisses
 	}
 
 	if o.JSON {
@@ -211,7 +216,7 @@ func sweep(o options, policies, prefetchers []string) error {
 		return err
 	}
 	planHash := "none"
-	plan := &core.Plan{} // without -plan: no injections
+	var plan *core.Plan
 	if o.PlanPath != "" {
 		if plan, err = cliflag.LoadPlan(o.PlanPath, prog); err != nil {
 			return err
@@ -228,9 +233,8 @@ func sweep(o options, policies, prefetchers []string) error {
 	if err != nil {
 		return err
 	}
-	params := frontend.DefaultParams()
 	base := fmt.Sprintf("rsim1|prog=%s|pt=%s|plan=%s|params=%+v|warmup=%d|acc=%t|demote=%t",
-		progHash, ptHash, planHash, params, o.Warmup, o.Accuracy, o.Demote)
+		progHash, ptHash, planHash, frontend.DefaultParams(), o.Warmup, o.Accuracy, o.Demote)
 	if o.Limit >= 0 {
 		// Appended only when -blocks was passed, so pre-existing store
 		// entries for whole-trace sweeps stay addressable.
@@ -263,55 +267,14 @@ func sweep(o options, policies, prefetchers []string) error {
 		}
 	}
 	pool := runner.New(runner.Options{Workers: o.Workers, Store: store, Log: o.Stderr})
-	hints := frontend.HintInvalidate
-	if o.Demote {
-		hints = frontend.HintDemote
-	}
-	// The FDIP runs replay one tape, recorded by the first of them that
-	// simulates, when there are enough of them for the pool's Workers+1
-	// concurrent jobs to pay for the recording.
-	fdipRuns := 0
-	if slices.Contains(prefetchers, "fdip") {
-		fdipRuns = len(policies)
-	}
-	pfs := prefetch.NewBatch(prog, tr, fdipRuns, pool.Workers()+1)
-	job := func(pol, pf string) runner.Job {
-		sig := fmt.Sprintf("%s|pol=%s|pf=%s", base, pol, pf)
-		cost := 1.0
-		if n, ok := blockseq.LenHint(tr); ok {
-			cost = float64(n)
-		}
-		return runner.NewJob(sig, pol+"/"+pf, cost,
-			func(context.Context) (*frontend.Result, error) {
-				p, err := replacement.New(pol)
-				if err != nil {
-					return nil, err
-				}
-				pre, err := pfs.New(pf, prog)
-				if err != nil {
-					return nil, err
-				}
-				r, err := frontend.Run(params, prog, tr, frontend.Options{
-					Policy:          p,
-					Prefetcher:      pre,
-					Hints:           hints,
-					MeasureAccuracy: o.Accuracy,
-					WarmupBlocks:    o.Warmup,
-					Injections:      plan.Injections,
-				})
-				if err != nil {
-					return nil, err
-				}
-				return &r, nil
-			})
-	}
-	var jobs []runner.Job
+	var runs []core.Run
 	for _, pol := range policies {
 		for _, pf := range prefetchers {
-			jobs = append(jobs, job(pol, pf))
+			runs = append(runs, core.Run{Config: o.config(pol, pf), Plan: plan,
+				Sig: fmt.Sprintf("%s|pol=%s|pf=%s", base, pol, pf), Label: pol + "/" + pf})
 		}
 	}
-	vals, err := pool.RunAll(context.Background(), jobs)
+	results, err := core.RunBatch(prog, tr, runs, core.ParallelOptions{Pool: pool})
 	if err != nil {
 		return err
 	}
@@ -320,16 +283,14 @@ func sweep(o options, policies, prefetchers []string) error {
 		printCoverage(w, reporter)
 	}
 	var out []map[string]interface{}
-	for i, v := range vals {
-		res := *(v.(*frontend.Result))
+	for i, res := range results {
 		if o.JSON {
 			out = append(out, withCoverage(resultJSON(res), coverageOf(reporter)))
 			continue
 		}
-		// jobs, and so vals, run policy-major.
-		pol, pf := policies[i/len(prefetchers)], prefetchers[i%len(prefetchers)]
+		cfg := runs[i].Config
 		fmt.Fprintf(w, "%-10s %-10s IPC %.3f  MPKI %6.2f  cycles %d\n",
-			pol, pf, res.IPC(), res.MPKI(), res.Cycles)
+			cfg.Policy, cfg.Prefetcher, res.IPC(), res.MPKI(), res.Cycles)
 	}
 	if o.JSON {
 		enc := json.NewEncoder(w)
@@ -337,33 +298,6 @@ func sweep(o options, policies, prefetchers []string) error {
 		return enc.Encode(out)
 	}
 	return nil
-}
-
-// idealOf replays the exact access stream the simulation produced — same
-// policy, prefetcher, plan, hints, and warmup — through the Demand-MIN oracle
-// and returns its miss count (prefetches included in the stream): the
-// lower bound any replacement policy for the same prefetcher is compared
-// against. The trace is re-decoded per oracle pass; nothing is
-// materialized.
-func idealOf(prog *program.Program, tr blockseq.Source, policy, prefetcher string,
-	hints frontend.HintMode, warmup int, injections map[program.BlockID][]uint64) (uint64, error) {
-	params := frontend.DefaultParams()
-	newOpts := func() (frontend.Options, error) {
-		pol, err := replacement.New(policy)
-		if err != nil {
-			return frontend.Options{}, err
-		}
-		pf, err := prefetch.New(prefetcher, prog)
-		if err != nil {
-			return frontend.Options{}, err
-		}
-		return frontend.Options{Policy: pol, Prefetcher: pf, Hints: hints, WarmupBlocks: warmup, Injections: injections}, nil
-	}
-	r, err := opt.SimulateSource(frontend.AccessEvents(params, prog, tr, newOpts), params.L1I, opt.ModeDemandMIN, false)
-	if err != nil {
-		return 0, err
-	}
-	return r.DemandMisses, nil
 }
 
 // emitJSON writes the run's metrics as a single JSON object, for scripted

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"ripple/internal/fault"
 	"ripple/internal/frontend"
 	"ripple/internal/program"
+	"ripple/internal/runner"
 	"ripple/internal/trace"
 	"ripple/internal/workload"
 )
@@ -235,5 +237,34 @@ func TestPlanSimulatesAsTuned(t *testing.T) {
 	single.JSON = false
 	if out := runOutput(t, single); !bytes.HasPrefix(out, []byte("applied plan: ")) {
 		t.Fatalf("text report does not name the plan:\n%s", out)
+	}
+}
+
+// TestSweepStoreSignaturePinned: a sweep stores each run under the rsim1
+// key that existing result stores hold, written out here by hand from the
+// input files' SHA-256, so a change to how the sweep builds its runs
+// cannot silently orphan those stores.
+func TestSweepStoreSignaturePinned(t *testing.T) {
+	progPath, ptPath, _ := fixture(t)
+	dir := t.TempDir()
+	runOutput(t, options{
+		Trace:  cliflag.Trace{ProgPath: progPath, PTPath: ptPath},
+		Policy: "lru,srrip", Prefetcher: "none,fdip", Limit: -1, Workers: 2, CacheDir: dir,
+	})
+	sha := func(path string) string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%x", sha256.Sum256(b))
+	}
+	sig := fmt.Sprintf("rsim1|prog=%s|pt=%s|plan=none|params=%+v|warmup=0|acc=false|demote=false|pol=lru|pf=none",
+		sha(progPath), sha(ptPath), frontend.DefaultParams())
+	store, err := runner.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, st := store.Lookup(sig); st != runner.StatusHit {
+		t.Fatalf("no stored result under %s (status %v)", sig, st)
 	}
 }

@@ -32,10 +32,13 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"ripple/internal/cliflag"
+	"ripple/internal/prefetch"
+	"ripple/internal/replacement"
 	"ripple/internal/runner"
 	"ripple/internal/watch"
 )
@@ -53,8 +56,8 @@ func main() {
 	flag.Float64Var(&o.Threshold, "threshold", 0, "invalidation threshold; 0 sweeps per epoch")
 	flag.Float64Var(&o.Hysteresis, "hysteresis", 0, "min predicted-speedup shift (pct points) to displace the published plan (default 0.5)")
 	flag.IntVar(&o.Stable, "stable", 0, "consecutive shifted epochs before publishing (default 2)")
-	flag.StringVar(&o.Policy, "policy", "lru", "underlying replacement policy to tune against")
-	flag.StringVar(&o.Prefetcher, "prefetcher", "fdip", "prefetcher to tune against (none, nlp, fdip)")
+	flag.StringVar(&o.Policy, "policy", "lru", "underlying replacement policy to tune against ("+strings.Join(replacement.Names(), ", ")+")")
+	flag.StringVar(&o.Prefetcher, "prefetcher", "fdip", "prefetcher to tune against ("+strings.Join(prefetch.Names(), ", ")+")")
 	flag.IntVar(&o.Warmup, "warmup", 0, "warmup blocks excluded from tuning measurements")
 	flag.BoolVar(&o.Follow, "follow", true, "keep tailing at end-of-file; -follow=false processes the current snapshot and exits")
 	flag.DurationVar(&o.Poll, "poll", 0, "base poll interval for a quiet file (default 2ms)")

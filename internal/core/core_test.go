@@ -305,7 +305,7 @@ func TestTuneSelectsBestThreshold(t *testing.T) {
 		Prefetcher: "none",
 		Thresholds: []float64{0.1, 0.3, 0.9},
 	}
-	res, err := Tune(a, blockseq.SliceSource(tr), cfg)
+	res, err := TuneParallel(a, blockseq.SliceSource(tr), cfg, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestTuneSelectsBestThreshold(t *testing.T) {
 func TestTuneRejectsEmptyThresholds(t *testing.T) {
 	prog, tr := smallTuneSetup(t)
 	a, _ := Analyze(prog, blockseq.SliceSource(tr), acfg(64))
-	_, err := Tune(a, blockseq.SliceSource(tr), TuneConfig{Thresholds: []float64{}, Params: frontend.DefaultParams()})
+	_, err := TuneParallel(a, blockseq.SliceSource(tr), TuneConfig{Thresholds: []float64{}, Params: frontend.DefaultParams()}, ParallelOptions{})
 	if err == nil {
 		t.Fatal("empty threshold list accepted")
 	}
@@ -337,12 +337,12 @@ func TestOptimizePipeline(t *testing.T) {
 	prog, tr := smallTuneSetup(t)
 	params := frontend.DefaultParams()
 	params.L1I = oneSet
-	out, err := Optimize(prog, blockseq.SliceSource(tr), acfg(64), TuneConfig{
+	out, err := OptimizeParallel(prog, blockseq.SliceSource(tr), acfg(64), TuneConfig{
 		Params:     params,
 		Policy:     "lru",
 		Prefetcher: "none",
 		Thresholds: []float64{0.3, 0.6},
-	})
+	}, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,12 +430,12 @@ func TestTuneFallsBackToEmptyPlan(t *testing.T) {
 	}
 	params := frontend.DefaultParams()
 	params.L1I = oneSet
-	res, err := Tune(a, blockseq.SliceSource(tr), TuneConfig{
+	res, err := TuneParallel(a, blockseq.SliceSource(tr), TuneConfig{
 		Params:     params,
 		Policy:     "lru",
 		Prefetcher: "none",
 		Thresholds: []float64{0.05},
-	})
+	}, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +562,7 @@ func TestTuneConfigDefaults(t *testing.T) {
 	params.L1I = oneSet
 	// Empty policy/prefetcher names default to LRU / no prefetch; nil
 	// thresholds default to the standard sweep.
-	res, err := Tune(a, blockseq.SliceSource(tr), TuneConfig{Params: params})
+	res, err := TuneParallel(a, blockseq.SliceSource(tr), TuneConfig{Params: params}, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

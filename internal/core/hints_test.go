@@ -13,22 +13,7 @@ import (
 // runInjected is RunPlan the way it ran before the frontend's hint
 // table: simulate the program the plan rewrites.
 func runInjected(prog *program.Program, src blockseq.Source, cfg TuneConfig, plan *Plan) (frontend.Result, error) {
-	pol, err := cfg.newPolicy()
-	if err != nil {
-		return frontend.Result{}, err
-	}
-	target := plan.ApplyPreservingLayout(prog)
-	pf, err := cfg.newPrefetcher(target, nil)
-	if err != nil {
-		return frontend.Result{}, err
-	}
-	return frontend.Run(cfg.Params, target, src, frontend.Options{
-		Policy:          pol,
-		Prefetcher:      pf,
-		Hints:           cfg.Hints,
-		MeasureAccuracy: cfg.MeasureAccuracy,
-		WarmupBlocks:    cfg.WarmupBlocks,
-	})
+	return RunPlan(plan.ApplyPreservingLayout(prog), src, cfg, nil)
 }
 
 // handPlan names the trace's most executed kernel block, its most

@@ -23,17 +23,11 @@ type Outcome struct {
 	// DynamicOverheadPct.
 }
 
-// Optimize runs the whole pipeline on a training source: eviction analysis
-// against the configured L1I, threshold tuning under the target policy and
-// prefetcher, and link-time injection of the winning plan.
-func Optimize(prog *program.Program, train blockseq.Source, acfg AnalysisConfig, tcfg TuneConfig) (*Outcome, error) {
-	return OptimizeParallel(prog, train, acfg, tcfg, ParallelOptions{})
-}
-
-// OptimizeParallel is Optimize with the threshold sweep fanned out
-// across a job-runner pool (TuneParallel); the analysis itself stays
-// inline. A zero opts value is the serial pipeline; output is
-// byte-identical either way.
+// OptimizeParallel runs the whole pipeline on a training source: eviction
+// analysis against the configured L1I, threshold tuning under the target
+// policy and prefetcher (TuneParallel, whose runs go to opts.Pool), and
+// link-time injection of the winning plan. The analysis itself stays
+// inline. Output is the same for any opts.
 func OptimizeParallel(prog *program.Program, train blockseq.Source, acfg AnalysisConfig, tcfg TuneConfig, opts ParallelOptions) (*Outcome, error) {
 	// Analyze against the same geometry the target runs.
 	acfg.L1I = tcfg.Params.L1I

@@ -113,8 +113,8 @@ func TestTapeDivergingSourceFails(t *testing.T) {
 }
 
 // TestTuneRecordsOneTape: a cold LRU+FDIP sweep over a file source decodes
-// the trace once per job plus once to record the tape, serially and on a
-// pool that runs 2 jobs at once; a warm rerun from the store decodes
+// the trace once per job plus once to record the tape, without a pool and
+// on a pool that runs 2 jobs at once; a warm rerun from the store decodes
 // nothing, so it records no tape either. A pool that runs 4 jobs at once
 // on 4 Ps would wait for the recording longer than the 3 rounds of 11
 // jobs save, so it runs FDIP live and decodes once per job.
@@ -132,10 +132,10 @@ func TestTuneRecordsOneTape(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, c := range []struct {
 		name    string
-		workers int // 0: serial
+		workers int // 0: no pool
 		decoded uint64
 	}{
-		{"serial", 0, (jobs + 1) * uint64(len(tr))},
+		{"no pool", 0, (jobs + 1) * uint64(len(tr))},
 		{"cold pool", 1, (jobs + 1) * uint64(len(tr))},
 		{"warm pool", 1, 0},
 		{"wide pool", 3, jobs * uint64(len(tr))},

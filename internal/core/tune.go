@@ -6,21 +6,23 @@ import (
 	"sync/atomic"
 
 	"ripple/internal/blockseq"
-	"ripple/internal/cache"
 	"ripple/internal/frontend"
+	"ripple/internal/opt"
 	"ripple/internal/prefetch"
 	"ripple/internal/program"
 	"ripple/internal/replacement"
 	"ripple/internal/runner"
 )
 
-// TuneConfig describes the configuration a plan is tuned for.
+// TuneConfig describes the configuration a plan is tuned for, and so
+// every named run: RunPlan, AccessEvents and RunBatch simulate it.
 type TuneConfig struct {
 	Params frontend.Params
 	// Policy names the underlying hardware replacement policy ("lru",
 	// "random", ...).
 	Policy string
-	// Prefetcher names the prefetch configuration ("none", "nlp", "fdip").
+	// Prefetcher names the prefetch configuration ("none", "nlp", "fdip",
+	// "tifs").
 	Prefetcher string
 	// Hints selects invalidate vs. demote execution.
 	Hints frontend.HintMode
@@ -68,72 +70,45 @@ type TuneResult struct {
 // BestPoint returns the winning curve point.
 func (t *TuneResult) BestPoint() ThresholdPoint { return t.Curve[t.Best] }
 
-func (c *TuneConfig) newPolicy() (cache.Policy, error) {
-	if c.Policy == "" {
-		return replacement.NewLRU(), nil
-	}
-	return replacement.New(c.Policy)
-}
-
-// newPrefetcher builds the prefetcher of one run on prog: from pfs, the
-// prefetchers of the run's batch, or live when pfs is nil.
-func (c *TuneConfig) newPrefetcher(prog *program.Program, pfs *prefetch.Batch) (prefetch.Prefetcher, error) {
-	if c.Prefetcher == "" {
-		return prefetch.None{}, nil
-	}
-	return pfs.New(c.Prefetcher, prog)
-}
-
-// Tune sweeps the invalidation threshold: each candidate plan is applied
-// to the program and simulated on the training trace under the configured
-// policy and prefetcher; the plan with the highest speedup over the
-// uninjected baseline wins. This is the per-application threshold
-// selection of Sec. III-C (the optimum lands in the paper's 45-65% band).
-//
-// Tune runs the sweep serially; TuneParallel fans the per-threshold
-// simulations out across a job-runner pool with byte-identical output.
-func Tune(a *Analysis, src blockseq.Source, cfg TuneConfig) (*TuneResult, error) {
-	return TuneParallel(a, src, cfg, ParallelOptions{})
-}
-
-// ParallelOptions carries the execution substrate for a parallel
-// threshold sweep.
+// ParallelOptions carries the execution substrate of a batch of runs.
 type ParallelOptions struct {
-	// Pool schedules the baseline and per-threshold simulations as
-	// independent runner jobs. nil runs the sweep serially (Tune).
-	// TuneParallel may be called from inside a running job on the same
-	// pool: its batch shares the pool's worker budget (see
-	// runner.Pool.RunAll) rather than nesting a second worker set.
+	// Pool schedules the batch's runs as independent runner jobs. nil
+	// runs them on a private pool of one worker, which, like any batch,
+	// runs Workers+1 jobs at once (see runner.Pool.RunAll). A batch may
+	// be started from inside a running job on the same pool: it shares
+	// the pool's worker budget rather than nesting a second worker set.
 	Pool *runner.Pool
-	// Ctx cancels the sweep; nil means context.Background().
-	Ctx context.Context
 	// SourceID is a stable content identity for src (e.g. "workload
 	// generator version + app + input + length", or a trace file's
-	// content hash). It completes the job signatures, so results land in
-	// the pool's persistent store and warm reruns — including
+	// content hash). It completes the tuning runs' signatures, so results
+	// land in the pool's persistent store and warm reruns — including
 	// experiment.Suite runs over the same source and configuration —
 	// skip simulation entirely. Leave it empty when the source has no
-	// stable identity: the sweep still parallelizes, but its jobs are
-	// keyed by a process-unique nonce and bypass the store.
+	// stable identity: the runs are then keyed by their batch alone and
+	// bypass the store.
 	SourceID string
 }
 
-// anonSource numbers Tune calls whose source has no stable identity, so
-// their in-process job signatures can never collide across calls.
-var anonSource atomic.Int64
-
-// TuneParallel is Tune with every simulation — the uninjected baseline
-// and one run per candidate threshold — submitted as an independent,
-// content-signed job to opts.Pool. Each job is keyed by the full run
-// signature (program fingerprint, plan digest + threshold, policy,
+// TuneParallel sweeps the invalidation threshold: each candidate plan is
+// applied to the program and simulated on the training trace under the
+// configured policy and prefetcher; the plan with the highest speedup
+// over the uninjected baseline wins. This is the per-application
+// threshold selection of Sec. III-C (the optimum lands in the paper's
+// 45-65% band).
+//
+// The uninjected baseline and one run per candidate threshold go to
+// opts.Pool as one RunBatch. With a SourceID each run is keyed by its
+// full signature (program fingerprint, plan digest + threshold, policy,
 // prefetcher, machine params, warmup, hint mode, and the source
 // identity), so equal sweeps coalesce in-process and, with a persistent
-// store, warm reruns perform zero simulations.
+// store, warm reruns perform zero simulations. A nil Pool runs the sweep
+// on a private one-worker pool, two runs at once, so its FDIP runs may
+// run live where a serial sweep would replay a tape; either way the
+// result is the same.
 //
-// Output is byte-identical to the serial sweep for any worker count:
-// results are folded in sweep order, and Best resolves explicitly
-// (highest speedup, ties to the lowest threshold) rather than by
-// completion order.
+// Output is byte-identical for any worker count: results are folded in
+// sweep order, and Best resolves explicitly (highest speedup, ties to
+// the lowest threshold) rather than by completion order.
 func TuneParallel(a *Analysis, src blockseq.Source, cfg TuneConfig, opts ParallelOptions) (*TuneResult, error) {
 	thresholds := cfg.Thresholds
 	if thresholds == nil {
@@ -143,105 +118,104 @@ func TuneParallel(a *Analysis, src blockseq.Source, cfg TuneConfig, opts Paralle
 		return nil, fmt.Errorf("core: no thresholds to tune over")
 	}
 	plans := make([]*Plan, len(thresholds))
+	runs := []Run{{Config: cfg, Label: fmt.Sprintf("tune %s baseline", a.Prog.Name)}}
 	for i, th := range thresholds {
 		plans[i] = a.PlanAt(th)
+		runs = append(runs, Run{Config: cfg, Plan: plans[i], Label: fmt.Sprintf("tune %s th=%.2f", a.Prog.Name, th)})
 	}
-
-	// The sweep's FDIP runs replay one tape, recorded by the first run that
-	// simulates and dropped when the sweep returns, unless they are too
-	// few for the runs that go at once to pay for the recording.
-	slots := 1
-	if opts.Pool != nil {
-		slots = opts.Pool.Workers() + 1 // a batch runs Workers+1 jobs at once
-	}
-	pfs := prefetch.NewBatch(a.Prog, src, len(plans)+1, slots)
-	var baseline frontend.Result
-	results := make([]frontend.Result, len(thresholds))
-	if opts.Pool == nil {
-		var err error
-		if baseline, err = runPlan(a.Prog, src, cfg, nil, pfs); err != nil {
-			return nil, err
+	if opts.SourceID != "" {
+		progFP, err := a.Prog.Fingerprint()
+		if err != nil {
+			return nil, fmt.Errorf("core: fingerprinting program: %w", err)
 		}
-		for i, plan := range plans {
-			if results[i], err = runPlan(a.Prog, src, cfg, plan, pfs); err != nil {
-				return nil, err
+		base := fmt.Sprintf("rtune1|prog=%s|src=%s|params=%+v|pol=%s|pf=%s|hints=%d|warmup=%d|shift=%t|acc=%t",
+			progFP, opts.SourceID, cfg.Params, cfg.Policy, cfg.Prefetcher, cfg.Hints, cfg.WarmupBlocks, cfg.ShiftLayout, cfg.MeasureAccuracy)
+		runs[0].Sig = base + "|plan=none"
+		for i, th := range thresholds {
+			dg, err := plans[i].Digest()
+			if err != nil {
+				return nil, fmt.Errorf("core: digesting plan: %w", err)
 			}
+			runs[i+1].Sig = fmt.Sprintf("%s|th=%g|plan=%s", base, th, dg)
 		}
-	} else if err := runSweepJobs(a, src, cfg, opts, pfs, thresholds, plans, &baseline, results); err != nil {
+	}
+	results, err := RunBatch(a.Prog, src, runs, opts)
+	if err != nil {
 		return nil, err
 	}
-	return assembleTune(a, thresholds, plans, baseline, results), nil
+	return assembleTune(a, thresholds, plans, results[0], results[1:]), nil
 }
 
-// runSweepJobs fans the sweep out across the pool and collects every
-// result back into sweep order.
-func runSweepJobs(a *Analysis, src blockseq.Source, cfg TuneConfig, opts ParallelOptions, pfs *prefetch.Batch,
-	thresholds []float64, plans []*Plan, baseline *frontend.Result, results []frontend.Result) error {
-	srcID := opts.SourceID
-	skipStore := false
-	if srcID == "" {
-		// No stable source identity: parallelize with process-unique
-		// signatures and keep the store out of it.
-		skipStore = true
-		srcID = fmt.Sprintf("anon#%d", anonSource.Add(1))
-	}
-	progFP, err := a.Prog.Fingerprint()
-	if err != nil {
-		return fmt.Errorf("core: fingerprinting program: %w", err)
-	}
-	base := fmt.Sprintf("rtune1|prog=%s|src=%s|params=%+v|pol=%s|pf=%s|hints=%d|warmup=%d|shift=%t|acc=%t",
-		progFP, srcID, cfg.Params, cfg.Policy, cfg.Prefetcher, cfg.Hints, cfg.WarmupBlocks, cfg.ShiftLayout, cfg.MeasureAccuracy)
-	cost := float64(a.TraceBlocks)
-	if cfg.MeasureAccuracy {
-		cost *= 1.5
-	}
+// Run is one named simulation of a batch: Config's policy, prefetcher,
+// hints, warmup and accuracy scoring over the program with Plan placed in
+// it (nil: the uninjected program), as RunPlan simulates it. Sig is the
+// run's store signature: every input that can change its result. An
+// empty Sig keys the run by its batch alone and keeps it out of the
+// store. Label names the run in the runner's log.
+type Run struct {
+	Config     TuneConfig
+	Plan       *Plan
+	Sig, Label string
+}
 
-	job := func(sig, label string, plan *Plan) runner.Job {
-		j := runner.NewJob(sig, label, cost, func(context.Context) (*frontend.Result, error) {
-			res, err := runPlan(a.Prog, src, cfg, plan, pfs)
+// batches numbers RunBatch calls, so the unsigned runs of two batches
+// never share a key.
+var batches atomic.Int64
+
+// RunBatch simulates runs over src, one runner job each on opts.Pool (nil:
+// a private one-worker pool), and returns their results in the order of
+// runs. The runs' FDIP prefetchers replay one tape, recorded by the first
+// of them that simulates, when they are enough for the Workers+1 jobs a
+// batch runs at once to pay for the recording (prefetch.NewBatch). Every
+// run has the same cost, so the pool queues them in signature order.
+func RunBatch(prog *program.Program, src blockseq.Source, runs []Run, opts ParallelOptions) ([]frontend.Result, error) {
+	pool := opts.Pool
+	if pool == nil {
+		pool = runner.New(runner.Options{Workers: 1})
+	}
+	fdipRuns := 0
+	for _, r := range runs {
+		if r.Config.Prefetcher == "fdip" {
+			fdipRuns++
+		}
+	}
+	pfs := prefetch.NewBatch(prog, src, fdipRuns, pool.Workers()+1) // a batch runs Workers+1 jobs at once
+	batch := batches.Add(1)
+	jobs := make([]runner.Job, len(runs))
+	for i, r := range runs {
+		sig := r.Sig
+		if sig == "" {
+			sig = fmt.Sprintf("anon#%d|run=%d", batch, i)
+		}
+		jobs[i] = runner.NewJob(sig, r.Label, 1, func(context.Context) (*frontend.Result, error) {
+			res, err := runPlan(prog, src, r.Config, r.Plan, pfs)
 			if err != nil {
 				return nil, err
 			}
 			return &res, nil
 		})
-		j.SkipStore = skipStore
-		return j
+		jobs[i].SkipStore = r.Sig == ""
 	}
-
-	jobs := []runner.Job{job(base+"|plan=none", fmt.Sprintf("tune %s baseline", a.Prog.Name), nil)}
-	for i, th := range thresholds {
-		dg, err := plans[i].Digest()
-		if err != nil {
-			return fmt.Errorf("core: digesting plan: %w", err)
-		}
-		sig := fmt.Sprintf("%s|th=%g|plan=%s", base, th, dg)
-		jobs = append(jobs, job(sig, fmt.Sprintf("tune %s th=%.2f", a.Prog.Name, th), plans[i]))
-	}
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	vals, err := opts.Pool.RunAll(ctx, jobs)
+	vals, err := pool.RunAll(context.Background(), jobs)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	*baseline = *(vals[0].(*frontend.Result))
-	for i, v := range vals[1:] {
+	results := make([]frontend.Result, len(vals))
+	for i, v := range vals {
 		results[i] = *(v.(*frontend.Result))
 	}
-	return nil
+	return results, nil
 }
 
 // assembleTune folds the per-threshold results into a TuneResult in
-// sweep order, so serial and parallel execution produce byte-identical
-// curves regardless of job completion order.
+// sweep order, so the curve does not depend on job completion order.
 //
 // Best selection is explicit about ties: the highest speedup wins, and
 // equal speedups resolve to the LOWEST threshold (at equal benefit the
-// higher threshold injects no fewer instructions, and the serial sweep
-// historically kept the earliest — i.e. lowest — point of an ascending
-// sweep; parallel collection has no loop order to lean on, so the rule
-// is stated here rather than implied).
+// higher threshold injects no fewer instructions, and a serial sweep
+// would keep the earliest — i.e. lowest — point of an ascending sweep;
+// parallel collection has no loop order to lean on, so the rule is
+// stated here rather than implied).
 func assembleTune(a *Analysis, thresholds []float64, plans []*Plan, baseline frontend.Result, results []frontend.Result) *TuneResult {
 	tr := &TuneResult{Baseline: baseline, Best: -1}
 	for i, th := range thresholds {
@@ -300,10 +274,29 @@ func RunPlan(prog *program.Program, src blockseq.Source, cfg TuneConfig, plan *P
 
 // runPlan is RunPlan with its prefetcher from pfs (nil: a live one).
 func runPlan(prog *program.Program, src blockseq.Source, cfg TuneConfig, plan *Plan, pfs *prefetch.Batch) (frontend.Result, error) {
-	pol, err := cfg.newPolicy()
+	target, newOpts := runOptions(prog, cfg, plan, pfs)
+	opts, err := newOpts()
 	if err != nil {
 		return frontend.Result{}, err
 	}
+	return frontend.Run(cfg.Params, target, src, opts)
+}
+
+// AccessEvents is the demand and prefetch access stream of RunPlan's run
+// of cfg and plan (see frontend.AccessEvents): each pass re-simulates
+// that run with a fresh policy and prefetcher. Accuracy scoring moves no
+// access, so the passes leave it out.
+func AccessEvents(prog *program.Program, src blockseq.Source, cfg TuneConfig, plan *Plan) opt.EventSource {
+	cfg.MeasureAccuracy = false
+	target, newOpts := runOptions(prog, cfg, plan, nil)
+	return frontend.AccessEvents(cfg.Params, target, src, newOpts)
+}
+
+// runOptions places plan in prog (nil: none) and returns the program a
+// run of cfg simulates, with a function that makes the run's fresh
+// frontend options: an empty Policy is LRU, an empty Prefetcher none,
+// and the prefetcher comes from pfs (nil: a live one).
+func runOptions(prog *program.Program, cfg TuneConfig, plan *Plan, pfs *prefetch.Batch) (*program.Program, func() (frontend.Options, error)) {
 	target := prog
 	var hints map[program.BlockID][]uint64
 	if plan != nil {
@@ -313,16 +306,22 @@ func runPlan(prog *program.Program, src blockseq.Source, cfg TuneConfig, plan *P
 			hints = plan.Injections
 		}
 	}
-	pf, err := cfg.newPrefetcher(target, pfs)
-	if err != nil {
-		return frontend.Result{}, err
+	return target, func() (frontend.Options, error) {
+		opts := frontend.Options{
+			Hints:           cfg.Hints,
+			MeasureAccuracy: cfg.MeasureAccuracy,
+			WarmupBlocks:    cfg.WarmupBlocks,
+			Injections:      hints,
+		}
+		var err error
+		if cfg.Policy != "" {
+			if opts.Policy, err = replacement.New(cfg.Policy); err != nil {
+				return opts, err
+			}
+		}
+		if cfg.Prefetcher != "" {
+			opts.Prefetcher, err = pfs.New(cfg.Prefetcher, target)
+		}
+		return opts, err
 	}
-	return frontend.Run(cfg.Params, target, src, frontend.Options{
-		Policy:          pol,
-		Prefetcher:      pf,
-		Hints:           cfg.Hints,
-		MeasureAccuracy: cfg.MeasureAccuracy,
-		WarmupBlocks:    cfg.WarmupBlocks,
-		Injections:      hints,
-	})
 }

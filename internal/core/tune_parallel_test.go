@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -11,10 +12,29 @@ import (
 	"ripple/internal/runner"
 )
 
-// TestTuneParallelMatchesSerial: the parallel sweep must be byte-identical
-// to the serial one across several policy/prefetcher combinations, with
-// and without a warmup prefix — same Curve, same Best index, same
-// BestPlan.
+// serialTune is the sweep TuneParallel runs, as one RunPlan after another
+// on the caller's goroutine, each with a live prefetcher.
+func serialTune(t *testing.T, a *Analysis, src blockseq.Source, cfg TuneConfig) *TuneResult {
+	t.Helper()
+	baseline, err := RunPlan(a.Prog, src, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := make([]*Plan, len(cfg.Thresholds))
+	results := make([]frontend.Result, len(cfg.Thresholds))
+	for i, th := range cfg.Thresholds {
+		plans[i] = a.PlanAt(th)
+		if results[i], err = RunPlan(a.Prog, src, cfg, plans[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return assembleTune(a, cfg.Thresholds, plans, baseline, results)
+}
+
+// TestTuneParallelMatchesSerial: the sweep, without a pool and on a pool
+// of 8 workers, must be byte-identical to the serial one across several
+// policy/prefetcher combinations, with and without a warmup prefix — same
+// Curve, same Best index, same BestPlan.
 func TestTuneParallelMatchesSerial(t *testing.T) {
 	prog, tr := smallTuneSetup(t)
 	a, err := Analyze(prog, blockseq.SliceSource(tr), acfg(64))
@@ -43,17 +63,15 @@ func TestTuneParallelMatchesSerial(t *testing.T) {
 				MeasureAccuracy: c.accuracy,
 				WarmupBlocks:    c.warmup,
 			}
-			serial, err := Tune(a, blockseq.SliceSource(tr), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pool := runner.New(runner.Options{Workers: 8})
-			par, err := TuneParallel(a, blockseq.SliceSource(tr), cfg, ParallelOptions{Pool: pool})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(serial, par) {
-				t.Fatalf("parallel result diverged from serial:\nserial: %+v\nparallel: %+v", serial, par)
+			serial := serialTune(t, a, blockseq.SliceSource(tr), cfg)
+			for _, pool := range []*runner.Pool{nil, runner.New(runner.Options{Workers: 8})} {
+				par, err := TuneParallel(a, blockseq.SliceSource(tr), cfg, ParallelOptions{Pool: pool})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(serial, par) {
+					t.Fatalf("sweep diverged from serial (pool %v):\nserial: %+v\nparallel: %+v", pool != nil, serial, par)
+				}
 			}
 		})
 	}
@@ -261,7 +279,7 @@ func TestTuneBestTieBreakLowestThreshold(t *testing.T) {
 			t.Fatalf("plan@%.1f unexpectedly injects", plan.Threshold)
 		}
 	}
-	res, err := Tune(a, blockseq.SliceSource(tr), cfg)
+	res, err := TuneParallel(a, blockseq.SliceSource(tr), cfg, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,5 +293,42 @@ func TestTuneBestTieBreakLowestThreshold(t *testing.T) {
 	}
 	if res.BestPlan.Threshold != 1.1 {
 		t.Fatalf("BestPlan.Threshold = %g, want 1.1", res.BestPlan.Threshold)
+	}
+}
+
+// TestTuneStoreSignaturesPinned: a sweep with a SourceID stores its
+// baseline and each threshold's run under the rtune1 keys that existing
+// result stores hold, written out here by hand, so a change to how the
+// sweep builds its runs cannot silently orphan those stores.
+func TestTuneStoreSignaturesPinned(t *testing.T) {
+	prog, tr := smallTuneSetup(t)
+	a, err := Analyze(prog, blockseq.SliceSource(tr), acfg(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := frontend.DefaultParams()
+	params.L1I = oneSet
+	cfg := TuneConfig{Params: params, Policy: "srrip", Prefetcher: "nlp", Thresholds: []float64{0.3, 0.9}}
+	store, err := runner.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := runner.New(runner.Options{Workers: 2, Store: store})
+	if _, err := TuneParallel(a, blockseq.SliceSource(tr), cfg, ParallelOptions{Pool: pool, SourceID: "pin"}); err != nil {
+		t.Fatal(err)
+	}
+	fp, err := prog.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := a.PlanAt(0.3).Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := fmt.Sprintf("rtune1|prog=%s|src=pin|params=%+v|pol=srrip|pf=nlp|hints=0|warmup=0|shift=false|acc=false", fp, params)
+	for _, sig := range []string{base + "|plan=none", base + "|th=0.3|plan=" + dg} {
+		if _, st := store.Lookup(sig); st != runner.StatusHit {
+			t.Errorf("no stored result under %s (status %v)", sig, st)
+		}
 	}
 }

@@ -530,23 +530,11 @@ func (s *Suite) phasesRow(appName string, phased bool) ([]float64, error) {
 		return nil, err
 	}
 	tr := app.Stream(0, s.cfg.TraceBlocks)
-	newOpts := func() (frontend.Options, error) {
-		pol, err := replacement.New("lru")
-		if err != nil {
-			return frontend.Options{}, err
-		}
-		return frontend.Options{Policy: pol, WarmupBlocks: s.cfg.WarmupBlocks}, nil
-	}
-	opts, err := newOpts()
+	base, err := core.RunPlan(app.Prog, tr, tcfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	base, err := frontend.Run(s.cfg.Params, app.Prog, tr, opts)
-	if err != nil {
-		return nil, err
-	}
-	ideal, err := opt.SimulateSource(frontend.AccessEvents(s.cfg.Params, app.Prog, tr, newOpts),
-		s.cfg.Params.L1I, opt.ModeDemandMIN, false)
+	ideal, err := opt.SimulateSource(core.AccessEvents(app.Prog, tr, tcfg, nil), s.cfg.Params.L1I, opt.ModeDemandMIN, false)
 	if err != nil {
 		return nil, err
 	}

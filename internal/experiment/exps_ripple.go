@@ -292,7 +292,7 @@ func (s *Suite) Fig6() (*Table, error) {
 			}
 			return &tune.Curve, nil
 		})
-	v, err := s.pool.Do(s.ctx, curveJob)
+	v, err := s.pool.Do(context.Background(), curveJob)
 	if err != nil {
 		return nil, err
 	}

@@ -12,8 +12,6 @@ import (
 	"ripple/internal/core"
 	"ripple/internal/frontend"
 	"ripple/internal/opt"
-	"ripple/internal/prefetch"
-	"ripple/internal/replacement"
 	"ripple/internal/runner"
 	"ripple/internal/workload"
 )
@@ -92,8 +90,7 @@ type Suite struct {
 	cfg  Config
 	pool *runner.Pool
 	log  io.Writer // serialized; shared with the pool
-	ctx  context.Context
-	base string // signature prefix shared by every job of this config
+	base string    // signature prefix shared by every job of this config
 
 	// ext is the extension experiments' application list (see extApps).
 	ext []string
@@ -140,7 +137,6 @@ func New(cfg Config) *Suite {
 		cfg:  cfg,
 		pool: pool,
 		log:  pool.LogWriter(),
-		ctx:  context.Background(),
 		ext:  ext,
 		apps: make(map[string]*appState),
 	}
@@ -188,7 +184,7 @@ func (s *Suite) cellSig(exp, key string) string {
 // reads their results one by one; each read is then served from the
 // in-process cache.
 func (s *Suite) warm(jobs ...runner.Job) error {
-	_, err := s.pool.RunAll(s.ctx, jobs)
+	_, err := s.pool.RunAll(context.Background(), jobs)
 	return err
 }
 
@@ -267,21 +263,10 @@ func (s *Suite) runJob(name, prefetcher, policy string, accuracy bool) runner.Jo
 			if err != nil {
 				return nil, err
 			}
-			pol, err := replacement.New(policy)
-			if err != nil {
-				return nil, err
-			}
-			pf, err := prefetch.New(prefetcher, st.app.Prog)
-			if err != nil {
-				return nil, err
-			}
+			cfg := s.tuneCfg(prefetcher, policy, frontend.HintInvalidate)
+			cfg.MeasureAccuracy = accuracy
 			t0 := time.Now()
-			r, err := frontend.Run(s.cfg.Params, st.app.Prog, s.source(st, 0), frontend.Options{
-				Policy:          pol,
-				Prefetcher:      pf,
-				MeasureAccuracy: accuracy,
-				WarmupBlocks:    s.cfg.WarmupBlocks,
-			})
+			r, err := core.RunPlan(st.app.Prog, s.source(st, 0), cfg, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -292,7 +277,7 @@ func (s *Suite) runJob(name, prefetcher, policy string, accuracy bool) runner.Jo
 
 // run executes (or fetches) one cell through the runner.
 func (s *Suite) run(name, prefetcher, policy string, accuracy bool) (frontend.Result, error) {
-	v, err := s.pool.Do(s.ctx, s.runJob(name, prefetcher, policy, accuracy))
+	v, err := s.pool.Do(context.Background(), s.runJob(name, prefetcher, policy, accuracy))
 	if err != nil {
 		return frontend.Result{}, err
 	}
@@ -306,13 +291,11 @@ type oracleCounts struct {
 	Min       uint64
 	DemandMin uint64
 	Pollute   uint64
-	LRUMisses uint64
-	LRUResult frontend.Result
 }
 
 // oracleJob evaluates the oracle replacement modes over the access
 // stream of an LRU run with one prefetcher. The stream is never
-// materialized: the run is replayed through frontend.AccessEvents as many
+// materialized: the run is replayed through core.AccessEvents as many
 // times as the engine needs passes, so the job's memory stays O(1) in the
 // trace length.
 func (s *Suite) oracleJob(name, prefetcher string) runner.Job {
@@ -323,49 +306,21 @@ func (s *Suite) oracleJob(name, prefetcher string) runner.Job {
 			if err != nil {
 				return nil, err
 			}
-			newOpts := func() (frontend.Options, error) {
-				pol, err := replacement.New("lru")
-				if err != nil {
-					return frontend.Options{}, err
-				}
-				pf, err := prefetch.New(prefetcher, st.app.Prog)
-				if err != nil {
-					return frontend.Options{}, err
-				}
-				return frontend.Options{
-					Policy:       pol,
-					Prefetcher:   pf,
-					WarmupBlocks: s.cfg.WarmupBlocks,
-				}, nil
-			}
-			opts, err := newOpts()
-			if err != nil {
-				return nil, err
-			}
-			r, err := frontend.Run(s.cfg.Params, st.app.Prog, s.source(st, 0), opts)
-			if err != nil {
-				return nil, err
-			}
-			oc := &oracleCounts{
-				LRUMisses: r.L1I.DemandMisses + r.LateMisses,
-				LRUResult: r,
-			}
-			events := frontend.AccessEvents(s.cfg.Params, st.app.Prog, s.source(st, 0), newOpts)
+			events := core.AccessEvents(st.app.Prog, s.source(st, 0), s.tuneCfg(prefetcher, "lru", frontend.HintInvalidate), nil)
 			modes := []opt.Mode{opt.ModeMIN, opt.ModeDemandMIN, opt.ModePolluteEvict}
 			rs, err := opt.SimulateSourceModes(events, s.cfg.Params.L1I, modes, false)
 			if err != nil {
 				return nil, err
 			}
-			oc.Min, oc.DemandMin, oc.Pollute = rs[0].DemandMisses, rs[1].DemandMisses, rs[2].DemandMisses
-			s.logf("[%s] %s oracles: min=%d demand-min=%d pollute=%d (LRU: %d)",
-				name, prefetcher, oc.Min, oc.DemandMin, oc.Pollute, oc.LRUMisses)
+			oc := &oracleCounts{Min: rs[0].DemandMisses, DemandMin: rs[1].DemandMisses, Pollute: rs[2].DemandMisses}
+			s.logf("[%s] %s oracles: min=%d demand-min=%d pollute=%d", name, prefetcher, oc.Min, oc.DemandMin, oc.Pollute)
 			return oc, nil
 		})
 }
 
 // oracle runs (or fetches) one oracle cell through the runner.
 func (s *Suite) oracle(name, prefetcher string) (*oracleCounts, error) {
-	v, err := s.pool.Do(s.ctx, s.oracleJob(name, prefetcher))
+	v, err := s.pool.Do(context.Background(), s.oracleJob(name, prefetcher))
 	if err != nil {
 		return nil, err
 	}
@@ -430,7 +385,7 @@ func (s *Suite) streamID(model string, input int) string {
 // fan-out cannot deadlock) and land in the persistent store under the
 // stream's identity.
 func (s *Suite) tuneOpts(model string, input int) core.ParallelOptions {
-	return core.ParallelOptions{Pool: s.pool, Ctx: s.ctx, SourceID: s.streamID(model, input)}
+	return core.ParallelOptions{Pool: s.pool, SourceID: s.streamID(model, input)}
 }
 
 // tuneCfg assembles the core.TuneConfig for one cell.
@@ -517,7 +472,7 @@ func (s *Suite) rippleJob(name, prefetcher, policy string) runner.Job {
 
 // rippleFor runs (or fetches) the full Ripple pipeline for one cell.
 func (s *Suite) rippleFor(name, prefetcher, policy string) (*rippleEval, error) {
-	v, err := s.pool.Do(s.ctx, s.rippleJob(name, prefetcher, policy))
+	v, err := s.pool.Do(context.Background(), s.rippleJob(name, prefetcher, policy))
 	if err != nil {
 		return nil, err
 	}
@@ -557,7 +512,7 @@ func (s *Suite) cellRows(exp string, cost float64, cells []cell) ([][]float64, e
 				return &row, nil
 			})
 	}
-	vals, err := s.pool.RunAll(s.ctx, jobs)
+	vals, err := s.pool.RunAll(context.Background(), jobs)
 	if err != nil {
 		return nil, err
 	}

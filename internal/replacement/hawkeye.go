@@ -21,8 +21,7 @@ import "ripple/internal/cache"
 type Hawkeye struct {
 	base
 	prefetchAware bool // Harmony when true
-	averse        int8 // instance aversion threshold when averseSet
-	averseSet     bool
+	averse        int8 // aversion threshold (hawkeyeAverseBelow unless set)
 
 	counters []int8 // 3-bit saturating signature counters [-4, 3]
 
@@ -45,7 +44,7 @@ const (
 
 // NewHawkeye builds Hawkeye, or Harmony when prefetchAware is true.
 func NewHawkeye(prefetchAware bool) *Hawkeye {
-	return &Hawkeye{prefetchAware: prefetchAware}
+	return &Hawkeye{prefetchAware: prefetchAware, averse: hawkeyeAverseBelow}
 }
 
 // Name implements cache.Policy.
@@ -87,7 +86,7 @@ func (p *Hawkeye) trainFriendly(sig uint64, friendly bool) {
 	}
 }
 
-// HawkeyeAverseBelow is the confidence threshold below which a signature
+// hawkeyeAverseBelow is the confidence threshold below which a signature
 // counter (saturating in [-4, 3]) classifies a line cache-averse. The
 // default of -4 (below the saturation floor, i.e. never) reproduces the
 // paper's I-cache observation: because each I-stream signature maps to
@@ -96,27 +95,20 @@ func (p *Hawkeye) trainFriendly(sig uint64, friendly bool) {
 // fire and demonstrates the failure mode the observation protects against:
 // mid-reuse instruction lines peg averse, get inserted at eviction
 // priority, and thrash (see TestHawkeyeAversionThrashes).
-var HawkeyeAverseBelow int8 = -4
+const hawkeyeAverseBelow int8 = -4
 
-// SetAverseThreshold overrides the package-level HawkeyeAverseBelow for
-// this instance only. The probe harness raises it (to -2) so the averse
-// insertion path becomes black-box observable — under the production
-// default, Hawkeye/Harmony are behaviorally indistinguishable from LRU
-// on demand streams, which is exactly the paper's degeneracy argument.
-// The override is configuration, not learned state: Reset preserves it.
+// SetAverseThreshold overrides the default hawkeyeAverseBelow for this
+// instance. The probe harness raises it (to -2) so the averse insertion
+// path becomes black-box observable — under the production default,
+// Hawkeye/Harmony are behaviorally indistinguishable from LRU on demand
+// streams, which is exactly the paper's degeneracy argument. The
+// override is configuration, not learned state: Reset preserves it.
 func (p *Hawkeye) SetAverseThreshold(t int8) {
-	p.averse, p.averseSet = t, true
-}
-
-func (p *Hawkeye) averseBelow() int8 {
-	if p.averseSet {
-		return p.averse
-	}
-	return HawkeyeAverseBelow
+	p.averse = t
 }
 
 func (p *Hawkeye) predictFriendly(sig uint64) bool {
-	return p.counters[p.counterIdx(sig)] >= p.averseBelow()
+	return p.counters[p.counterIdx(sig)] >= p.averse
 }
 
 // sample feeds the access to the set's OPTgen (if sampled) and trains the

@@ -101,14 +101,14 @@ func ProbeZoo() []probe.Registration {
 		},
 		{
 			Name: "hawkeye", New: mustNew("hawkeye"),
-			Ref:      func() cache.Policy { return newRefHawkeye(false, HawkeyeAverseBelow) },
+			Ref:      func() cache.Policy { return newRefHawkeye(false, hawkeyeAverseBelow) },
 			ProbeNew: probeHawk(false),
 			ProbeRef: func() cache.Policy { return newRefHawkeye(false, probeAverseBelow) },
 			SetClass: hawkClass,
 		},
 		{
 			Name: "harmony", New: mustNew("harmony"),
-			Ref:      func() cache.Policy { return newRefHawkeye(true, HawkeyeAverseBelow) },
+			Ref:      func() cache.Policy { return newRefHawkeye(true, hawkeyeAverseBelow) },
 			ProbeNew: probeHawk(true),
 			ProbeRef: func() cache.Policy { return newRefHawkeye(true, probeAverseBelow) },
 			SetClass: hawkClass,

@@ -153,11 +153,8 @@ func TestHawkeyeAversionThrashes(t *testing.T) {
 	// Demonstrates why the default threshold is full saturation: with a
 	// permissive threshold, a signature whose intervals never fit pegs
 	// averse and its line is inserted at eviction priority.
-	old := HawkeyeAverseBelow
-	HawkeyeAverseBelow = -2
-	defer func() { HawkeyeAverseBelow = old }()
-
 	p := NewHawkeye(false)
+	p.SetAverseThreshold(-2)
 	p.Reset(64, 8)
 	sig := uint64(0x1234)
 	for i := 0; i < 8; i++ {

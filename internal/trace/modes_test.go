@@ -50,7 +50,7 @@ func TestDecodeModesPlanIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tuned, err := core.Tune(a, src, tcfg)
+		tuned, err := core.TuneParallel(a, src, tcfg, core.ParallelOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

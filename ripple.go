@@ -166,14 +166,14 @@ func MustWorkload(name string) Model {
 func BuildWorkload(m Model) (*App, error) { return workload.Build(m) }
 
 // NewPolicy builds a replacement policy by name: lru, random, srrip,
-// drrip, ghrp, ghrp-orig, hawkeye, harmony.
+// drrip, ghrp, ghrp-orig, hawkeye, harmony, ship, trrip (PolicyNames).
 func NewPolicy(name string) (Policy, error) { return replacement.New(name) }
 
 // PolicyNames lists the available replacement policies.
 func PolicyNames() []string { return replacement.Names() }
 
-// NewPrefetcher builds a prefetcher by name (none, nlp, fdip) for a
-// program.
+// NewPrefetcher builds a prefetcher by name (none, nlp, fdip, tifs;
+// PrefetcherNames) for a program.
 func NewPrefetcher(name string, prog *Program) (Prefetcher, error) {
 	return prefetch.New(name, prog)
 }
@@ -200,16 +200,18 @@ func Analyze(prog *Program, src BlockSource, cfg AnalysisConfig) (*Analysis, err
 }
 
 // Tune sweeps the invalidation threshold and returns the best plan for the
-// configured policy and prefetcher (one simulation pass per candidate
-// threshold; under FDIP, one more pass records the prefetches every run
-// of the sweep replays).
+// configured policy and prefetcher: one simulation pass per candidate
+// threshold plus the uninjected baseline, two at a time on a private
+// one-worker pool (see TuneParallel to choose). Under FDIP the runs
+// replay one recorded tape of the prefetches when they are enough to pay
+// for its recording pass, and run FDIP live otherwise; the result is the
+// same either way.
 func Tune(a *Analysis, src BlockSource, cfg TuneConfig) (*TuneResult, error) {
-	return core.Tune(a, src, cfg)
+	return core.TuneParallel(a, src, cfg, core.ParallelOptions{})
 }
 
-// ParallelOptions configures TuneParallel and OptimizeParallel: how many
-// simulations run concurrently and whether their results persist across
-// processes.
+// ParallelOptions configures TuneParallel: how many simulations run
+// concurrently and whether their results persist across processes.
 type ParallelOptions struct {
 	// Workers bounds concurrent simulations; <= 0 uses GOMAXPROCS.
 	Workers int
@@ -267,26 +269,16 @@ func TuneParallel(a *Analysis, src BlockSource, cfg TuneConfig, opts ParallelOpt
 	return core.TuneParallel(a, src, cfg, copts)
 }
 
-// OptimizeParallel is Optimize with the tuning sweep parallelized
-// (see TuneParallel); the analysis itself stays inline.
-func OptimizeParallel(prog *Program, src BlockSource, acfg AnalysisConfig, tcfg TuneConfig, opts ParallelOptions) (*Outcome, error) {
-	copts, err := opts.resolve()
-	if err != nil {
-		return nil, err
-	}
-	return core.OptimizeParallel(prog, src, acfg, tcfg, copts)
-}
-
 // RunPlan simulates a (possibly nil) plan applied to prog over the trace.
 func RunPlan(prog *Program, src BlockSource, cfg TuneConfig, plan *Plan) (Result, error) {
 	return core.RunPlan(prog, src, cfg, plan)
 }
 
-// Optimize runs the whole Ripple pipeline — analysis, tuning, injection —
-// over a replayable block source, e.g. a workload stream (App.Stream) or
-// an on-disk trace (TraceFileSource).
+// Optimize runs the whole Ripple pipeline — analysis, tuning (as Tune
+// runs it), injection — over a replayable block source, e.g. a workload
+// stream (App.Stream) or an on-disk trace (TraceFileSource).
 func Optimize(prog *Program, src BlockSource, acfg AnalysisConfig, tcfg TuneConfig) (*Outcome, error) {
-	return core.Optimize(prog, src, acfg, tcfg)
+	return core.OptimizeParallel(prog, src, acfg, tcfg, core.ParallelOptions{})
 }
 
 // DynamicOverheadPct returns the share of a run's dynamic instructions
