@@ -21,9 +21,9 @@
 //
 // Revisions land in -out as plan-NNNNN.json; each carries the plan
 // digest, predicted speedup, and the coverage accounting for the window
-// it was derived from. With -cachedir the epoch simulations persist in
-// a result store, so a restarted or second watcher over the same
-// windows simulates nothing twice.
+// it was derived from. Each epoch's simulations run once and are kept
+// nowhere: no window is asked for twice, so the watcher's memory and
+// disk use stay flat however long it runs.
 package main
 
 import (
@@ -64,7 +64,6 @@ func main() {
 	flag.DurationVar(&o.MaxPoll, "max-poll", 0, "poll backoff ceiling (default 250ms)")
 	flag.DurationVar(&o.Stall, "stall", 0, "give up after this long without new bytes (0 = wait forever)")
 	flag.IntVar(&o.Workers, "j", 0, "parallel epoch simulations (default GOMAXPROCS)")
-	flag.StringVar(&o.CacheDir, "cachedir", "", "directory for the persistent result store (default: no persistence)")
 	flag.IntVar(&o.Retries, "retries", 2, "retry budget for transiently failing simulations")
 	flag.Parse()
 	o.Stdout = os.Stdout
@@ -99,7 +98,6 @@ type options struct {
 	Follow                              bool
 	Poll, MaxPoll, Stall                time.Duration
 	Workers                             int
-	CacheDir                            string
 	Retries                             int
 	Done                                <-chan struct{}
 	Stdout                              io.Writer
@@ -123,13 +121,7 @@ func run(o options) (watch.Result, error) {
 	if err := os.MkdirAll(o.OutDir, 0o755); err != nil {
 		return res, err
 	}
-	var store *runner.Store
-	if o.CacheDir != "" {
-		if store, err = runner.OpenStore(o.CacheDir); err != nil {
-			return res, err
-		}
-	}
-	pool := runner.New(runner.Options{Workers: o.Workers, Store: store, Retries: o.Retries})
+	pool := runner.New(runner.Options{Workers: o.Workers, Retries: o.Retries})
 	cfg := watch.Config{
 		Prog:            prog,
 		TracePath:       o.PTPath,

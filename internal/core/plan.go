@@ -104,6 +104,14 @@ type planImage struct {
 	SkippedKernel  int
 }
 
+func init() {
+	// Number planImage's gob types right after the program image's (see
+	// package program), so Save's bytes, and Digest, are the same in
+	// every process whatever it encoded first. An encoding error would be
+	// Save's own, which Save reports.
+	_ = gob.NewEncoder(io.Discard).Encode(planImage{})
+}
+
 // Save writes the plan (gob-encoded) to w; cmd/rippleanalyze emits plans
 // this way for cmd/ripplesim to consume.
 func (p *Plan) Save(w io.Writer) error {

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"sync/atomic"
 
 	"ripple/internal/blockseq"
 	"ripple/internal/frontend"
@@ -84,8 +82,8 @@ type ParallelOptions struct {
 	// land in the pool's persistent store and warm reruns — including
 	// experiment.Suite runs over the same source and configuration —
 	// skip simulation entirely. Leave it empty when the source has no
-	// stable identity: the runs are then keyed by their batch alone and
-	// bypass the store.
+	// stable identity or will not be asked for again: the runs are then
+	// unsigned, so the pool runs each of them and keeps none.
 	SourceID string
 }
 
@@ -150,24 +148,23 @@ func TuneParallel(a *Analysis, src blockseq.Source, cfg TuneConfig, opts Paralle
 // hints, warmup and accuracy scoring over the program with Plan placed in
 // it (nil: the uninjected program), as RunPlan simulates it. Sig is the
 // run's store signature: every input that can change its result. An
-// empty Sig keys the run by its batch alone and keeps it out of the
-// store. Label names the run in the runner's log.
+// unsigned run (empty Sig) is simulated every time and never coalesced,
+// memoized or stored. Label names the run in the runner's log.
 type Run struct {
 	Config     TuneConfig
 	Plan       *Plan
 	Sig, Label string
 }
 
-// batches numbers RunBatch calls, so the unsigned runs of two batches
-// never share a key.
-var batches atomic.Int64
-
 // RunBatch simulates runs over src, one runner job each on opts.Pool (nil:
 // a private one-worker pool), and returns their results in the order of
 // runs. The runs' FDIP prefetchers replay one tape, recorded by the first
 // of them that simulates, when they are enough for the Workers+1 jobs a
 // batch runs at once to pay for the recording (prefetch.NewBatch). Every
-// run has the same cost, so the pool queues them in signature order.
+// run has the same cost, so the pool queues them by signature (unsigned
+// runs first, in the order of runs). A signed run coalesces with equal
+// signatures and persists in the pool's store; an unsigned run is a plain
+// job that the pool simulates and forgets.
 func RunBatch(prog *program.Program, src blockseq.Source, runs []Run, opts ParallelOptions) ([]frontend.Result, error) {
 	pool := opts.Pool
 	if pool == nil {
@@ -180,23 +177,17 @@ func RunBatch(prog *program.Program, src blockseq.Source, runs []Run, opts Paral
 		}
 	}
 	pfs := prefetch.NewBatch(prog, src, fdipRuns, pool.Workers()+1) // a batch runs Workers+1 jobs at once
-	batch := batches.Add(1)
 	jobs := make([]runner.Job, len(runs))
 	for i, r := range runs {
-		sig := r.Sig
-		if sig == "" {
-			sig = fmt.Sprintf("anon#%d|run=%d", batch, i)
-		}
-		jobs[i] = runner.NewJob(sig, r.Label, 1, func(context.Context) (*frontend.Result, error) {
+		jobs[i] = runner.NewJob(r.Sig, r.Label, 1, func() (*frontend.Result, error) {
 			res, err := runPlan(prog, src, r.Config, r.Plan, pfs)
 			if err != nil {
 				return nil, err
 			}
 			return &res, nil
 		})
-		jobs[i].SkipStore = r.Sig == ""
 	}
-	vals, err := pool.RunAll(context.Background(), jobs)
+	vals, err := pool.RunAll(jobs)
 	if err != nil {
 		return nil, err
 	}

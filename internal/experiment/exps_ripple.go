@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"ripple/internal/cache"
@@ -274,7 +273,7 @@ func (s *Suite) Fig6() (*Table, error) {
 	const app = "finagle-http"
 	curveJob := runner.NewJob(s.cellSig("fig6", app), "fig6 "+app,
 		float64(s.cfg.TraceBlocks)*11,
-		func(context.Context) (*[]core.ThresholdPoint, error) {
+		func() (*[]core.ThresholdPoint, error) {
 			st, err := s.state(app)
 			if err != nil {
 				return nil, err
@@ -292,7 +291,7 @@ func (s *Suite) Fig6() (*Table, error) {
 			}
 			return &tune.Curve, nil
 		})
-	v, err := s.pool.Do(context.Background(), curveJob)
+	v, err := s.pool.Do(curveJob)
 	if err != nil {
 		return nil, err
 	}

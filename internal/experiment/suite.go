@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -184,7 +183,7 @@ func (s *Suite) cellSig(exp, key string) string {
 // reads their results one by one; each read is then served from the
 // in-process cache.
 func (s *Suite) warm(jobs ...runner.Job) error {
-	_, err := s.pool.RunAll(context.Background(), jobs)
+	_, err := s.pool.RunAll(jobs)
 	return err
 }
 
@@ -258,7 +257,7 @@ func (s *Suite) runJob(name, prefetcher, policy string, accuracy bool) runner.Jo
 	}
 	label := fmt.Sprintf("run %s %s/%s", name, prefetcher, policy)
 	return runner.NewJob(s.runSig(name, prefetcher, policy, accuracy), label, cost,
-		func(context.Context) (*frontend.Result, error) {
+		func() (*frontend.Result, error) {
 			st, err := s.state(name)
 			if err != nil {
 				return nil, err
@@ -277,7 +276,7 @@ func (s *Suite) runJob(name, prefetcher, policy string, accuracy bool) runner.Jo
 
 // run executes (or fetches) one cell through the runner.
 func (s *Suite) run(name, prefetcher, policy string, accuracy bool) (frontend.Result, error) {
-	v, err := s.pool.Do(context.Background(), s.runJob(name, prefetcher, policy, accuracy))
+	v, err := s.pool.Do(s.runJob(name, prefetcher, policy, accuracy))
 	if err != nil {
 		return frontend.Result{}, err
 	}
@@ -301,7 +300,7 @@ type oracleCounts struct {
 func (s *Suite) oracleJob(name, prefetcher string) runner.Job {
 	label := fmt.Sprintf("oracle %s %s", name, prefetcher)
 	return runner.NewJob(s.oracleSig(name, prefetcher), label, 2*float64(s.cfg.TraceBlocks),
-		func(context.Context) (*oracleCounts, error) {
+		func() (*oracleCounts, error) {
 			st, err := s.state(name)
 			if err != nil {
 				return nil, err
@@ -320,7 +319,7 @@ func (s *Suite) oracleJob(name, prefetcher string) runner.Job {
 
 // oracle runs (or fetches) one oracle cell through the runner.
 func (s *Suite) oracle(name, prefetcher string) (*oracleCounts, error) {
-	v, err := s.pool.Do(context.Background(), s.oracleJob(name, prefetcher))
+	v, err := s.pool.Do(s.oracleJob(name, prefetcher))
 	if err != nil {
 		return nil, err
 	}
@@ -430,7 +429,7 @@ func (s *Suite) rippleJob(name, prefetcher, policy string) runner.Job {
 	cost := float64(s.cfg.TraceBlocks) * float64(len(s.cfg.Thresholds)+3)
 	label := fmt.Sprintf("ripple %s %s/%s", name, prefetcher, policy)
 	return runner.NewJob(s.rippleSig(name, prefetcher, policy), label, cost,
-		func(context.Context) (*rippleEval, error) {
+		func() (*rippleEval, error) {
 			st, err := s.state(name)
 			if err != nil {
 				return nil, err
@@ -472,7 +471,7 @@ func (s *Suite) rippleJob(name, prefetcher, policy string) runner.Job {
 
 // rippleFor runs (or fetches) the full Ripple pipeline for one cell.
 func (s *Suite) rippleFor(name, prefetcher, policy string) (*rippleEval, error) {
-	v, err := s.pool.Do(context.Background(), s.rippleJob(name, prefetcher, policy))
+	v, err := s.pool.Do(s.rippleJob(name, prefetcher, policy))
 	if err != nil {
 		return nil, err
 	}
@@ -504,7 +503,7 @@ func (s *Suite) cellRows(exp string, cost float64, cells []cell) ([][]float64, e
 	jobs := make([]runner.Job, len(cells))
 	for i, c := range cells {
 		jobs[i] = runner.NewJob(s.cellSig(exp, c.key), exp+" "+c.key, cost,
-			func(context.Context) (*[]float64, error) {
+			func() (*[]float64, error) {
 				row, err := c.row()
 				if err != nil {
 					return nil, err
@@ -512,7 +511,7 @@ func (s *Suite) cellRows(exp string, cost float64, cells []cell) ([][]float64, e
 				return &row, nil
 			})
 	}
-	vals, err := s.pool.RunAll(context.Background(), jobs)
+	vals, err := s.pool.RunAll(jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -19,6 +19,16 @@ type image struct {
 	Blocks    []Block
 }
 
+func init() {
+	// gob numbers a type the first time the process encodes it and writes
+	// the number into the bytes, so Save's output (and Fingerprint) would
+	// depend on what the process encoded before. Encoding a zero image
+	// before any importer runs numbers image's types first in every
+	// process; core's init numbers the plan's next. An encoding error
+	// would be Save's own, which Save reports.
+	_ = gob.NewEncoder(io.Discard).Encode(image{})
+}
+
 // Save writes the program image to w (gob-encoded). The layout base is
 // preserved so a reloaded program has identical addresses.
 func (p *Program) Save(w io.Writer) error {

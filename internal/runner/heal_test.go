@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -73,7 +72,7 @@ func TestRetriesTransientThenSucceeds(t *testing.T) {
 		}
 		return 42, nil
 	})
-	v, err := p.Do(context.Background(), j)
+	v, err := p.Do(j)
 	if err != nil {
 		t.Fatalf("job failed despite retries: %v", err)
 	}
@@ -99,7 +98,7 @@ func TestRetryExhaustionFails(t *testing.T) {
 		attempts.Add(1)
 		return 0, ErrTransient
 	})
-	if _, err := p.Do(context.Background(), j); !errors.Is(err, ErrTransient) {
+	if _, err := p.Do(j); !errors.Is(err, ErrTransient) {
 		t.Fatalf("want ErrTransient after exhaustion, got %v", err)
 	}
 	if got := attempts.Load(); got != 3 {
@@ -117,7 +116,7 @@ func TestNonTransientNotRetried(t *testing.T) {
 		attempts.Add(1)
 		return 0, errors.New("deterministic bug")
 	})
-	if _, err := p.Do(context.Background(), j); err == nil {
+	if _, err := p.Do(j); err == nil {
 		t.Fatal("want error")
 	}
 	if got := attempts.Load(); got != 1 {
@@ -125,51 +124,6 @@ func TestNonTransientNotRetried(t *testing.T) {
 	}
 	if st := p.Stats(); st.Retries != 0 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-func TestCancellationStopsRetries(t *testing.T) {
-	p := New(Options{Workers: 1, Retries: 50, RetryBackoff: 50 * time.Millisecond})
-	ctx, cancel := context.WithCancel(context.Background())
-	var attempts atomic.Int64
-	j := intJob("canceled-mid-retry", 1, func() (int, error) {
-		if attempts.Add(1) == 1 {
-			cancel()
-		}
-		return 0, ErrTransient
-	})
-	if _, err := p.Do(ctx, j); !errors.Is(err, context.Canceled) && !errors.Is(err, ErrTransient) {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if got := attempts.Load(); got != 1 {
-		t.Fatalf("retries continued after cancellation: %d attempts", got)
-	}
-}
-
-// TestRetryBackoffHonorsCancellationMidSleep: cancelling a sweep during
-// a retry backoff sleep must drain promptly — the backoff here is far
-// longer than the whole test budget, so a time.Sleep that outlives the
-// cancellation would hang the drain visibly.
-func TestRetryBackoffHonorsCancellationMidSleep(t *testing.T) {
-	p := New(Options{Workers: 2, Retries: 5, RetryBackoff: time.Hour})
-	ctx, cancel := context.WithCancel(context.Background())
-	failed := make(chan struct{})
-	var once sync.Once
-	j := NewJob("cancel-mid-backoff", "cmb", 1, func(context.Context) (*payload, error) {
-		once.Do(func() { close(failed) })
-		return nil, ErrTransient
-	})
-	go func() {
-		<-failed // first attempt failed: the pool is now in backoff sleep
-		cancel()
-	}()
-	start := time.Now()
-	_, err := p.RunAll(ctx, []Job{j})
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("cancelled sweep drained in %v; backoff sleep outlived cancellation", waited)
-	}
-	if err == nil {
-		t.Fatal("cancelled sweep reported success")
 	}
 }
 
@@ -190,7 +144,7 @@ func TestQuarantineRecomputeOnce(t *testing.T) {
 			computed.Add(1)
 			return 99, nil
 		})
-		if _, err := pool.Do(context.Background(), j); err != nil {
+		if _, err := pool.Do(j); err != nil {
 			t.Fatal(err)
 		}
 		return computed.Load(), pool.Stats()
@@ -231,6 +185,43 @@ func TestQuarantineRecomputeOnce(t *testing.T) {
 	}
 	if stats.StoreHits != 1 || stats.Quarantined != 0 {
 		t.Fatalf("warm-run stats: %+v", stats)
+	}
+}
+
+// TestQuarantineUndecodablePayload: an entry whose framing is valid but
+// whose payload does not decode into the job's type (the result type
+// changed since it was written) is quarantined and recomputed once, and
+// the rewritten entry serves the next run.
+func TestQuarantineUndecodablePayload(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sig = "cell|app=x|policy=drifted"
+	if err := st.Put(sig, "a string where an intRec belongs"); err != nil {
+		t.Fatal(err)
+	}
+	run := func() (int64, Stats) {
+		t.Helper()
+		var computed atomic.Int64
+		pool := New(Options{Workers: 1, Store: st})
+		v, err := pool.Do(intJob(sig, 1, func() (int, error) { computed.Add(1); return 7, nil }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := v.(*intRec).N; got != 7 {
+			t.Fatalf("result %d, want 7", got)
+		}
+		return computed.Load(), pool.Stats()
+	}
+	if n, stats := run(); n != 1 || stats.Quarantined != 1 || stats.Recovered != 1 {
+		t.Fatalf("drifted entry: computed %d times, stats %+v; want 1, 1 quarantined, 1 recovered", n, stats)
+	}
+	if _, err := os.Stat(filepath.Join(st.QuarantineDir(), key(sig)+".json")); err != nil {
+		t.Fatalf("undecodable entry not preserved in quarantine: %v", err)
+	}
+	if n, stats := run(); n != 0 || stats.StoreHits != 1 || stats.Quarantined != 0 {
+		t.Fatalf("rerun: computed %d times, stats %+v; want a clean store hit", n, stats)
 	}
 }
 
@@ -302,29 +293,5 @@ func TestStoreLookupStatuses(t *testing.T) {
 				t.Fatal("slot unusable after quarantine")
 			}
 		})
-	}
-}
-
-func TestQuarantineExplicit(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Quarantine("absent"); err == nil {
-		t.Fatal("quarantining a missing entry should fail")
-	}
-	if err := st.Put("sig-q", &payload{Name: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	dst, err := st.Quarantine("sig-q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(dst); err != nil {
-		t.Fatalf("quarantined file missing: %v", err)
-	}
-	if _, status := st.Lookup("sig-q"); status != StatusMiss {
-		t.Fatal("entry still readable after quarantine")
 	}
 }

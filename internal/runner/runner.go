@@ -9,13 +9,14 @@
 // ever re-running the job. Determinism is the caller's contract; jobs
 // that need randomness must derive it from Seed(sig) (or an equivalent
 // signature-keyed seed) rather than any shared or time-dependent source,
-// so results do not depend on scheduling order or worker count.
+// so results do not depend on scheduling order or worker count. A job
+// with an empty signature is a plain job: it runs every time it is
+// asked for and is never coalesced, memoized or persisted.
 //
 // The pool executes batches largest-cost-first so long-pole jobs start
-// early, captures panics as errors, honors context cancellation (pending
-// jobs are skipped, running jobs finish, workers drain), and reports
-// structured progress (jobs done/total, per-job wall time, store
-// hit/miss counts) to an optional log writer.
+// early, captures panics as errors, and reports structured progress
+// (jobs done/total, per-job wall time, store hit/miss counts) to an
+// optional log writer.
 package runner
 
 import (
@@ -35,20 +36,15 @@ import (
 // Job is one unit of deterministic work, identified by its signature.
 type Job struct {
 	// Sig is the full run signature: every input that can change the
-	// result must be encoded in it (see the package comment).
+	// result must be encoded in it (see the package comment). Empty
+	// makes a plain job, run on every request and kept nowhere.
 	Sig string
 	// Label is the short human-readable name used in progress logs.
 	Label string
 	// Cost is a relative scheduling hint; batches run largest-first.
 	Cost float64
-	// SkipStore excludes this job from the persistent store (both
-	// lookup and write); in-process memoization still applies. Set it
-	// when the signature is process-unique — e.g. derived from a source
-	// with no stable content identity — so the store is not polluted
-	// with entries no later run can ever hit.
-	SkipStore bool
 
-	run    func(context.Context) (any, error)
+	run    func() (any, error)
 	decode func([]byte) (any, error)
 }
 
@@ -56,13 +52,13 @@ type Job struct {
 // JSON, so T must round-trip through encoding/json. A body that returns
 // a nil *T without an error fails the job: persisted, it would read back
 // as a zero T.
-func NewJob[T any](sig, label string, cost float64, fn func(context.Context) (*T, error)) Job {
+func NewJob[T any](sig, label string, cost float64, fn func() (*T, error)) Job {
 	return Job{
 		Sig:   sig,
 		Label: label,
 		Cost:  cost,
-		run: func(ctx context.Context) (any, error) {
-			v, err := fn(ctx)
+		run: func() (any, error) {
+			v, err := fn()
 			if err != nil {
 				return nil, err
 			}
@@ -126,7 +122,7 @@ type Stats struct {
 	// Retries counts re-executions after transient errors.
 	Retries int64
 	// Quarantined counts damaged store entries moved aside (see
-	// Store.Quarantine) instead of being silently re-missed every run.
+	// Store.QuarantineDir) instead of being silently re-missed every run.
 	Quarantined int64
 	// Recovered counts quarantined entries that were recomputed and
 	// rewritten, making the next warm run hit again.
@@ -155,7 +151,7 @@ type Pool struct {
 	sem chan struct{}
 
 	mu    sync.Mutex
-	calls map[string]*call
+	calls map[string]*call // signed jobs only
 
 	computed    atomic.Int64
 	storeHits   atomic.Int64
@@ -191,9 +187,6 @@ func New(opts Options) *Pool {
 // Workers returns the concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
 
-// Store returns the persistent store, or nil.
-func (p *Pool) Store() *Store { return p.store }
-
 // LogWriter returns a writer that serializes concurrent writes to the
 // configured log (safe to share with job bodies).
 func (p *Pool) LogWriter() io.Writer { return p.log }
@@ -216,52 +209,46 @@ func (p *Pool) logf(format string, args ...any) {
 	p.log.printf(format, args...)
 }
 
-// Do returns the job's result, computing it at most once per process:
-// concurrent calls with the same signature coalesce, completed results
-// are served from memory, and (with a store) from disk across processes.
-// A cache miss computes inline on the caller's goroutine, so nested Do
-// calls from inside a running job cannot deadlock.
-func (p *Pool) Do(ctx context.Context, j Job) (any, error) {
-	v, _, err := p.do(ctx, j)
+// Do returns the job's result, computing a signed job at most once per
+// process: concurrent calls with the same signature coalesce, completed
+// results are served from memory, and (with a store) from disk across
+// processes. A plain job (empty signature) runs on every call. A cache
+// miss computes inline on the caller's goroutine, so nested Do calls
+// from inside a running job cannot deadlock.
+func (p *Pool) Do(j Job) (any, error) {
+	v, _, err := p.do(j)
 	return v, err
 }
 
-func (p *Pool) do(ctx context.Context, j Job) (v any, computed bool, err error) {
-	if j.Sig == "" || j.run == nil {
-		return nil, false, errors.New("runner: job missing signature or body")
+func (p *Pool) do(j Job) (v any, computed bool, err error) {
+	if j.run == nil {
+		return nil, false, errors.New("runner: job has no body")
+	}
+	if j.Sig == "" {
+		return p.compute(j)
 	}
 	p.mu.Lock()
 	if c, ok := p.calls[j.Sig]; ok {
 		p.mu.Unlock()
-		select {
-		case <-c.done:
-			p.memHits.Add(1)
-			return c.val, false, c.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
+		<-c.done
+		p.memHits.Add(1)
+		return c.val, false, c.err
 	}
 	c := &call{done: make(chan struct{})}
 	p.calls[j.Sig] = c
 	p.mu.Unlock()
 
-	c.val, computed, c.err = p.compute(ctx, j)
-	if c.err != nil && (errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
-		// A canceled attempt must not poison later retries.
-		p.mu.Lock()
-		delete(p.calls, j.Sig)
-		p.mu.Unlock()
-	}
+	c.val, computed, c.err = p.compute(j)
 	close(c.done)
 	return c.val, computed, c.err
 }
 
-func (p *Pool) compute(ctx context.Context, j Job) (any, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
+// compute runs the job, serving a signed job from the store when it holds
+// a valid entry and persisting what it runs.
+func (p *Pool) compute(j Job) (any, bool, error) {
+	persist := p.store != nil && j.Sig != ""
 	healing := false // a damaged entry was quarantined; Put will heal it
-	if p.store != nil && j.decode != nil && !j.SkipStore {
+	if persist {
 		raw, st := p.store.Lookup(j.Sig)
 		switch st {
 		case StatusHit:
@@ -271,7 +258,7 @@ func (p *Pool) compute(ctx context.Context, j Job) (any, bool, error) {
 			}
 			// Valid entry framing but an undecodable payload (schema
 			// drift): quarantine it like any other corruption.
-			p.store.Quarantine(j.Sig)
+			p.store.quarantine(j.Sig)
 			p.quarantined.Add(1)
 			healing = true
 			p.logf("[runner] quarantined undecodable store entry for %s (recomputing)", j.label())
@@ -282,7 +269,7 @@ func (p *Pool) compute(ctx context.Context, j Job) (any, bool, error) {
 		}
 	}
 	t0 := time.Now()
-	v, err := p.runWithRetry(ctx, j)
+	v, err := p.runWithRetry(j)
 	d := time.Since(t0)
 	if err != nil {
 		p.errs.Add(1)
@@ -290,7 +277,7 @@ func (p *Pool) compute(ctx context.Context, j Job) (any, bool, error) {
 	}
 	p.computed.Add(1)
 	p.computeTime.Add(int64(d))
-	if p.store != nil && !j.SkipStore {
+	if persist {
 		if perr := p.store.Put(j.Sig, v); perr != nil {
 			p.logf("[runner] warning: persisting %s: %v", j.label(), perr)
 		} else if healing {
@@ -303,37 +290,31 @@ func (p *Pool) compute(ctx context.Context, j Job) (any, bool, error) {
 // runWithRetry executes the job with the pool's bounded retry policy:
 // attempts whose error is Transient are re-run up to Options.Retries
 // times, sleeping a deterministic signature-seeded exponential backoff
-// (RetryDelay) between attempts. Non-transient errors, success, context
-// cancellation, and retry exhaustion all end the loop.
-func (p *Pool) runWithRetry(ctx context.Context, j Job) (any, error) {
+// (RetryDelay) between attempts. Non-transient errors, success and retry
+// exhaustion end the loop.
+func (p *Pool) runWithRetry(j Job) (any, error) {
 	for attempt := 0; ; attempt++ {
-		v, err := runSafe(ctx, j)
-		if err == nil || !Transient(err) || attempt >= p.retries || ctx.Err() != nil {
+		v, err := runSafe(j)
+		if err == nil || !Transient(err) || attempt >= p.retries {
 			return v, err
 		}
 		p.retried.Add(1)
 		delay := RetryDelay(p.backoff, j.Sig, attempt+1)
 		p.logf("[runner] retry %d/%d for %s in %v after transient error: %v",
 			attempt+1, p.retries, j.label(), delay.Round(time.Millisecond), err)
-		t := time.NewTimer(delay)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return nil, ctx.Err()
-		case <-t.C:
-		}
+		time.Sleep(delay)
 	}
 }
 
 // runSafe executes one job attempt, converting a panic into an error so
 // one bad job cannot take down a whole suite run.
-func runSafe(ctx context.Context, j Job) (v any, err error) {
+func runSafe(j Job) (v any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("runner: job %s panicked: %v\n%s", j.label(), r, debug.Stack())
 		}
 	}()
-	return j.run(ctx)
+	return j.run()
 }
 
 // ErrTransient is the sentinel for errors worth retrying: wrap it (or
@@ -389,44 +370,40 @@ func (j Job) label() string {
 
 // RunAll executes a batch of jobs across the pool's workers and returns
 // each job's result in the order of jobs: duplicate signatures run once
-// and share one result, and a job without a signature is skipped (nil
-// result). Jobs run largest-cost-first, ties broken by signature for a
-// deterministic order. Workers are spawned while the pool-wide budget
-// has free slots, and the caller drains the queue beside them, so a
-// batch runs up to Workers+1 jobs at once, and a batch started from
+// and share one result, and every plain job (empty signature) runs. Jobs
+// run largest-cost-first, ties broken by signature (then by job order)
+// for a deterministic order. Workers are spawned while the pool-wide
+// budget has free slots, and the caller drains the queue beside them, so
+// a batch runs up to Workers+1 jobs at once, and a batch started from
 // inside a running job cannot deadlock. The first job error stops the
 // scheduling of pending jobs and is returned, wrapped with the job's
-// label, after all workers drain; a canceled context likewise skips
-// pending jobs, waits for running ones, and returns the context error.
-// A failed batch returns no results.
-func (p *Pool) RunAll(ctx context.Context, jobs []Job) ([]any, error) {
-	slot := make(map[string]int, len(jobs)) // signature -> index in q
-	q := make([]Job, 0, len(jobs))
-	for _, j := range jobs {
-		if _, dup := slot[j.Sig]; j.Sig != "" && !dup {
-			slot[j.Sig] = len(q)
-			q = append(q, j)
+// label, after all workers drain. A failed batch returns no results.
+func (p *Pool) RunAll(jobs []Job) ([]any, error) {
+	first := make(map[string]int, len(jobs)) // signature -> its first job
+	q := make([]int, 0, len(jobs))           // the jobs to run, by index
+	for i, j := range jobs {
+		if j.Sig != "" {
+			if _, dup := first[j.Sig]; dup {
+				continue
+			}
+			first[j.Sig] = i
 		}
+		q = append(q, i)
 	}
 	if len(q) == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return make([]any, len(jobs)), nil
+		return nil, nil
 	}
-	sort.SliceStable(q, func(i, k int) bool {
-		if q[i].Cost != q[k].Cost {
-			return q[i].Cost > q[k].Cost
+	sort.SliceStable(q, func(a, b int) bool {
+		ja, jb := &jobs[q[a]], &jobs[q[b]]
+		if ja.Cost != jb.Cost {
+			return ja.Cost > jb.Cost
 		}
-		return q[i].Sig < q[k].Sig
+		return ja.Sig < jb.Sig
 	})
-	for i, j := range q {
-		slot[j.Sig] = i
-	}
 
 	start := time.Now()
 	before := p.Stats()
-	b := &batch{pool: p, ctx: ctx, jobs: q, vals: make([]any, len(q))}
+	b := &batch{pool: p, jobs: jobs, queue: q, vals: make([]any, len(jobs))}
 	var wg sync.WaitGroup
 spawn:
 	for range q {
@@ -451,42 +428,37 @@ spawn:
 	if b.cause != nil {
 		return nil, b.cause
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]any, len(jobs))
 	for i, j := range jobs {
 		if j.Sig != "" {
-			out[i] = b.vals[slot[j.Sig]]
+			b.vals[i] = b.vals[first[j.Sig]]
 		}
 	}
-	return out, nil
+	return b.vals, nil
 }
 
 // batch is one RunAll call's queue, claimed in order by the spawned
 // workers and the draining caller.
 type batch struct {
-	pool *Pool
-	ctx  context.Context
-	jobs []Job
-	vals []any // vals[i] is the result of jobs[i]
+	pool  *Pool
+	jobs  []Job
+	queue []int // indexes into jobs, in run order
+	vals  []any // vals[i] is the result of jobs[i]
 
 	mu    sync.Mutex
-	next  int   // the next unclaimed job
+	next  int   // the next unclaimed queue entry
 	done  int   // jobs finished, for progress logs
 	cause error // the first job failure, wrapped with its label
 }
 
-// drain runs queued jobs until the queue is empty, a job has failed or
-// the context is canceled.
+// drain runs queued jobs until the queue is empty or a job has failed.
 func (b *batch) drain() {
 	for {
 		b.mu.Lock()
-		if b.next == len(b.jobs) || b.cause != nil || b.ctx.Err() != nil {
+		if b.next == len(b.queue) || b.cause != nil {
 			b.mu.Unlock()
 			return
 		}
-		i := b.next
+		i := b.queue[b.next]
 		b.next++
 		b.mu.Unlock()
 		b.run(i)
@@ -496,7 +468,7 @@ func (b *batch) drain() {
 func (b *batch) run(i int) {
 	j := b.jobs[i]
 	t0 := time.Now()
-	v, computed, err := b.pool.do(b.ctx, j)
+	v, computed, err := b.pool.do(j)
 	b.mu.Lock()
 	b.vals[i] = v
 	if err != nil && b.cause == nil {
@@ -506,7 +478,7 @@ func (b *batch) run(i int) {
 	n := b.done
 	b.mu.Unlock()
 	if computed {
-		b.pool.logf("[runner] %d/%d %s (%v)", n, len(b.jobs), j.label(), time.Since(t0).Round(time.Millisecond))
+		b.pool.logf("[runner] %d/%d %s (%v)", n, len(b.queue), j.label(), time.Since(t0).Round(time.Millisecond))
 	}
 }
 

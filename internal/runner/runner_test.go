@@ -1,9 +1,9 @@
 package runner
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -17,7 +17,7 @@ type intRec struct {
 }
 
 func intJob(sig string, cost float64, fn func() (int, error)) Job {
-	return NewJob(sig, sig, cost, func(context.Context) (*intRec, error) {
+	return NewJob(sig, sig, cost, func() (*intRec, error) {
 		n, err := fn()
 		if err != nil {
 			return nil, err
@@ -31,7 +31,7 @@ func TestDoComputesOnceAndMemoizes(t *testing.T) {
 	var runs atomic.Int64
 	j := intJob("a", 1, func() (int, error) { runs.Add(1); return 42, nil })
 	for i := 0; i < 3; i++ {
-		v, err := p.Do(context.Background(), j)
+		v, err := p.Do(j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestDoCoalescesConcurrentCalls(t *testing.T) {
 	p := New(Options{Workers: 8})
 	var runs atomic.Int64
 	release := make(chan struct{})
-	j := NewJob("slow", "slow", 1, func(context.Context) (*intRec, error) {
+	j := NewJob("slow", "slow", 1, func() (*intRec, error) {
 		runs.Add(1)
 		<-release
 		return &intRec{N: 7}, nil
@@ -62,7 +62,7 @@ func TestDoCoalescesConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := p.Do(context.Background(), j)
+			v, err := p.Do(j)
 			if err != nil || v.(*intRec).N != 7 {
 				t.Errorf("Do = %v, %v", v, err)
 			}
@@ -95,7 +95,7 @@ func TestRunAllLargestFirst(t *testing.T) {
 		})
 	}
 	jobs := []Job{mk("small", 1), mk("big", 100), mk("mid", 10), mk("big", 100)}
-	if _, err := p.RunAll(context.Background(), jobs); err != nil {
+	if _, err := p.RunAll(jobs); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"big", "mid", "small"} // dedup + cost-descending
@@ -110,19 +110,20 @@ func TestRunAllLargestFirst(t *testing.T) {
 }
 
 // TestRunAllResultsInJobOrder: results come back in the order of the
-// jobs, not of execution, and duplicate signatures share one result.
+// jobs, not of execution; duplicate signatures share one result, and
+// each unsigned job runs and gets its own.
 func TestRunAllResultsInJobOrder(t *testing.T) {
 	p := New(Options{Workers: 2})
 	var runs atomic.Int64
 	mk := func(sig string, cost float64, n int) Job {
 		return intJob(sig, cost, func() (int, error) { runs.Add(1); return n, nil })
 	}
-	jobs := []Job{mk("a", 1, 10), mk("b", 3, 20), mk("a", 1, 10), mk("c", 2, 30)}
-	vals, err := p.RunAll(context.Background(), jobs)
+	jobs := []Job{mk("a", 1, 10), mk("", 2, 50), mk("b", 3, 20), mk("a", 1, 10), mk("", 1, 60), mk("c", 2, 30)}
+	vals, err := p.RunAll(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int{10, 20, 10, 30}
+	want := []int{10, 50, 20, 10, 60, 30}
 	if len(vals) != len(want) {
 		t.Fatalf("got %d results, want %d", len(vals), len(want))
 	}
@@ -131,11 +132,53 @@ func TestRunAllResultsInJobOrder(t *testing.T) {
 			t.Fatalf("result %d = %d, want %d", i, got, want[i])
 		}
 	}
-	if vals[0] != vals[2] {
+	if vals[0] != vals[3] {
 		t.Fatal("duplicate signatures got distinct results")
 	}
-	if runs.Load() != 3 {
-		t.Fatalf("ran %d jobs, want 3", runs.Load())
+	if runs.Load() != 5 {
+		t.Fatalf("ran %d jobs, want 5", runs.Load())
+	}
+}
+
+// TestUnsignedJobsArePlain: a job without a signature runs on every Do
+// and every RunAll, twice when a batch holds it twice. Nothing coalesces
+// or memoizes it, the store never sees it, and the pool keeps no call
+// slot for it.
+func TestUnsignedJobsArePlain(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(Options{Workers: 2, Store: store})
+	var runs atomic.Int64
+	j := intJob("", 1, func() (int, error) { return int(runs.Add(1)), nil })
+	for want := 1; want <= 2; want++ {
+		v, err := p.Do(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := v.(*intRec).N; got != want {
+			t.Fatalf("Do %d returned run %d's result", want, got)
+		}
+	}
+	vals, err := p.RunAll([]Job{j, j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := vals[0].(*intRec).N, vals[1].(*intRec).N; a+b != 3+4 || a == b {
+		t.Fatalf("a batch holding the job twice returned runs %d and %d, want 3 and 4", a, b)
+	}
+	if st := p.Stats(); st.Computed != 4 || st.MemHits != 0 || st.StoreHits != 0 {
+		t.Fatalf("stats %+v, want 4 computed and no hits", st)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("store directory holds %d entries (%v), want none", len(entries), err)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.calls) != 0 {
+		t.Fatalf("the pool keeps %d call slots, want none", len(p.calls))
 	}
 }
 
@@ -151,7 +194,7 @@ func TestRunAllWorkersPlusOne(t *testing.T) {
 	var jobs []Job
 	for i := 0; i < 6; i++ {
 		sig := fmt.Sprintf("pin-%d", i)
-		jobs = append(jobs, NewJob(sig, sig, 1, func(context.Context) (*intRec, error) {
+		jobs = append(jobs, NewJob(sig, sig, 1, func() (*intRec, error) {
 			n := inflight.Add(1)
 			defer inflight.Add(-1)
 			for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
@@ -165,7 +208,7 @@ func TestRunAllWorkersPlusOne(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.RunAll(context.Background(), jobs)
+		_, err := p.RunAll(jobs)
 		done <- err
 	}()
 	select {
@@ -196,7 +239,7 @@ func TestRunAllReportsJobError(t *testing.T) {
 		intJob("ok", 1, func() (int, error) { return 1, nil }),
 		intJob("bad", 2, func() (int, error) { return 0, boom }),
 	}
-	_, err := p.RunAll(context.Background(), jobs)
+	_, err := p.RunAll(jobs)
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("RunAll error = %v", err)
 	}
@@ -216,7 +259,7 @@ func TestRunAllErrorSkipsPending(t *testing.T) {
 		intJob("pending", 1, func() (int, error) { ran.Store(true); return 0, nil }),
 		intJob("fail", 2, func() (int, error) { return 0, boom }),
 	}
-	vals, err := p.RunAll(context.Background(), jobs)
+	vals, err := p.RunAll(jobs)
 	if !errors.Is(err, boom) {
 		t.Fatalf("RunAll = %v, want wrapped boom", err)
 	}
@@ -228,19 +271,64 @@ func TestRunAllErrorSkipsPending(t *testing.T) {
 	}
 }
 
-// TestRunAllCancellationSkips: a batch on a canceled context runs no job
-// and returns the context error.
-func TestRunAllCancellationSkips(t *testing.T) {
-	p := New(Options{Workers: 1})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran atomic.Bool
-	_, err := p.RunAll(ctx, []Job{intJob("never", 1, func() (int, error) { ran.Store(true); return 0, nil })})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunAll = %v, want context.Canceled", err)
+// TestCancellationDrainsWorkers: a job failure cancels the rest of its
+// batch mid-run on a wider pool. The jobs in flight see the failure and
+// give up, no pending job is claimed, RunAll returns promptly with the
+// failure, no worker goroutine leaks, and a skipped signature still
+// computes later on the same pool.
+func TestCancellationDrainsWorkers(t *testing.T) {
+	p := New(Options{Workers: 2})
+	boom := errors.New("boom")
+	gaveUp := errors.New("gave up: the batch failed")
+	started := make(chan struct{}, 16)
+	failed := make(chan struct{})
+	var ran atomic.Int64
+	var jobs []Job
+	for i := 0; i < 16; i++ {
+		// Equal costs run in signature order: job-00 and job-01 are in
+		// flight when the third runner claims job-02.
+		jobs = append(jobs, intJob(fmt.Sprintf("job-%02d", i), 1, func() (int, error) {
+			ran.Add(1)
+			if i == 2 {
+				<-started
+				<-started
+				close(failed)
+				return 0, boom
+			}
+			started <- struct{}{}
+			<-failed // an in-flight job gives up once the batch has failed
+			return 0, gaveUp
+		}))
 	}
-	if ran.Load() {
-		t.Fatal("a job ran on a canceled context")
+	before := runtime.NumGoroutine()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := p.RunAll(jobs)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, boom) && !errors.Is(err, gaveUp) {
+			t.Fatalf("RunAll after a failure = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunAll did not return after a job failed")
+	}
+	if n := ran.Load(); n != 3 {
+		t.Fatalf("%d jobs ran, want 3 (Workers+1): only those in flight when the batch failed", n)
+	}
+	// Workers must drain: goroutine count returns to (about) the baseline.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before+2 {
+		t.Fatalf("goroutines leaked: %d before, %d after", before, g)
+	}
+	// A job the failure skipped must not poison its signature.
+	v, err := p.Do(intJob("job-15", 1, func() (int, error) { return 5, nil }))
+	if err != nil || v.(*intRec).N != 5 {
+		t.Fatalf("skipped job run later = %v, %v", v, err)
 	}
 }
 
@@ -250,7 +338,7 @@ func TestRunAllCancellationSkips(t *testing.T) {
 func TestRunAllNestedSharesPoolWithoutDeadlock(t *testing.T) {
 	p := New(Options{Workers: 1})
 	var subRuns atomic.Int64
-	outer := NewJob("outer", "outer", 1, func(ctx context.Context) (*intRec, error) {
+	outer := NewJob("outer", "outer", 1, func() (*intRec, error) {
 		var subs []Job
 		for i := 0; i < 5; i++ {
 			subs = append(subs, intJob(fmt.Sprintf("sub-%d", i), 1, func() (int, error) {
@@ -258,7 +346,7 @@ func TestRunAllNestedSharesPoolWithoutDeadlock(t *testing.T) {
 				return 1, nil
 			}))
 		}
-		vals, err := p.RunAll(ctx, subs)
+		vals, err := p.RunAll(subs)
 		if err != nil {
 			return nil, err
 		}
@@ -274,7 +362,7 @@ func TestRunAllNestedSharesPoolWithoutDeadlock(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		vals, err := p.RunAll(context.Background(), []Job{outer})
+		vals, err := p.RunAll([]Job{outer})
 		done <- outcome{vals, err}
 	}()
 	select {
@@ -293,43 +381,6 @@ func TestRunAllNestedSharesPoolWithoutDeadlock(t *testing.T) {
 	}
 }
 
-// TestSkipStoreBypassesPersistence: a SkipStore job neither reads nor
-// writes the on-disk store, while in-process memoization still applies.
-func TestSkipStoreBypassesPersistence(t *testing.T) {
-	store, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var runs atomic.Int64
-	j := intJob("volatile", 1, func() (int, error) { runs.Add(1); return 3, nil })
-	j.SkipStore = true
-	run := func(p *Pool) {
-		t.Helper()
-		vals, err := p.RunAll(context.Background(), []Job{j})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := vals[0].(*intRec).N; got != 3 {
-			t.Fatalf("result = %d, want 3", got)
-		}
-	}
-	p := New(Options{Workers: 1, Store: store})
-	run(p)
-	if _, status := store.Lookup("volatile"); status != StatusMiss {
-		t.Fatal("SkipStore job was persisted")
-	}
-	// Same signature, same process: memoized, not recomputed.
-	run(p)
-	if runs.Load() != 1 {
-		t.Fatalf("job ran %d times, want 1 (memoized)", runs.Load())
-	}
-	// A fresh pool recomputes: nothing was persisted.
-	run(New(Options{Workers: 1, Store: store}))
-	if runs.Load() != 2 {
-		t.Fatalf("job ran %d times across pools, want 2 (store bypassed)", runs.Load())
-	}
-}
-
 // TestNilResultJobFails: a job body that returns neither a result nor
 // an error fails the job, and nothing is persisted for it (a stored JSON
 // null would decode as a zero result on the next run).
@@ -338,9 +389,9 @@ func TestNilResultJobFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := NewJob("nil-result", "nil-result", 1, func(context.Context) (*intRec, error) { return nil, nil })
+	j := NewJob("nil-result", "nil-result", 1, func() (*intRec, error) { return nil, nil })
 	p := New(Options{Workers: 1, Store: store})
-	if vals, err := p.RunAll(context.Background(), []Job{j}); err == nil {
+	if vals, err := p.RunAll([]Job{j}); err == nil {
 		t.Fatalf("RunAll = %v with no error, want the job to fail", vals)
 	}
 	if st := p.Stats(); st.Computed != 0 || st.Errors != 1 {
@@ -354,7 +405,7 @@ func TestNilResultJobFails(t *testing.T) {
 func TestPanicCapturedAsError(t *testing.T) {
 	p := New(Options{Workers: 1})
 	j := intJob("panics", 1, func() (int, error) { panic("kaboom") })
-	_, err := p.Do(context.Background(), j)
+	_, err := p.Do(j)
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("panic not captured: %v", err)
 	}
@@ -362,60 +413,8 @@ func TestPanicCapturedAsError(t *testing.T) {
 
 func TestInvalidJobRejected(t *testing.T) {
 	p := New(Options{Workers: 1})
-	if _, err := p.Do(context.Background(), Job{}); err == nil {
+	if _, err := p.Do(Job{}); err == nil {
 		t.Fatal("empty job accepted")
-	}
-}
-
-// TestCancellationDrainsWorkers cancels a batch mid-run: pending jobs
-// must be skipped, RunAll must return promptly with the context error,
-// and no worker goroutine may leak.
-func TestCancellationDrainsWorkers(t *testing.T) {
-	p := New(Options{Workers: 2})
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{}, 16)
-	var ran atomic.Int64
-	var jobs []Job
-	for i := 0; i < 16; i++ {
-		sig := fmt.Sprintf("job-%02d", i)
-		jobs = append(jobs, NewJob(sig, sig, 1, func(ctx context.Context) (*intRec, error) {
-			ran.Add(1)
-			started <- struct{}{}
-			<-ctx.Done() // a cancellation-aware job unblocks on cancel
-			return nil, ctx.Err()
-		}))
-	}
-	before := runtime.NumGoroutine()
-	errc := make(chan error, 1)
-	go func() {
-		_, err := p.RunAll(ctx, jobs)
-		errc <- err
-	}()
-	<-started // at least one job is running
-	cancel()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunAll after cancel = %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("RunAll did not return after cancellation")
-	}
-	if n := ran.Load(); n >= 16 {
-		t.Fatalf("all %d jobs ran despite cancellation", n)
-	}
-	// Workers must drain: goroutine count returns to (about) the baseline.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > before+2 {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, g)
-	}
-	// A canceled attempt must not poison the signature for later retries.
-	v, err := p.Do(context.Background(), intJob("job-00", 1, func() (int, error) { return 5, nil }))
-	if err != nil || v.(*intRec).N != 5 {
-		t.Fatalf("retry after cancel = %v, %v", v, err)
 	}
 }
 
@@ -430,7 +429,7 @@ func TestRunAllRunsJobsConcurrently(t *testing.T) {
 	var jobs []Job
 	for i := 0; i < 4; i++ {
 		sig := fmt.Sprintf("conc-%d", i)
-		jobs = append(jobs, NewJob(sig, sig, 1, func(context.Context) (*intRec, error) {
+		jobs = append(jobs, NewJob(sig, sig, 1, func() (*intRec, error) {
 			wait.Done()
 			wait.Wait() // blocks until all four jobs are in flight
 			return &intRec{}, nil
@@ -438,7 +437,7 @@ func TestRunAllRunsJobsConcurrently(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.RunAll(context.Background(), jobs)
+		_, err := p.RunAll(jobs)
 		done <- err
 	}()
 	select {
@@ -462,7 +461,7 @@ func TestSeedIsStableAndSignatureDependent(t *testing.T) {
 
 func TestRunAllEmptyAndNilLog(t *testing.T) {
 	p := New(Options{})
-	if _, err := p.RunAll(context.Background(), nil); err != nil {
+	if _, err := p.RunAll(nil); err != nil {
 		t.Fatal(err)
 	}
 	if p.Workers() < 1 {

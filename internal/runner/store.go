@@ -76,18 +76,17 @@ type entry struct {
 // recompute it exactly once instead of silently re-missing on every run.
 // (A null payload would decode as a zero result without an error.)
 func (s *Store) Lookup(sig string) (raw []byte, st Status) {
-	path := s.path(sig)
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(s.path(sig))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, StatusMiss
 		}
-		s.quarantineFile(path)
+		s.quarantine(sig)
 		return nil, StatusCorrupt
 	}
 	var e entry
 	if json.Unmarshal(data, &e) != nil || e.Version != storeVersion || e.Sig != sig || len(e.Result) == 0 || string(e.Result) == "null" {
-		s.quarantineFile(path)
+		s.quarantine(sig)
 		return nil, StatusCorrupt
 	}
 	return e.Result, StatusHit
@@ -100,27 +99,11 @@ func (s *Store) QuarantineDir() string {
 	return filepath.Join(s.dir, "quarantine")
 }
 
-// Quarantine moves sig's entry file (whatever its state) into
-// QuarantineDir and returns the quarantined path. Quarantining a
-// missing entry is an error.
-func (s *Store) Quarantine(sig string) (string, error) {
+// quarantine moves sig's entry aside into QuarantineDir, falling back to
+// removal when the move fails (either way it stops shadowing the next
+// Put).
+func (s *Store) quarantine(sig string) {
 	path := s.path(sig)
-	if _, err := os.Stat(path); err != nil {
-		return "", fmt.Errorf("runner: quarantine %s: %w", key(sig), err)
-	}
-	dst := filepath.Join(s.QuarantineDir(), filepath.Base(path))
-	if err := os.MkdirAll(s.QuarantineDir(), 0o755); err != nil {
-		return "", fmt.Errorf("runner: quarantine: %w", err)
-	}
-	if err := os.Rename(path, dst); err != nil {
-		return "", fmt.Errorf("runner: quarantine: %w", err)
-	}
-	return dst, nil
-}
-
-// quarantineFile moves a damaged entry aside, falling back to removal
-// when the move fails (either way it stops shadowing the next Put).
-func (s *Store) quarantineFile(path string) {
 	if err := os.MkdirAll(s.QuarantineDir(), 0o755); err == nil {
 		if os.Rename(path, filepath.Join(s.QuarantineDir(), filepath.Base(path))) == nil {
 			return

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -118,19 +117,19 @@ func TestPoolServesFromStoreAcrossPools(t *testing.T) {
 	dir := t.TempDir()
 	var runs atomic.Int64
 	job := func() Job {
-		return NewJob("shared", "shared", 1, func(context.Context) (*payload, error) {
+		return NewJob("shared", "shared", 1, func() (*payload, error) {
 			runs.Add(1)
 			return &payload{Name: "computed", Count: 9}, nil
 		})
 	}
 	st1, _ := OpenStore(dir)
 	p1 := New(Options{Workers: 1, Store: st1})
-	if _, err := p1.Do(context.Background(), job()); err != nil {
+	if _, err := p1.Do(job()); err != nil {
 		t.Fatal(err)
 	}
 	st2, _ := OpenStore(dir)
 	p2 := New(Options{Workers: 1, Store: st2})
-	v, err := p2.Do(context.Background(), job())
+	v, err := p2.Do(job())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package watch
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -65,10 +62,10 @@ type Config struct {
 	// Params.L1I.
 	Params frontend.Params
 
-	// Pool runs the sweep's simulations; nil creates a pool with no
-	// result store. A pool with a runner.Store serves epochs whose
-	// window it has simulated before (see windowID) without simulating
-	// them again.
+	// Pool runs the sweep's simulations; nil creates one with no result
+	// store. The runs are unsigned, so the pool neither keeps nor stores
+	// them: a window is never asked for again, and the watcher's memory
+	// does not grow with its epochs.
 	Pool *runner.Pool
 
 	// Tail configures the file-tailing layer.
@@ -382,27 +379,11 @@ func (w *watcher) runEpoch() error {
 	if w.cfg.Threshold > 0 {
 		tcfg.Thresholds = []float64{w.cfg.Threshold}
 	}
-	tuned, err := core.TuneParallel(analysis, src, tcfg, core.ParallelOptions{
-		Pool:     w.pool,
-		SourceID: windowID(win),
-	})
+	tuned, err := core.TuneParallel(analysis, src, tcfg, core.ParallelOptions{Pool: w.pool})
 	if err != nil {
 		return fmt.Errorf("watch: epoch %d tuning: %w", w.st.Epoch, err)
 	}
 	return w.consider(tuned)
-}
-
-// windowID is the window's content identity for the result store: equal
-// windows (across epochs, restarts, and watchers) reuse each other's
-// simulation results.
-func windowID(win []program.BlockID) string {
-	h := sha256.New()
-	var buf [8]byte
-	for _, b := range win {
-		binary.LittleEndian.PutUint64(buf[:], uint64(b))
-		h.Write(buf[:])
-	}
-	return "watchwin:" + hex.EncodeToString(h.Sum(nil))
 }
 
 // consider feeds one epoch's winning plan into the hysteresis state

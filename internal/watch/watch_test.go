@@ -239,18 +239,17 @@ func TestWatchStateStale(t *testing.T) {
 	}
 }
 
-// TestWatchStoreServesRerun: a watcher whose pool persists to a result
-// store publishes the revisions of a watcher with no store, and a second
-// watcher over the same store directory (fresh checkpoint, fresh output)
-// publishes the same files without simulating anything: windowID makes
-// equal windows reuse each other's results across watchers.
-func TestWatchStoreServesRerun(t *testing.T) {
+// TestWatchKeepsNoRuns: a watcher on a store-backed pool publishes the
+// revision files of one on a store-less pool, yet writes no store entry
+// and coalesces nothing: each epoch's runs are unsigned, so the pool runs
+// them and keeps none.
+func TestWatchKeepsNoRuns(t *testing.T) {
 	prog, _, data := makeTrace(t, 2000, 128)
 	dir := t.TempDir()
 	path := writeFile(t, dir, "trace.pt", data)
 	storeDir := filepath.Join(dir, "store")
 
-	run := func(name, cacheDir string) (Result, runner.Stats, map[string][]byte) {
+	run := func(name string, store *runner.Store) (Result, runner.Stats, map[string][]byte) {
 		t.Helper()
 		out := filepath.Join(dir, name)
 		if err := os.MkdirAll(out, 0o755); err != nil {
@@ -258,13 +257,6 @@ func TestWatchStoreServesRerun(t *testing.T) {
 		}
 		cfg := watchCfg(t, prog, path, out)
 		cfg.StatePath = filepath.Join(dir, name+".ptwatch")
-		var store *runner.Store
-		if cacheDir != "" {
-			var err error
-			if store, err = runner.OpenStore(cacheDir); err != nil {
-				t.Fatal(err)
-			}
-		}
 		cfg.Pool = runner.New(runner.Options{Store: store})
 		res, err := Run(cfg)
 		if err != nil {
@@ -273,23 +265,21 @@ func TestWatchStoreServesRerun(t *testing.T) {
 		return res, cfg.Pool.Stats(), readDir(t, out)
 	}
 
-	want, _, wantFiles := run("local", "")
-	cold, coldStats, coldFiles := run("cold", storeDir)
-	if cold.Revisions != want.Revisions || cold.Total != want.Total {
-		t.Fatalf("store-backed run %+v, local run %+v", cold, want)
+	want, _, wantFiles := run("local", nil)
+	store, err := runner.OpenStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sameFiles(t, wantFiles, coldFiles, "store-backed revisions")
-	if coldStats.Computed == 0 {
-		t.Fatal("cold store-backed run simulated nothing; the fixture does not exercise the store")
+	got, stats, gotFiles := run("stored", store)
+	if got.Revisions != want.Revisions || got.Total != want.Total {
+		t.Fatalf("store-backed run %+v, local run %+v", got, want)
 	}
-
-	warm, warmStats, warmFiles := run("warm", storeDir)
-	if warm.Revisions != want.Revisions || warm.Total != want.Total {
-		t.Fatalf("second watcher %+v, local run %+v", warm, want)
+	sameFiles(t, wantFiles, gotFiles, "store-backed revisions")
+	if stats.Computed == 0 || stats.MemHits != 0 || stats.StoreHits != 0 {
+		t.Fatalf("store-backed pool stats %+v, want runs computed and none coalesced or stored", stats)
 	}
-	sameFiles(t, wantFiles, warmFiles, "second watcher's revisions")
-	if warmStats.Computed != 0 || warmStats.StoreHits == 0 {
-		t.Fatalf("second watcher stats %+v, want 0 computed and some store hits", warmStats)
+	if entries := readDir(t, storeDir); len(entries) != 0 {
+		t.Fatalf("the store holds %d entries, want none", len(entries))
 	}
 }
 

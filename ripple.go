@@ -225,7 +225,8 @@ type ParallelOptions struct {
 	// a trace file's content hash or "generator version + app + input +
 	// length" for a workload stream. Sweeps with equal SourceID (and
 	// equal program/config) share cached results; leave it empty for
-	// sources without one.
+	// sources without one. Without it the sweep's runs are unsigned:
+	// each is simulated, none is coalesced, memoized or stored.
 	SourceID string
 	// Log receives job-runner progress lines (nil silences them).
 	Log io.Writer

@@ -11,7 +11,10 @@
 #      checkpoint, and a restarted watcher resumes from it;
 #   3. the interrupted-then-resumed watcher's revision files are
 #      byte-identical to an uninterrupted offline run over the same
-#      final bytes.
+#      final bytes;
+#   4. checkpointing more often than the epochs run moves no revision:
+#      an offline run at -checkpoint-every 256 publishes the default
+#      cadence's files byte for byte.
 #
 # Run from anywhere; needs only the go toolchain:
 #
@@ -67,6 +70,17 @@ if [ "$nref" -lt 2 ]; then
 fi
 grep -q 'watch: damage at offset' "$work/ref.out" || {
 	echo "smoke_ripplewatch: injected damage never surfaced" >&2
+	exit 1
+}
+
+# Property 4: a checkpoint before each epoch changes no revision.
+echo "smoke_ripplewatch: offline run at a finer checkpoint cadence"
+"$work/ripplewatch" $watch_args -checkpoint-every 256 -pt "$work/final.pt" \
+	-state "$work/fine.ptwatch" -out "$work/fine-plans" \
+	-follow=false >"$work/fine.out"
+diff -r "$work/ref-plans" "$work/fine-plans" >/dev/null || {
+	echo "smoke_ripplewatch: -checkpoint-every 256 revisions differ from the default cadence's" >&2
+	diff -r "$work/ref-plans" "$work/fine-plans" >&2 || true
 	exit 1
 }
 
@@ -135,4 +149,4 @@ diff -r "$work/ref-plans" "$work/live-plans" >/dev/null || {
 	exit 1
 }
 
-echo "smoke_ripplewatch: OK ($nref revisions, damage accounted, SIGTERM resume byte-identical)"
+echo "smoke_ripplewatch: OK ($nref revisions, damage accounted, SIGTERM resume and checkpoint cadence byte-identical)"
