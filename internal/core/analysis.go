@@ -12,9 +12,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
 
 	"ripple/internal/blockseq"
 	"ripple/internal/cache"
@@ -87,16 +90,28 @@ type Analysis struct {
 	lineIndex map[uint64]int32
 	byLine    []int32
 	lineStart []int32
-	// cues holds every window's cue, in window order. The choice does not
-	// depend on the invalidation threshold, so PlanAt filters this one
-	// list per threshold.
-	cues []CueChoice
+	// pairs holds every distinct (victim line, cue block) pair some window
+	// picked, ranked by probability (descending), ties by (line, block).
+	// A pair's probability does not depend on the window, so the plan at
+	// any threshold is a prefix of this one list.
+	pairs []cuePair
+}
+
+// cuePair is one (victim line, cue block) pair: the block that windows
+// of the line picked as their cue, its conditional probability, and how
+// many of the line's windows picked it.
+type cuePair struct {
+	li          int32 // victim line's index into Analysis.lines
+	block       program.BlockID
+	windows     int32
+	probability float64
 }
 
 // Analyze profiles the block source against the ideal replacement policy
 // and computes the eviction windows and their cue blocks. The source must
 // have been produced against prog's current layout. The analysis reads it
-// once and keeps its block IDs (4 B per block).
+// once and keeps its block IDs (4 B per block). Its cue pass runs on up to
+// GOMAXPROCS goroutines; the result does not depend on how many.
 func Analyze(prog *program.Program, src blockseq.Source, cfg AnalysisConfig) (*Analysis, error) {
 	return AnalyzeMulti(prog, []blockseq.Source{src}, cfg)
 }
@@ -313,58 +328,118 @@ func (a *Analysis) probability(n uint32, block program.BlockID) float64 {
 	return float64(n) / float64(a.execCount[block])
 }
 
-// CueChoice reports the selected cue block of one eviction window.
+// CueChoice is a candidate cue block of a victim line with its
+// conditional probability.
 type CueChoice struct {
 	Line        uint64
 	Block       program.BlockID
 	Probability float64
 }
 
-// selectCues picks every window's cue, one victim line at a time. A
-// window's cue depends only on its own line's counts (Sec. III-B), so one
-// block-indexed count array serves every line: the line's windows count
-// their distinct blocks into it, each of those windows takes the block
-// with the highest conditional probability, and the entries the line
-// touched are cleared before the next line. Ties go to the block closest
-// to the eviction ("arbitrarily" per the paper, but deterministic here).
+// selectCues picks every window's cue and ranks the distinct (line, cue)
+// pairs the windows picked. A window's cue depends only on its own line's
+// counts (Sec. III-B), so the victim lines are dealt round-robin to one
+// shard per P (at most one per line), and the shards share nothing but
+// the read-only windows. Line li's pairs are at most its windows, so a
+// shard writes them into out[lineStart[li]:] and their count into
+// npairs[li]; the lines' pairs are then packed and ranked. Nothing here
+// depends on the shard count, and one shard is the serial pass.
 func (a *Analysis) selectCues() {
-	a.cues = make([]CueChoice, len(a.windows))
-	count := make([]uint32, a.Prog.NumBlocks())
-	// lastWin[b] is 1 + the index of the last window that counted b, so a
-	// block repeated within one window counts once; window indices are
-	// unique across lines, so it never needs clearing.
-	lastWin := make([]int32, a.Prog.NumBlocks())
-	var touched []program.BlockID
-	for li, line := range a.lines {
-		wins := a.lineWindows(int32(li))
+	out := make([]cuePair, len(a.windows))
+	npairs := make([]int32, len(a.lines))
+	shards := min(runtime.GOMAXPROCS(0), len(a.lines))
+	var wg sync.WaitGroup
+	for s := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a.cueShard(s, shards, out, npairs)
+		}()
+	}
+	wg.Wait()
+
+	n := 0
+	for li, k := range npairs {
+		from := a.lineStart[li]
+		n += copy(out[n:], out[from:from+k])
+	}
+	a.pairs = out[:n]
+	slices.SortFunc(a.pairs, func(x, y cuePair) int {
+		return cmp.Or(
+			cmp.Compare(y.probability, x.probability),
+			cmp.Compare(a.lines[x.li], a.lines[y.li]),
+			cmp.Compare(x.block, y.block))
+	})
+}
+
+// tally is one program block's entry in a shard's table for the current
+// line.
+type tally struct {
+	// count is the number of the line's windows that contain the block
+	// while they are counted, then the number whose cue it is.
+	count uint32
+	// lastWin is 1 + the index of the last window that counted the block,
+	// so a block repeated within one window counts once; window indices
+	// are unique across lines, so it never needs clearing.
+	lastWin int32
+	// probability is the block's conditional probability for the line.
+	probability float64
+}
+
+// cueShard picks the cues of lines shard, shard+shards, ... over one
+// block-indexed table: the line's windows count their distinct blocks
+// into it, each touched block's probability is computed once, each
+// window takes the block with the highest probability, and the line's
+// distinct cues become its pairs. Ties go to the block closest to the
+// eviction ("arbitrarily" per the paper, but deterministic here).
+func (a *Analysis) cueShard(shard, shards int, out []cuePair, npairs []int32) {
+	tab := make([]tally, a.Prog.NumBlocks())
+	var touched, cues []program.BlockID
+	for li := int32(shard); int(li) < len(a.lines); li += int32(shards) {
+		wins := a.lineWindows(li)
 		for _, wi := range wins {
 			for _, bid := range a.windowBlocks(wi) {
-				if lastWin[bid] == wi+1 {
+				t := &tab[bid]
+				if t.lastWin == wi+1 {
 					continue
 				}
-				lastWin[bid] = wi + 1
-				if count[bid] == 0 {
+				t.lastWin = wi + 1
+				if t.count == 0 {
 					touched = append(touched, bid)
 				}
-				count[bid]++
+				t.count++
 			}
+		}
+		for _, bid := range touched {
+			t := &tab[bid]
+			t.probability = a.probability(t.count, bid)
+			t.count = 0
 		}
 		for _, wi := range wins {
 			// Closest to the eviction first: a later block displaces the
 			// choice only with a strictly higher probability.
 			blocks := a.windowBlocks(wi)
-			best := CueChoice{Line: line, Block: program.NoBlock}
+			best, bestP := program.NoBlock, 0.0
 			for i := len(blocks) - 1; i >= 0; i-- {
-				if p := a.probability(count[blocks[i]], blocks[i]); p > best.Probability {
-					best.Block, best.Probability = blocks[i], p
+				if p := tab[blocks[i]].probability; p > bestP {
+					best, bestP = blocks[i], p
 				}
 			}
-			a.cues[wi] = best
+			// Every block of a window ran inside it, so its probability
+			// is positive and best is one of the window's blocks.
+			if tab[best].count == 0 {
+				cues = append(cues, best)
+			}
+			tab[best].count++
 		}
-		for _, bid := range touched {
-			count[bid] = 0
+		at := a.lineStart[li]
+		for i, bid := range cues {
+			t := &tab[bid]
+			out[at+int32(i)] = cuePair{li: li, block: bid, windows: int32(t.count), probability: t.probability}
+			t.count = 0
 		}
-		touched = touched[:0]
+		npairs[li] = int32(len(cues))
+		touched, cues = touched[:0], cues[:0]
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
@@ -137,15 +139,81 @@ func (r *refTables) cue(line uint64, w window) (CueChoice, bool) {
 	return best, best.Block != program.NoBlock
 }
 
+// windowCues returns every window of a's cue by the reference rule, in
+// window order.
+func (r *refTables) windowCues(t *testing.T, a *Analysis) []CueChoice {
+	t.Helper()
+	cues := make([]CueChoice, len(a.windows))
+	for i, w := range a.windows {
+		c, ok := r.cue(a.lines[w.li], w)
+		if !ok {
+			t.Fatalf("window %d has no cue in the reference", i)
+		}
+		cues[i] = c
+	}
+	return cues
+}
+
 func sameChoice(x, y CueChoice) bool {
 	return x.Line == y.Line && x.Block == y.Block && x.Probability == y.Probability
 }
 
+// rankedPair is a cuePair with its victim line's address.
+type rankedPair struct {
+	Line        uint64
+	Block       program.BlockID
+	Windows     int32
+	Probability float64
+}
+
+// rankedPairs returns a's ranked (line, cue) pairs in rank order.
+func rankedPairs(a *Analysis) []rankedPair {
+	out := make([]rankedPair, len(a.pairs))
+	for i, c := range a.pairs {
+		out[i] = rankedPair{Line: a.lines[c.li], Block: c.block, Windows: c.windows, Probability: c.probability}
+	}
+	return out
+}
+
+// requirePairsMatchCues asserts that a's ranked pairs are the distinct
+// (line, block) pairs of the given per-window cues, each with its
+// probability and the count of windows that picked it, in strict rank
+// order: probability descending, then line, then block.
+func requirePairsMatchCues(t *testing.T, a *Analysis, cues []CueChoice) {
+	t.Helper()
+	want := make(map[refKey]rankedPair)
+	for _, c := range cues {
+		k := refKey{c.Line, c.Block}
+		p := want[k]
+		p.Windows++
+		p.Probability = c.Probability
+		want[k] = p
+	}
+	pairs := rankedPairs(a)
+	if len(pairs) != len(want) {
+		t.Fatalf("%d ranked pairs, the windows' cues form %d", len(pairs), len(want))
+	}
+	for i, got := range pairs {
+		w, ok := want[refKey{got.Line, got.Block}]
+		if !ok || w.Windows != got.Windows || w.Probability != got.Probability {
+			t.Fatalf("pair %d = %+v; the windows' cues give %d windows at %v (present: %t)", i, got, w.Windows, w.Probability, ok)
+		}
+		if i == 0 {
+			continue
+		}
+		prev := pairs[i-1]
+		if cmp.Or(cmp.Compare(got.Probability, prev.Probability), cmp.Compare(prev.Line, got.Line), cmp.Compare(prev.Block, got.Block)) >= 0 {
+			t.Fatalf("pair %d %+v does not rank after pair %d %+v", i, got, i-1, prev)
+		}
+	}
+}
+
 // requireMatchesPairMap asserts that a, analyzed from sources, holds
-// those sources' blocks and execution counts, and that Probability,
-// Candidates (values and order) and every window's cue equal, bit for
-// bit, what a plain (line, block) map built from the same windows over
-// the materialized sources gives.
+// those sources' blocks and execution counts, that Probability and
+// Candidates (values and order) equal, bit for bit, what a plain
+// (line, block) map built from the same windows over the materialized
+// sources gives, and that the ranked pairs are what every window's cue
+// over that map gives.
 func requireMatchesPairMap(t *testing.T, a *Analysis, sources []blockseq.Source) {
 	t.Helper()
 	if a.Windows == 0 {
@@ -189,18 +257,7 @@ func requireMatchesPairMap(t *testing.T, a *Analysis, sources []blockseq.Source)
 		t.Fatalf("candidates hold %d (line, block) pairs, reference %d", entries, len(r.pairs))
 	}
 
-	if len(a.cues) != len(a.windows) {
-		t.Fatalf("%d cues for %d windows", len(a.cues), len(a.windows))
-	}
-	for i, w := range a.windows {
-		want, ok := r.cue(a.lines[w.li], w)
-		if !ok {
-			t.Fatalf("window %d has no cue in the reference", i)
-		}
-		if !sameChoice(a.cues[i], want) {
-			t.Fatalf("cue %d = %+v, reference %+v", i, a.cues[i], want)
-		}
-	}
+	requirePairsMatchCues(t, a, r.windowCues(t, a))
 }
 
 // TestTablesMatchPairMap checks the analysis's per-line counts and cue
@@ -309,11 +366,13 @@ func TestConcurrentReadersShareTables(t *testing.T) {
 }
 
 // TestAnalyzeAllocs bounds what one Analyze of a 50k-block kafka trace
-// allocates. The counts are deterministic, so the bounds are tight: about
-// 3.3 MB in 235 allocations are measured, the bytes bound sits far below
-// the 37.9 MB the analysis allocated with a count table per victim line,
-// and the allocation count is a small fraction of the trace's 4,455
-// windows, so one allocation per window, let alone per block, fails.
+// allocates, with one cue shard and with two. The counts are
+// deterministic, so the bounds are tight: about 3.4 MB in 246 allocations
+// are measured at one shard and 3.5 MB in 261 at two, the bytes bound
+// sits far below the 37.9 MB the analysis allocated with a count table
+// per victim line, and the allocation count is a small fraction of the
+// trace's 4,455 windows, so one allocation per window, let alone per
+// block, fails.
 func TestAnalyzeAllocs(t *testing.T) {
 	const (
 		maxBytes  = 4 << 20
@@ -329,20 +388,88 @@ func TestAnalyzeAllocs(t *testing.T) {
 	}
 	run()
 
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		run()
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+			allocs := (after.Mallocs - before.Mallocs) / runs
+			t.Logf("Analyze: %d B/op, %d allocs/op", bytes, allocs)
+			if bytes > maxBytes {
+				t.Errorf("Analyze allocates %d B per run, want <= %d", bytes, maxBytes)
+			}
+			if allocs > maxAllocs {
+				t.Errorf("Analyze allocates %d times per run, want <= %d", allocs, maxAllocs)
+			}
+		})
 	}
-	runtime.ReadMemStats(&after)
-	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
-	allocs := (after.Mallocs - before.Mallocs) / runs
-	t.Logf("Analyze: %d B/op, %d allocs/op", bytes, allocs)
-	if bytes > maxBytes {
-		t.Errorf("Analyze allocates %d B per run, want <= %d", bytes, maxBytes)
+}
+
+// TestShardedCuesMatchSerial: the cue pass deals the victim lines to one
+// shard per P, and nothing it outputs depends on how many. At 2 and 3 Ps
+// every catalog app's 50k-block analysis, and one analysis of LBR
+// fragments, must rank the same pairs as at 1 P, and plan the same bytes
+// at the default thresholds and at thresholds equal to pair
+// probabilities.
+func TestShardedCuesMatchSerial(t *testing.T) {
+	type subject struct {
+		name    string
+		prog    *program.Program
+		sources []blockseq.Source
 	}
-	if allocs > maxAllocs {
-		t.Errorf("Analyze allocates %d times per run, want <= %d", allocs, maxAllocs)
+	var subjects []subject
+	for _, name := range workload.Names() {
+		app := catalogApp(t, name)
+		subjects = append(subjects, subject{name, app.Prog, []blockseq.Source{blockseq.SliceSource(app.Trace(0, 50_000))}})
+	}
+	kafka := catalogApp(t, "kafka")
+	prof, err := lbr.Sample(blockseq.SliceSource(kafka.Trace(0, 50_000)), lbr.Config{Interval: 4_096, Depth: 2_048, Seed: 0x1B12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subjects = append(subjects, subject{"kafka-lbr", kafka.Prog, prof.Sources()})
+
+	type outcome struct {
+		pairs      []rankedPair
+		thresholds []float64
+		digests    []string
+	}
+	serial := make([]outcome, len(subjects))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
+		for i, s := range subjects {
+			a, err := AnalyzeMulti(s.prog, s.sources, DefaultAnalysisConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if procs == 1 {
+				if len(a.lines) < 3 {
+					t.Fatalf("%s: test is vacuous: %d victim lines for 3 shards", s.name, len(a.lines))
+				}
+				serial[i].pairs = rankedPairs(a)
+				serial[i].thresholds = slices.Concat(DefaultThresholds(), pairThresholds(a, 7))
+			}
+			want := serial[i]
+			if got := rankedPairs(a); !slices.Equal(got, want.pairs) {
+				t.Fatalf("%s at %d Ps: %d ranked pairs differ from 1 P's %d", s.name, procs, len(got), len(want.pairs))
+			}
+			for j, th := range want.thresholds {
+				dg, err := a.PlanAt(th).Digest()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if procs == 1 {
+					serial[i].digests = append(serial[i].digests, dg)
+				} else if dg != want.digests[j] {
+					t.Fatalf("%s at %d Ps: plan at %v has digest %s, at 1 P %s", s.name, procs, th, dg, want.digests[j])
+				}
+			}
+		}
 	}
 }

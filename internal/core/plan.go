@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"ripple/internal/program"
@@ -36,41 +37,48 @@ type Plan struct {
 // eviction window's best cue block receives an invalidation for the
 // window's victim line iff its conditional probability clears the
 // threshold. Cue blocks in JIT code are skipped (their addresses are
-// reused across the run, so link-time injection is impossible).
+// reused across the run, so link-time injection is impossible). A
+// (line, cue) pair's probability does not depend on the window, so the
+// plan is the prefix of the ranked pairs that clears the threshold.
 func (a *Analysis) PlanAt(threshold float64) *Plan {
+	prefix := a.pairs[:sort.Search(len(a.pairs), func(i int) bool {
+		return a.pairs[i].probability < threshold
+	})]
 	p := &Plan{
 		Program:      a.Prog.Name,
 		Threshold:    threshold,
-		Injections:   make(map[program.BlockID][]uint64),
 		WindowsTotal: a.Windows,
 	}
-	type pk struct {
-		line  uint64
-		block program.BlockID
+	// victims first holds each injected pair as (cue block, line index);
+	// sorted, each block's run of it becomes that block's victim list.
+	victims := make([]uint64, 0, len(prefix))
+	for _, c := range prefix {
+		switch b := a.Prog.Block(c.block); {
+		case b.JIT:
+			p.SkippedJIT += int(c.windows)
+		case b.Kernel:
+			p.SkippedKernel += int(c.windows)
+		default:
+			p.WindowsCovered += int(c.windows) // one instruction covers them all
+			victims = append(victims, uint64(c.block)<<32|uint64(c.li))
+		}
 	}
-	planned := make(map[pk]bool)
-	for _, c := range a.cues {
-		if c.Probability < threshold {
-			continue
+	slices.Sort(victims)
+	blocks := 0
+	for i := range victims {
+		if i == 0 || victims[i]>>32 != victims[i-1]>>32 {
+			blocks++
 		}
-		if a.Prog.Block(c.Block).JIT {
-			p.SkippedJIT++
-			continue
-		}
-		if a.Prog.Block(c.Block).Kernel {
-			p.SkippedKernel++
-			continue
-		}
-		p.WindowsCovered++
-		k := pk{line: c.Line, block: c.Block}
-		if planned[k] {
-			continue // one static instruction covers all matching windows
-		}
-		planned[k] = true
-		p.Injections[c.Block] = append(p.Injections[c.Block], c.Line)
 	}
-	for _, victims := range p.Injections {
-		sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
+	p.Injections = make(map[program.BlockID][]uint64, blocks)
+	for i := 0; i < len(victims); {
+		block := victims[i] >> 32
+		run := i
+		for ; i < len(victims) && victims[i]>>32 == block; i++ {
+			victims[i] = a.lines[uint32(victims[i])]
+		}
+		slices.Sort(victims[run:i])
+		p.Injections[program.BlockID(block)] = victims[run:i:i]
 	}
 	return p
 }

@@ -3,10 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ripple/internal/blockseq"
@@ -52,23 +52,16 @@ func writeSyncTrace(t testing.TB, app *workload.App, tr []program.BlockID) strin
 }
 
 // requireSameAnalysis asserts two analyses are byte-identical in every
-// observable output: summary counters, cue selection, and the plans at a
-// sweep of thresholds.
+// observable output: summary counters, the ranked cue pairs, and the
+// plans at a sweep of thresholds.
 func requireSameAnalysis(t *testing.T, a, b *Analysis) {
 	t.Helper()
 	if a.TraceBlocks != b.TraceBlocks || a.Windows != b.Windows || a.IdealMisses != b.IdealMisses {
 		t.Fatalf("summaries differ: {%d %d %d} vs {%d %d %d}",
 			a.TraceBlocks, a.Windows, a.IdealMisses, b.TraceBlocks, b.Windows, b.IdealMisses)
 	}
-	ca, cb := a.cues, b.cues
-	if len(ca) != len(cb) {
-		t.Fatalf("cue counts differ: %d vs %d", len(ca), len(cb))
-	}
-	for i := range ca {
-		if ca[i].Line != cb[i].Line || ca[i].Block != cb[i].Block ||
-			math.Abs(ca[i].Probability-cb[i].Probability) > 1e-12 {
-			t.Fatalf("cue %d differs: %+v vs %+v", i, ca[i], cb[i])
-		}
+	if pa, pb := rankedPairs(a), rankedPairs(b); !slices.Equal(pa, pb) {
+		t.Fatalf("ranked cue pairs differ: %d vs %d pairs", len(pa), len(pb))
 	}
 	for _, th := range []float64{0.2, 0.5, 0.8} {
 		pa, pb := a.PlanAt(th), b.PlanAt(th)

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math"
+	"slices"
 	"testing"
 
 	"ripple/internal/blockseq"
@@ -53,15 +53,8 @@ func TestAnalyzeStreamMatchesSlice(t *testing.T) {
 	if fromStream.Windows == 0 {
 		t.Fatal("test is vacuous: no eviction windows found")
 	}
-	sc, zc := fromStream.cues, fromSlice.cues
-	if len(sc) != len(zc) {
-		t.Fatalf("cue counts differ: %d vs %d", len(sc), len(zc))
-	}
-	for i := range sc {
-		if sc[i].Line != zc[i].Line || sc[i].Block != zc[i].Block ||
-			math.Abs(sc[i].Probability-zc[i].Probability) > 1e-12 {
-			t.Fatalf("cue %d differs: %+v vs %+v", i, sc[i], zc[i])
-		}
+	if sp, zp := rankedPairs(fromStream), rankedPairs(fromSlice); !slices.Equal(sp, zp) {
+		t.Fatalf("ranked cue pairs differ: %d vs %d pairs", len(sp), len(zp))
 	}
 	for _, th := range []float64{0.2, 0.5, 0.8} {
 		a, b := fromStream.PlanAt(th), fromSlice.PlanAt(th)

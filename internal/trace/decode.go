@@ -549,21 +549,31 @@ func (d *Decoder) Next() (program.BlockID, error) {
 		}
 		if err == io.EOF { // END packet before the declared count
 			err = d.errAt("END", "stream ended with %d of %d declared blocks missing", d.remaining, d.declared)
-			if d.rec {
-				// The encoder finished the stream: nothing follows an END
-				// packet, so there is no sync point to scan for. When
-				// earlier damage (in this decode or, for a resumed decode,
-				// before its start point) already accounts for the
-				// shortfall the end is expected; otherwise record the
-				// short stream itself as the damage.
+			if !d.rec {
+				d.err = err
+				return program.NoBlock, err
+			}
+			// When earlier damage (in this decode or, for a resumed
+			// decode, before its start point) already accounts for the
+			// shortfall, the end is expected. Otherwise the END is either
+			// the writer finishing a short stream, which is the damage,
+			// or a damaged byte read as END, which input after it gives
+			// away: that one is resynced past below, like any packet
+			// error.
+			if len(d.report.Regions) > 0 || d.priorDamage {
 				d.done = true
-				if len(d.report.Regions) == 0 && !d.priorDamage {
-					d.addRegion(err, -1)
-				}
 				break
 			}
-			d.err = err
-			return program.NoBlock, err
+			if more, perr := d.peek(1); len(more) == 0 {
+				if perr != nil && perr != io.EOF && d.interrupt != nil && d.interrupt(perr) {
+					d.err = d.errAt("END", "read failed: %w", perr)
+					return program.NoBlock, d.err
+				}
+				d.addRegion(err, -1)
+				d.done = true
+				break
+			}
+			err = d.errAt("END", "END packet with %d of %d declared blocks missing and input after it", d.remaining, d.declared)
 		}
 		if d.interrupt != nil && d.interrupt(err) {
 			// A paused stream, not a damaged one: surface it without

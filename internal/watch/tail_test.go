@@ -6,6 +6,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -179,6 +181,73 @@ func TestTailDamageMatchesOffline(t *testing.T) {
 				t.Fatalf("emitted %d + lost %d != declared %d", seq.Emitted(), wantRep.BlocksLost(), seq.Declared())
 			}
 		})
+	}
+}
+
+// TestTailZeroSpanDecodesPastIt: 64 zeroed bytes in the middle of a
+// 100k-block kafka trace read as an END packet, yet sync points follow
+// it. An offline decode, streamed and mapped, and a follow-mode tail
+// racing the appender must all resync past the span to the same blocks
+// and region, and each must keep at least 99% of the declared blocks.
+func TestTailZeroSpanDecodesPastIt(t *testing.T) {
+	m, ok := workload.ByName("kafka")
+	if !ok {
+		t.Fatal("no kafka workload")
+	}
+	app, err := workload.Build(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := trace.EncodeSourceSync(&buf, app.Prog, blockseq.SliceSource(app.Trace(0, 100_000)), 256); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	clear(data[len(data)/2 : len(data)/2+64])
+
+	wantBlocks, wantRep, err := trace.DecodeRecover(bytes.NewReader(data), app.Prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantRep.Regions) != 1 || !strings.Contains(wantRep.Regions[0].Reason, "(END)") || wantRep.Regions[0].Resume < 0 {
+		t.Fatalf("offline decode: regions %+v, want one that resumes past a zero read as END", wantRep.Regions)
+	}
+	if wantRep.Coverage() < 0.99 {
+		t.Fatalf("offline decode kept %d of %d blocks", wantRep.Decoded, wantRep.Declared)
+	}
+	requireSame := func(label string, got []program.BlockID, regs []trace.DamageRegion) {
+		t.Helper()
+		if !slices.Equal(got, wantBlocks) {
+			t.Fatalf("%s decoded %d blocks, the streamed decode %d (or they differ)", label, len(got), len(wantBlocks))
+		}
+		if !slices.Equal(regs, wantRep.Regions) {
+			t.Fatalf("%s saw regions %+v, the streamed decode %+v", label, regs, wantRep.Regions)
+		}
+	}
+
+	mapped := trace.BytesSource(data, app.Prog, trace.FileOptions{Recover: true})
+	got, err := blockseq.Collect(mapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _ := mapped.(trace.Reporting).DecodeReport()
+	requireSame("mapped decode", got, rep.Regions)
+
+	path := filepath.Join(t.TempDir(), "trace.pt")
+	appender := fault.NewAppender(path, data, 11, 53, 777)
+	done := make(chan error, 1)
+	go func() { done <- appender.Run(context.Background(), 100*time.Microsecond) }()
+	seq := NewTailSource(path, app.Prog, TailConfig{Follow: true, Stall: 10 * time.Second}).OpenTail()
+	got = drainTail(seq)
+	if err := seq.Err(); err != nil {
+		t.Fatalf("follow pass ended with %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("appender: %v", err)
+	}
+	requireSame("follow-mode tail", got, seq.Regions())
+	if seq.Emitted() < seq.Declared()*99/100 {
+		t.Fatalf("follow-mode tail kept %d of %d blocks", seq.Emitted(), seq.Declared())
 	}
 }
 
