@@ -380,10 +380,45 @@ type tally struct {
 	count uint32
 	// lastWin is 1 + the index of the last window that counted the block,
 	// so a block repeated within one window counts once; window indices
-	// are unique across lines, so it never needs clearing.
+	// are unique across lines, so only a table taken over from another
+	// analysis needs clearing.
 	lastWin int32
 	// probability is the block's conditional probability for the line.
 	probability float64
+}
+
+// tallies is the free list of the cue shards' block tables: a shard
+// borrows one and returns it, so a process that analyzes many short
+// windows (a watcher's epochs) does not allocate 16 B per program block
+// per shard for each. It holds at most as many tables as shards ever ran
+// at once. It is not a sync.Pool, which a garbage collection between two
+// epochs may empty.
+var tallies struct {
+	sync.Mutex
+	free [][]tally
+}
+
+// borrowTallies returns a cleared table of n entries.
+func borrowTallies(n int) []tally {
+	tallies.Lock()
+	var tab []tally
+	if k := len(tallies.free); k > 0 {
+		tab, tallies.free = tallies.free[k-1], tallies.free[:k-1]
+	}
+	tallies.Unlock()
+	if cap(tab) < n {
+		return make([]tally, n)
+	}
+	tab = tab[:n]
+	clear(tab) // lastWin holds another analysis's window indices
+	return tab
+}
+
+// returnTallies puts a borrowed table back on the free list.
+func returnTallies(tab []tally) {
+	tallies.Lock()
+	tallies.free = append(tallies.free, tab)
+	tallies.Unlock()
 }
 
 // cueShard picks the cues of lines shard, shard+shards, ... over one
@@ -393,7 +428,8 @@ type tally struct {
 // distinct cues become its pairs. Ties go to the block closest to the
 // eviction ("arbitrarily" per the paper, but deterministic here).
 func (a *Analysis) cueShard(shard, shards int, out []cuePair, npairs []int32) {
-	tab := make([]tally, a.Prog.NumBlocks())
+	tab := borrowTallies(a.Prog.NumBlocks())
+	defer returnTallies(tab)
 	var touched, cues []program.BlockID
 	for li := int32(shard); int(li) < len(a.lines); li += int32(shards) {
 		wins := a.lineWindows(li)

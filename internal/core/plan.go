@@ -93,6 +93,14 @@ func (p *Plan) StaticInstructions() int {
 	return n
 }
 
+// injections returns the plan's injections; a nil plan has none.
+func (p *Plan) injections() map[program.BlockID][]uint64 {
+	if p == nil {
+		return nil
+	}
+	return p.Injections
+}
+
 // Apply rewrites prog (the profiled program) with the plan's injections,
 // returning the new laid-out image. Victim line addresses are translated
 // into the rewritten layout by the program package.

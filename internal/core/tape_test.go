@@ -113,11 +113,13 @@ func TestTapeDivergingSourceFails(t *testing.T) {
 }
 
 // TestTuneRecordsOneTape: a cold LRU+FDIP sweep over a file source decodes
-// the trace once per job plus once to record the tape, without a pool and
-// on a pool that runs 2 jobs at once; a warm rerun from the store decodes
-// nothing, so it records no tape either. A pool that runs 4 jobs at once
-// on 4 Ps would wait for the recording longer than the 3 rounds of 11
-// jobs save, so it runs FDIP live and decodes once per job.
+// the trace once per distinct simulation plus once to record the tape,
+// without a pool and on a pool that runs 2 jobs at once; a warm rerun
+// from the store decodes nothing, so it records no tape either. A pool
+// that runs 4 jobs at once on 4 Ps would wait for the recording longer
+// than its 3 rounds of simulations save, so it runs FDIP live and decodes
+// once per simulation. Two of the ten default thresholds share a plan
+// here, so the sweep's 11 jobs run 10 simulations.
 func TestTuneRecordsOneTape(t *testing.T) {
 	app := catalogApp(t, "kafka")
 	tr := app.Trace(0, 20_000)
@@ -127,7 +129,10 @@ func TestTuneRecordsOneTape(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := TuneConfig{Params: frontend.DefaultParams(), Policy: "lru", Prefetcher: "fdip"}
-	jobs := uint64(len(DefaultThresholds()) + 1)
+	sims := uint64(distinctSims(a, DefaultThresholds()))
+	if sims != 10 {
+		t.Fatalf("the sweep needs %d simulations, want the 10 this test pins", sims)
+	}
 	dir := t.TempDir()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, c := range []struct {
@@ -135,10 +140,10 @@ func TestTuneRecordsOneTape(t *testing.T) {
 		workers int // 0: no pool
 		decoded uint64
 	}{
-		{"no pool", 0, (jobs + 1) * uint64(len(tr))},
-		{"cold pool", 1, (jobs + 1) * uint64(len(tr))},
+		{"no pool", 0, (sims + 1) * uint64(len(tr))},
+		{"cold pool", 1, (sims + 1) * uint64(len(tr))},
 		{"warm pool", 1, 0},
-		{"wide pool", 3, jobs * uint64(len(tr))},
+		{"wide pool", 3, sims * uint64(len(tr))},
 	} {
 		src := trace.FileSourceOptions(path, app.Prog, trace.FileOptions{})
 		opts := ParallelOptions{SourceID: "kafka-20k"}

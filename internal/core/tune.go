@@ -1,7 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"maps"
+	"slices"
+	"sync"
 
 	"ripple/internal/blockseq"
 	"ripple/internal/frontend"
@@ -95,11 +99,12 @@ type ParallelOptions struct {
 // 45-65% band).
 //
 // The uninjected baseline and one run per candidate threshold go to
-// opts.Pool as one RunBatch. With a SourceID each run is keyed by its
-// full signature (program fingerprint, plan digest + threshold, policy,
-// prefetcher, machine params, warmup, hint mode, and the source
-// identity), so equal sweeps coalesce in-process and, with a persistent
-// store, warm reruns perform zero simulations. A nil Pool runs the sweep
+// opts.Pool as one RunBatch, so thresholds whose plans inject alike (an
+// empty plan is the baseline) share one simulation. With a SourceID each
+// run is keyed by its full signature (program fingerprint, plan digest +
+// threshold, policy, prefetcher, machine params, warmup, hint mode, and
+// the source identity), so equal sweeps coalesce in-process and, with a
+// persistent store, warm reruns perform zero simulations. A nil Pool runs the sweep
 // on a private one-worker pool, two runs at once, so its FDIP runs may
 // run live where a serial sweep would replay a tape; either way the
 // result is the same.
@@ -148,8 +153,9 @@ func TuneParallel(a *Analysis, src blockseq.Source, cfg TuneConfig, opts Paralle
 // hints, warmup and accuracy scoring over the program with Plan placed in
 // it (nil: the uninjected program), as RunPlan simulates it. Sig is the
 // run's store signature: every input that can change its result. An
-// unsigned run (empty Sig) is simulated every time and never coalesced,
-// memoized or stored. Label names the run in the runner's log.
+// unsigned run (empty Sig) is never coalesced by signature, memoized or
+// stored; within its batch it still shares the simulation of a run that
+// simulates alike (see RunBatch). Label names the run in the runner's log.
 type Run struct {
 	Config     TuneConfig
 	Plan       *Plan
@@ -158,32 +164,40 @@ type Run struct {
 
 // RunBatch simulates runs over src, one runner job each on opts.Pool (nil:
 // a private one-worker pool), and returns their results in the order of
-// runs. The runs' FDIP prefetchers replay one tape, recorded by the first
-// of them that simulates, when they are enough for the Workers+1 jobs a
-// batch runs at once to pay for the recording (prefetch.NewBatch). Every
-// run has the same cost, so the pool queues them by signature (unsigned
-// runs first, in the order of runs). A signed run coalesces with equal
-// signatures and persists in the pool's store; an unsigned run is a plain
-// job that the pool simulates and forgets.
+// runs. Runs that simulate alike share one simulation (see sameSimulation:
+// an empty plan is the uninjected baseline): the first of their jobs to
+// need it runs it, and the others wait for it and copy its result. The
+// FDIP simulations replay one tape, recorded by the first of them that
+// runs, when they are enough for the Workers+1 jobs a batch runs at once
+// to pay for the recording (prefetch.NewBatch). The pool queues the job
+// that first needs each simulation before the jobs that copy one, each
+// group by signature (unsigned runs first, in the order of runs). A
+// signed run coalesces with equal signatures and persists in the pool's
+// store; an unsigned run is a plain job that the pool simulates and
+// forgets.
 func RunBatch(prog *program.Program, src blockseq.Source, runs []Run, opts ParallelOptions) ([]frontend.Result, error) {
 	pool := opts.Pool
 	if pool == nil {
 		pool = runner.New(runner.Options{Workers: 1})
 	}
-	fdipRuns := 0
-	for _, r := range runs {
-		if r.Config.Prefetcher == "fdip" {
-			fdipRuns++
-		}
-	}
-	pfs := prefetch.NewBatch(prog, src, fdipRuns, pool.Workers()+1) // a batch runs Workers+1 jobs at once
+	sims, fdipSims := shareSimulations(runs)
+	pfs := prefetch.NewBatch(prog, src, fdipSims, pool.Workers()+1) // a batch runs Workers+1 jobs at once
 	jobs := make([]runner.Job, len(runs))
 	for i, r := range runs {
-		jobs[i] = runner.NewJob(r.Sig, r.Label, 1, func() (*frontend.Result, error) {
-			res, err := runPlan(prog, src, r.Config, r.Plan, pfs)
-			if err != nil {
-				return nil, err
+		s := sims[i]
+		cost := 0.0 // a copy
+		if s.first == i {
+			cost = 1
+		}
+		jobs[i] = runner.NewJob(r.Sig, r.Label, cost, func() (*frontend.Result, error) {
+			s.once.Do(func() {
+				s.err = errUnfinished // what the waiters see if the run panics
+				s.res, s.err = runPlan(prog, src, r.Config, r.Plan, pfs)
+			})
+			if s.err != nil {
+				return nil, s.err
 			}
+			res := s.res
 			return &res, nil
 		})
 	}
@@ -196,6 +210,55 @@ func RunBatch(prog *program.Program, src blockseq.Source, runs []Run, opts Paral
 		results[i] = *(v.(*frontend.Result))
 	}
 	return results, nil
+}
+
+// simulation is one simulation of a batch, shared by the runs that
+// simulate alike: runs[first] is the first of them.
+type simulation struct {
+	first int
+	once  sync.Once
+	res   frontend.Result
+	err   error
+}
+
+// errUnfinished is a shared simulation's error when the job running it
+// panicked (the runner reports the panic on that job).
+var errUnfinished = errors.New("core: a shared simulation did not finish")
+
+// shareSimulations gives each run its simulation, one per class of runs
+// that simulate alike, and counts the simulations that run FDIP.
+func shareSimulations(runs []Run) (sims []*simulation, fdip int) {
+	sims = make([]*simulation, len(runs))
+	var distinct []*simulation
+	for i, r := range runs {
+		for _, s := range distinct {
+			if sameSimulation(runs[s.first], r) {
+				sims[i] = s
+				break
+			}
+		}
+		if sims[i] == nil {
+			sims[i] = &simulation{first: i}
+			distinct = append(distinct, sims[i])
+			if r.Config.Prefetcher == "fdip" {
+				fdip++
+			}
+		}
+	}
+	return sims, fdip
+}
+
+// sameSimulation reports whether runs a and b simulate alike: their
+// configurations are equal but for Thresholds, which no single run reads,
+// and their plans inject the same victims into the same blocks. A plan
+// that injects nothing is the uninjected program, as a nil plan is; other
+// plan fields (threshold, window counts) do not reach the simulation.
+func sameSimulation(a, b Run) bool {
+	x, y := a.Config, b.Config
+	return x.Params == y.Params && x.Policy == y.Policy && x.Prefetcher == y.Prefetcher &&
+		x.Hints == y.Hints && x.MeasureAccuracy == y.MeasureAccuracy &&
+		x.WarmupBlocks == y.WarmupBlocks && x.ShiftLayout == y.ShiftLayout &&
+		maps.EqualFunc(a.Plan.injections(), b.Plan.injections(), slices.Equal[[]uint64])
 }
 
 // assembleTune folds the per-threshold results into a TuneResult in

@@ -110,7 +110,9 @@ var ErrNotReplayable = errors.New("opt: source yielded a different event count o
 
 // nextIndex is the pass-one product: for every stream position, the
 // position of the next event touching the same line (any kind) and of the
-// next demand event on that line; never (-1) when there is none.
+// next demand event on that line; never (-1) when there is none. The two
+// share one array when the stream holds no prefetch event. Neither is
+// written after pass one.
 type nextIndex struct {
 	nextAny    []int32
 	nextDemand []int32
@@ -130,8 +132,9 @@ func Simulate(events []Event, cfg cache.Config, mode Mode, logEvictions bool) Re
 
 // SimulateSource replays the oracle policy over two passes of a replayable
 // event source against the given cache geometry: pass one builds the
-// next-use indexes, pass two replays the policy. Peak memory is the 9
-// bytes/event index (plus the model), never the events themselves. Set
+// next-use indexes, pass two replays the policy. Peak memory is the
+// index, 4 bytes/event for a demand-only stream and 9 with prefetches
+// (plus the model), never the events themselves. Set
 // logEvictions to collect the eviction log that Ripple's analysis needs
 // (costs memory proportional to evictions).
 func SimulateSource(src EventSource, cfg cache.Config, mode Mode, logEvictions bool) (Result, error) {
@@ -311,7 +314,10 @@ func victim(s []entry, mode Mode, nextAny, nextDemand []int32) int {
 // backward sweep over the completed next-any chain — the next demand on a
 // line is its next access if that access is a demand, else that access's
 // own next demand. This yields arrays identical to the slice-era backward
-// builder (buildNextIndexes) without needing the events in memory.
+// builder (buildNextIndexes) without needing the events in memory. A
+// stream with no prefetch event needs no sweep: every next access is a
+// demand, so nextDemand is nextAny, and the per-event demand flags are
+// kept only from the first prefetch on.
 func buildNextIndexesSource(src EventSource) (nextIndex, error) {
 	// Clamp the hint: on a trace-backed source it descends from an
 	// unvalidated stream header, which must not drive the allocation.
@@ -320,8 +326,10 @@ func buildNextIndexesSource(src EventSource) (nextIndex, error) {
 		capHint = min(n, 1<<20)
 	}
 	nextAny := make([]int32, 0, capHint)
-	demand := make([]bool, 0, capHint)
-	lastAny := make(map[uint64]int32, 1<<14)
+	var demand []bool // nil while every event so far is a demand
+	// The map grows with the lines the stream touches, far fewer than
+	// its events: 3,430 lines over a 500k-block kafka profile's 609k.
+	lastAny := make(map[uint64]int32)
 
 	tooLong := false
 	err := src.Events(func(ev Event) bool {
@@ -335,7 +343,15 @@ func buildNextIndexesSource(src EventSource) (nextIndex, error) {
 		}
 		lastAny[ev.Line] = int32(n)
 		nextAny = append(nextAny, never)
-		demand = append(demand, !ev.Prefetch)
+		if ev.Prefetch && demand == nil {
+			demand = make([]bool, n, cap(nextAny))
+			for i := range demand {
+				demand[i] = true
+			}
+		}
+		if demand != nil {
+			demand = append(demand, !ev.Prefetch)
+		}
 		return true
 	})
 	if err != nil {
@@ -343,6 +359,9 @@ func buildNextIndexesSource(src EventSource) (nextIndex, error) {
 	}
 	if tooLong {
 		return nextIndex{}, ErrStreamTooLong
+	}
+	if demand == nil {
+		return nextIndex{nextAny: nextAny, nextDemand: nextAny}, nil
 	}
 
 	n := len(nextAny)

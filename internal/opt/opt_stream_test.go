@@ -3,6 +3,7 @@ package opt
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ripple/internal/cache"
@@ -87,22 +88,84 @@ var streamCfgs = []cache.Config{
 }
 
 // TestStreamIndexMatchesBackward: the forward patch-on-reappearance
-// builder must produce the exact arrays of the slice-era backward pass.
+// builder must produce the exact arrays of the slice-era backward pass,
+// on mixed streams, streams with no prefetch (where nextDemand is
+// nextAny), streams whose first prefetch comes late, streams of
+// prefetches only, and the empty stream.
 func TestStreamIndexMatchesBackward(t *testing.T) {
 	rng := stats.NewRNG(4097)
-	for trial := 0; trial < 50; trial++ {
-		ev := randomEvents(rng, 50+rng.Intn(400), 1+rng.Intn(30), 0.3)
-		wantAny, wantDemand := buildNextIndexes(ev)
-		idx, err := buildNextIndexesSource(SliceEvents(ev))
-		if err != nil {
-			t.Fatal(err)
+	shapes := map[string]func() []Event{
+		"mixed":  func() []Event { return randomEvents(rng, 50+rng.Intn(400), 1+rng.Intn(30), 0.3) },
+		"demand": func() []Event { return randomEvents(rng, 50+rng.Intn(400), 1+rng.Intn(30), 0) },
+		"late-prefetch": func() []Event {
+			ev := randomEvents(rng, 50+rng.Intn(400), 1+rng.Intn(30), 0)
+			first := len(ev)/2 + rng.Intn(len(ev)/2)
+			ev[first].Prefetch = true
+			for i := first + 1; i < len(ev); i++ {
+				ev[i].Prefetch = rng.Bool(0.3)
+			}
+			return ev
+		},
+		"prefetch": func() []Event { return randomEvents(rng, 50+rng.Intn(400), 1+rng.Intn(30), 1) },
+		"empty":    func() []Event { return []Event{} },
+	}
+	for name, gen := range shapes {
+		for trial := 0; trial < 20; trial++ {
+			ev := gen()
+			wantAny, wantDemand := buildNextIndexes(ev)
+			idx, err := buildNextIndexesSource(SliceEvents(ev))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(idx.nextAny, wantAny) {
+				t.Fatalf("%s trial %d: nextAny diverges", name, trial)
+			}
+			if !reflect.DeepEqual(idx.nextDemand, wantDemand) {
+				t.Fatalf("%s trial %d: nextDemand diverges", name, trial)
+			}
 		}
-		if !reflect.DeepEqual(idx.nextAny, wantAny) {
-			t.Fatalf("trial %d: nextAny diverges", trial)
-		}
-		if !reflect.DeepEqual(idx.nextDemand, wantDemand) {
-			t.Fatalf("trial %d: nextDemand diverges", trial)
-		}
+	}
+}
+
+// TestDemandOnlyIndexAllocs: a demand-only stream's index is one next
+// array, which nextDemand shares, with no per-event demand flags. The
+// same stream with one prefetch among its last events allocates two more
+// objects, the flags and a second next array: 5 B more per event, of
+// which the test asks 4.5 to leave room for the runtime's own
+// allocations (a second array alone would be 4).
+func TestDemandOnlyIndexAllocs(t *testing.T) {
+	const n = 1 << 16
+	lines := make(LineEvents, n)
+	mixed := make(SliceEvents, n)
+	for i := range lines {
+		lines[i] = uint64(i % 61)
+		mixed[i] = Event{Line: lines[i], Prefetch: i == n-100}
+	}
+	idx, err := buildNextIndexesSource(lines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &idx.nextDemand[0] != &idx.nextAny[0] {
+		t.Fatal("a demand-only stream's nextDemand is a second array")
+	}
+	measure := func(src EventSource) (allocs float64, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(5, func() {
+			if _, err := buildNextIndexesSource(src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / 6 // AllocsPerRun runs once more to warm up
+	}
+	demandAllocs, demandBytes := measure(lines)
+	mixedAllocs, mixedBytes := measure(mixed)
+	if mixedAllocs-demandAllocs != 2 {
+		t.Errorf("a demand-only index takes %v allocations, one prefetch %v: want 2 fewer", demandAllocs, mixedAllocs)
+	}
+	if mixedBytes < demandBytes+9*n/2 {
+		t.Errorf("a demand-only index allocates %d B, one prefetch %d B: want at least %d B fewer", demandBytes, mixedBytes, 9*n/2)
 	}
 }
 

@@ -52,7 +52,9 @@ type State struct {
 	// equals the position Mark names.
 	Total uint64
 
-	// Window is the rolling analysis window (the last <= W blocks).
+	// Window is the rolling analysis window: the last <= W blocks when
+	// saved. A checkpoint written by an older build may hold up to 2W;
+	// only the last W are read.
 	Window []program.BlockID
 
 	// Epoch counts analysis epochs run; Revision counts plans published.
@@ -77,7 +79,13 @@ type State struct {
 // SaveState atomically writes the checkpoint sidecar via tmp+rename, so
 // a crash mid-write never leaves a half-written checkpoint at path.
 func SaveState(path string, st *State) error {
-	raw, err := encodeState(st)
+	return saveState(path, st, new(bytes.Buffer))
+}
+
+// saveState is SaveState sealing the checkpoint in buf, which a watcher
+// reuses across its checkpoints.
+func saveState(path string, st *State, buf *bytes.Buffer) error {
+	raw, err := encodeState(buf, st)
 	if err != nil {
 		return err
 	}
@@ -92,15 +100,17 @@ func SaveState(path string, st *State) error {
 	return nil
 }
 
-// encodeState seals a checkpoint: magic, gob body, SHA-256 trailer.
-func encodeState(st *State) ([]byte, error) {
-	var body bytes.Buffer
-	body.WriteString(stateMagic)
-	if err := gob.NewEncoder(&body).Encode(st); err != nil {
+// encodeState seals a checkpoint in buf, which it resets first: magic,
+// gob body, SHA-256 trailer. The result aliases buf.
+func encodeState(buf *bytes.Buffer, st *State) ([]byte, error) {
+	buf.Reset()
+	buf.WriteString(stateMagic)
+	if err := gob.NewEncoder(buf).Encode(st); err != nil {
 		return nil, fmt.Errorf("watch: encode checkpoint: %w", err)
 	}
-	sum := sha256.Sum256(body.Bytes())
-	return append(body.Bytes(), sum[:]...), nil
+	sum := sha256.Sum256(buf.Bytes())
+	buf.Write(sum[:])
+	return buf.Bytes(), nil
 }
 
 // LoadState reads a checkpoint sidecar. Structural damage of any kind

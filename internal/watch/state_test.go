@@ -126,7 +126,7 @@ func FuzzLoadState(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(raw[len(stateMagic) : len(raw)-sha256.Size])
-	if raw, err = encodeState(&State{Mark: tailMark{flags: markFlagHeader}.encode()}); err != nil {
+	if raw, err = encodeState(new(bytes.Buffer), &State{Mark: tailMark{flags: markFlagHeader}.encode()}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(raw[len(stateMagic) : len(raw)-sha256.Size])
@@ -142,7 +142,7 @@ func FuzzLoadState(f *testing.F) {
 			}
 			return
 		}
-		again, err := encodeState(st)
+		again, err := encodeState(new(bytes.Buffer), st)
 		if err != nil {
 			t.Fatalf("accepted state does not save: %v", err)
 		}
@@ -150,7 +150,7 @@ func FuzzLoadState(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-saved state does not load: %v", err)
 		}
-		if twice, err := encodeState(back); err != nil || !bytes.Equal(twice, again) {
+		if twice, err := encodeState(new(bytes.Buffer), back); err != nil || !bytes.Equal(twice, again) {
 			t.Fatalf("state changed across save/load (%v):\n%+v\n%+v", err, st, back)
 		}
 	})

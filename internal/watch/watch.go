@@ -1,6 +1,7 @@
 package watch
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -181,6 +182,8 @@ type watcher struct {
 
 	// prefix binds each checkpoint to the trace bytes read so far.
 	prefix prefixHasher
+	// ckpt holds the sealed checkpoint while it is written.
+	ckpt bytes.Buffer
 }
 
 func (w *watcher) logf(format string, args ...any) {
@@ -309,14 +312,19 @@ func (w *watcher) loadState() *State {
 	return st
 }
 
-// push appends a block to the rolling window, trimming to W with an
-// amortized copy.
+// push appends a block to the rolling window, trimming it to W once it
+// holds 2W (an amortized copy).
 func (w *watcher) push(bid program.BlockID) {
 	w.st.Window = append(w.st.Window, bid)
 	if len(w.st.Window) > 2*w.cfg.Window {
-		n := copy(w.st.Window, w.st.Window[len(w.st.Window)-w.cfg.Window:])
-		w.st.Window = w.st.Window[:n]
+		w.trim()
 	}
+}
+
+// trim drops the window's blocks before the last W.
+func (w *watcher) trim() {
+	n := copy(w.st.Window, w.window())
+	w.st.Window = w.st.Window[:n]
 }
 
 // window returns the current analysis window (the last <= W blocks).
@@ -356,10 +364,11 @@ func (w *watcher) windowDamaged() bool {
 }
 
 // runEpoch re-analyzes the rolling window, scores the best plan, and
-// feeds the hysteresis ratchet.
+// feeds the hysteresis ratchet. The analysis and the sweep read the
+// window in place: no block arrives until the epoch is over.
 func (w *watcher) runEpoch() error {
 	w.st.Epoch++
-	win := append([]program.BlockID(nil), w.window()...)
+	win := w.window()
 	if len(win) == 0 {
 		return nil
 	}
@@ -446,8 +455,9 @@ func (w *watcher) publish(point core.ThresholdPoint, plan *core.Plan, digest str
 }
 
 // checkpoint persists the current state, binding it to the trace content
-// read so far.
+// read so far. It saves the window's last W blocks, all an epoch reads.
 func (w *watcher) checkpoint() error {
+	w.trim()
 	w.st.Mark = w.seq.Checkpoint()
 	w.st.Declared = w.seq.Declared()
 	// Bind the full prefix consumed so far: in an append-only trace these
@@ -462,5 +472,5 @@ func (w *watcher) checkpoint() error {
 		return err
 	}
 	w.st.PrefixLen, w.st.PrefixSHA = n, sum
-	return SaveState(w.cfg.StatePath, w.st)
+	return saveState(w.cfg.StatePath, w.st, &w.ckpt)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -135,15 +136,7 @@ func TestWatchPublishesRevisions(t *testing.T) {
 // files of a watcher that never stopped — the checkpointed state fully
 // determines the replay.
 func TestWatchRestartEquivalence(t *testing.T) {
-	// Two-phase trace: the request mix shifts mid-stream, so epoch
-	// winners change and the run publishes more than one revision.
-	app := tinyApp(t)
-	ref := append(app.Trace(0, 1500), app.Trace(9, 1500)...)
-	var buf bytes.Buffer
-	if _, err := trace.EncodeSourceSync(&buf, app.Prog, blockseq.SliceSource(ref), 128); err != nil {
-		t.Fatal(err)
-	}
-	prog, data := app.Prog, buf.Bytes()
+	prog, ref, data := twoPhaseTrace(t)
 	dir := t.TempDir()
 	path := writeFile(t, dir, "trace.pt", data)
 
@@ -199,6 +192,92 @@ func TestWatchRestartEquivalence(t *testing.T) {
 			res.Revisions, res.Epochs, want.Revisions, want.Epochs)
 	}
 	sameFiles(t, wantFiles, readDir(t, gotOut), "restarted revisions")
+}
+
+// twoPhaseTrace is a trace whose request mix shifts mid-stream, so epoch
+// winners change and a run publishes more than one revision.
+func twoPhaseTrace(t *testing.T) (*program.Program, []program.BlockID, []byte) {
+	t.Helper()
+	app := tinyApp(t)
+	ref := append(app.Trace(0, 1500), app.Trace(9, 1500)...)
+	var buf bytes.Buffer
+	if _, err := trace.EncodeSourceSync(&buf, app.Prog, blockseq.SliceSource(ref), 128); err != nil {
+		t.Fatal(err)
+	}
+	return app.Prog, ref, buf.Bytes()
+}
+
+// TestResumeParentWindowCheckpoint: testdata/parent-window.ptwatch was
+// written by a watcher that saved its whole window, 486 blocks of a
+// 256-block W, paused at block 1000 of twoPhaseTrace with watchCfg and
+// eager hysteresis. A watcher resumed from it publishes the revisions a
+// run that never stopped publishes after that point, byte for byte. A
+// checkpoint written at the same point now saves the last W blocks only.
+func TestResumeParentWindowCheckpoint(t *testing.T) {
+	prog, _, data := twoPhaseTrace(t)
+	dir := t.TempDir()
+	path := writeFile(t, dir, "trace.pt", data)
+	eager := func(name string) Config {
+		out := filepath.Join(dir, name)
+		if err := os.MkdirAll(out, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		cfg := watchCfg(t, prog, path, out)
+		cfg.StatePath = filepath.Join(dir, name+".ptwatch")
+		cfg.Hysteresis = 1e-9
+		cfg.Stable = 1
+		return cfg
+	}
+	refCfg := eager("ref")
+	want, err := Run(refCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFiles := readDir(t, refCfg.OutDir)
+
+	parent, err := os.ReadFile(filepath.Join("testdata", "parent-window.ptwatch"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := eager("resumed")
+	if err := os.WriteFile(cfg.StatePath, parent, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := LoadState(cfg.StatePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Total != 1000 || len(st.Window) <= cfg.Window {
+		t.Fatalf("the parent checkpoint holds %d blocks at block %d; the test needs more than W=%d at 1000",
+			len(st.Window), st.Total, cfg.Window)
+	}
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Resumed || got.Total != want.Total || got.Revisions != want.Revisions || got.Epochs != want.Epochs {
+		t.Fatalf("resumed run %+v, want a resumed run ending like %+v", got, want)
+	}
+	if got.Revisions <= st.Revision {
+		t.Fatalf("the resumed run published nothing after revision %d: fixture too small", st.Revision)
+	}
+	for n := 1; n <= st.Revision; n++ { // published before the checkpoint
+		delete(wantFiles, filepath.Base(RevisionPath("", n)))
+	}
+	sameFiles(t, wantFiles, readDir(t, cfg.OutDir), "revisions resumed from the parent checkpoint")
+
+	now := eager("now")
+	now.MaxBlocks = st.Total
+	if _, err := Run(now); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := LoadState(now.StatePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(fresh.Window, st.Window[len(st.Window)-now.Window:]) {
+		t.Fatalf("a checkpoint at block %d saves %d blocks, want the parent's last %d", st.Total, len(fresh.Window), now.Window)
+	}
 }
 
 // TestWatchStateStale: regenerating the trace under the same path

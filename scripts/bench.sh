@@ -20,6 +20,9 @@
 # tune       ripple.TuneParallel: baseline plus the ten default thresholds,
 #            LRU+FDIP, one worker, 100k kafka blocks (10x);
 #            internal/core/tune.go, internal/prefetch, internal/frontend
+# watch      watch.Run from no state over a 200k-block kafka trace file,
+#            window = epoch = 2,048 and 20,000 blocks (3x); internal/watch
+#            and every layer an epoch runs (analysis, tuning sweep)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -61,8 +64,13 @@ tune)
 	units='blocks/s=blocks_per_sec ns/op=ns_per_op B/op=bytes_per_op allocs/op=allocs_per_op tape_B/block=tape_bytes_per_block'
 	note='blocks_per_sec is trace blocks tuned per second by ripple.TuneParallel (baseline plus the ten default thresholds, LRU+FDIP, Workers 1) on an in-memory 100k-block kafka trace; every run of a sweep replays one FDIP tape, whose recorded size per trace block is tape_bytes_per_block'
 	;;
+watch)
+	pkg=./internal/watch pattern='^BenchmarkWatch$' dflt=3x
+	units='blocks/s=blocks_per_sec ns/op=ns_per_op B/op=bytes_per_op allocs/op=allocs_per_op sims/epoch=sims_per_epoch'
+	note='blocks_per_sec is trace blocks watched per second by watch.Run from no state over a 200k-block kafka trace file, with window = epoch = 2048 blocks (the ripplewatch default) and 20000 (the pipebench watch-kafka window) and the default LRU+FDIP sweep; sims_per_epoch is the simulations each epoch sweep runs, counted outside the timer'
+	;;
 *)
-	echo "usage: scripts/bench.sh analyze|oracle|replay|simulate|tune [-benchtime X]" >&2
+	echo "usage: scripts/bench.sh analyze|oracle|replay|simulate|tune|watch [-benchtime X]" >&2
 	exit 2
 	;;
 esac
