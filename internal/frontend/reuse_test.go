@@ -103,11 +103,10 @@ func (p *strayPrefetcher) OnBlockRetire(bid, next program.BlockID, issue prefetc
 	issue(p.first - 1 - p.n%89)
 }
 
-// reuseCases is the matrix: kafka and drupal under every pairing of
-// LRU, Random and GHRP with no prefetcher, NLP, FDIP and TIFS, plus a
-// warmup, accuracy scoring, invalidate and demote hints, an L2/L3
-// smaller than the text, and a prefetcher that issues lines outside the
-// text.
+// reuseCases is the matrix: kafka and drupal under every pairing of a
+// catalog policy with a catalog prefetcher, plus a warmup, accuracy
+// scoring, invalidate and demote hints, an L2/L3 smaller than the text,
+// and a prefetcher that issues lines outside the text.
 func reuseCases(t testing.TB) []reuseCase {
 	t.Helper()
 	const blocks = 6000
@@ -142,8 +141,8 @@ func reuseCases(t testing.TB) []reuseCase {
 				},
 			})
 		}
-		for _, pol := range []string{"lru", "random", "ghrp"} {
-			for _, pf := range []string{"none", "nlp", "fdip", "tifs"} {
+		for _, pol := range replacement.Names() {
+			for _, pf := range prefetch.Names() {
 				add(pol+"+"+pf, DefaultParams(), app.Prog, pol, pf, nil)
 			}
 		}
@@ -151,7 +150,10 @@ func reuseCases(t testing.TB) []reuseCase {
 		add("warmup/random+tifs", DefaultParams(), hinted, "random", "tifs", func(o *Options) { o.WarmupBlocks = 2000 })
 		add("accuracy/ghrp+fdip", DefaultParams(), hinted, "ghrp", "fdip", func(o *Options) { o.MeasureAccuracy = true })
 		add("invalidate/lru+fdip", DefaultParams(), hinted, "lru", "fdip", nil)
+		add("accuracy/ship+fdip", DefaultParams(), hinted, "ship", "fdip", func(o *Options) { o.MeasureAccuracy = true })
 		add("demote/lru+nlp", DefaultParams(), hinted, "lru", "nlp", func(o *Options) { o.Hints = HintDemote })
+		add("demote/srrip+nlp", DefaultParams(), hinted, "srrip", "nlp", func(o *Options) { o.Hints = HintDemote })
+		add("demote/trrip+fdip", DefaultParams(), hinted, "trrip", "fdip", func(o *Options) { o.Hints = HintDemote })
 		add("demote+accuracy/lru+fdip", DefaultParams(), hinted, "lru", "fdip", func(o *Options) {
 			o.Hints, o.MeasureAccuracy = HintDemote, true
 		})

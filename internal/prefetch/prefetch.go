@@ -34,24 +34,36 @@ type Prefetcher interface {
 	OnBlockRetire(bid, next program.BlockID, issue IssueFunc)
 }
 
-// Names lists the available prefetcher configurations: the paper's three
-// evaluation baselines plus the temporal record/replay extension.
-func Names() []string { return []string{"none", "nlp", "fdip", "tifs"} }
+// catalog lists the prefetcher configurations in Names' order: the
+// paper's three evaluation baselines plus the temporal record/replay
+// extension.
+var catalog = []struct {
+	name  string
+	build func(*program.Program) Prefetcher
+}{
+	{"none", func(*program.Program) Prefetcher { return None{} }},
+	{"nlp", func(prog *program.Program) Prefetcher { return NewNLP(prog, 1) }},
+	{"fdip", func(prog *program.Program) Prefetcher { return NewFDIP(prog, bpred.DefaultConfig(), 32) }},
+	{"tifs", func(prog *program.Program) Prefetcher { return NewTIFS(prog, 1<<15, 6) }},
+}
+
+// Names lists the available prefetcher configurations.
+func Names() []string {
+	names := make([]string, len(catalog))
+	for i, e := range catalog {
+		names[i] = e.name
+	}
+	return names
+}
 
 // New builds a prefetcher by name for the given program.
 func New(name string, prog *program.Program) (Prefetcher, error) {
-	switch name {
-	case "none":
-		return None{}, nil
-	case "nlp":
-		return NewNLP(prog, 1), nil
-	case "fdip":
-		return NewFDIP(prog, bpred.DefaultConfig(), 32), nil
-	case "tifs":
-		return NewTIFS(prog, 1<<15, 6), nil
-	default:
-		return nil, fmt.Errorf("prefetch: unknown prefetcher %q (have %v)", name, Names())
+	for _, e := range catalog {
+		if e.name == name {
+			return e.build(prog), nil
+		}
 	}
+	return nil, fmt.Errorf("prefetch: unknown prefetcher %q (have %v)", name, Names())
 }
 
 // None performs no prefetching (the paper's baseline configuration).

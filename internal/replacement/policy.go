@@ -2,12 +2,15 @@
 // studied by the paper: LRU, Random, SRRIP, DRRIP, GHRP (the only prior
 // I-cache-specific policy, in both its published and confidence-fixed
 // forms), and Hawkeye/Harmony (the state-of-the-art learning D-cache
-// policies the paper shows fail on I-caches). Each policy also accounts for
-// its on-chip metadata storage, reproducing Table I.
+// policies the paper shows fail on I-caches), plus two signature-predicted
+// RRIP baselines beyond the paper: SHiP and TRRIP. SRRIP, DRRIP, SHiP and
+// TRRIP share one RRIP core and differ in the RRPV a fill inserts at. Each
+// policy also accounts for its on-chip metadata storage, reproducing
+// Table I.
 //
-// Policies satisfy the cache.Policy interface; LRU-like ones additionally
-// satisfy cache.Demoter so Ripple's "reduce LRU priority" hint variant can
-// be evaluated.
+// Policies satisfy the cache.Policy interface; every policy but Random
+// also satisfies cache.Demoter, so Ripple's "reduce LRU priority" hint
+// variant can be evaluated under it.
 package replacement
 
 import (
@@ -26,36 +29,41 @@ type Overheader interface {
 	OverheadNote() string
 }
 
-// Factory builds a fresh policy instance; simulations never share policy
-// state.
-type Factory func() cache.Policy
-
-// catalog maps policy names to factories.
-var catalog = map[string]Factory{
-	"lru":       func() cache.Policy { return NewLRU() },
-	"random":    func() cache.Policy { return NewRandom(0x12345) },
-	"srrip":     func() cache.Policy { return NewSRRIP() },
-	"drrip":     func() cache.Policy { return NewDRRIP() },
-	"ghrp":      func() cache.Policy { return NewGHRP(true) },
-	"ghrp-orig": func() cache.Policy { return NewGHRP(false) },
-	"hawkeye":   func() cache.Policy { return NewHawkeye(false) },
-	"harmony":   func() cache.Policy { return NewHawkeye(true) },
-	"ship":      func() cache.Policy { return NewSHiP() },
-	"trrip":     func() cache.Policy { return NewTRRIP() },
+// catalog lists the policies in Names' order. Each build returns a fresh
+// instance: simulations never share policy state.
+var catalog = []struct {
+	name  string
+	build func() cache.Policy
+}{
+	{"lru", func() cache.Policy { return NewLRU() }},
+	{"random", func() cache.Policy { return NewRandom(0x12345) }},
+	{"srrip", func() cache.Policy { return NewSRRIP() }},
+	{"drrip", func() cache.Policy { return NewDRRIP() }},
+	{"ghrp", func() cache.Policy { return NewGHRP(true) }},
+	{"ghrp-orig", func() cache.Policy { return NewGHRP(false) }},
+	{"hawkeye", func() cache.Policy { return NewHawkeye(false) }},
+	{"harmony", func() cache.Policy { return NewHawkeye(true) }},
+	{"ship", func() cache.Policy { return NewSHiP() }},
+	{"trrip", func() cache.Policy { return NewTRRIP() }},
 }
 
 // New returns a fresh policy by name, or an error listing valid names.
 func New(name string) (cache.Policy, error) {
-	f, ok := catalog[name]
-	if !ok {
-		return nil, fmt.Errorf("replacement: unknown policy %q (have %v)", name, Names())
+	for _, e := range catalog {
+		if e.name == name {
+			return e.build(), nil
+		}
 	}
-	return f(), nil
+	return nil, fmt.Errorf("replacement: unknown policy %q (have %v)", name, Names())
 }
 
 // Names lists the available policy names in a stable order.
 func Names() []string {
-	return []string{"lru", "random", "srrip", "drrip", "ghrp", "ghrp-orig", "hawkeye", "harmony", "ship", "trrip"}
+	names := make([]string, len(catalog))
+	for i, e := range catalog {
+		names[i] = e.name
+	}
+	return names
 }
 
 // base provides the geometry bookkeeping shared by all policies.
