@@ -6,8 +6,12 @@
 // attribution of fills to hint-freed ways (replacement coverage). A cache
 // can also journal its changes and roll back to a mark (Mark, Rollback),
 // which is how the frontend reuses one prewarmed outer hierarchy, or keep
-// a line→way index over a line range (Index, TryHit), which is how the
-// frontend's L1I finds its hits without scanning tags.
+// a line→way index over a line range (Index, TryHit, TryPrefetchHit),
+// which is how the frontend's L1I finds its hits without scanning tags.
+//
+// A policy sees demand hits only (Policy.OnHit); a prefetch probe that
+// hits reaches just the policies that ask for it (PrefetchObserver), so
+// under any other policy it is two counters.
 package cache
 
 import (
@@ -36,7 +40,8 @@ type Policy interface {
 	// Reset sizes the policy's metadata for a sets x ways cache and clears
 	// all learned state.
 	Reset(sets, ways int)
-	// OnHit fires on every access that hits (including prefetch probes).
+	// OnHit fires on every demand access that hits. A prefetch probe that
+	// hits reaches only a PrefetchObserver's OnPrefetchHit.
 	OnHit(set, way int, ai AccessInfo)
 	// OnFill fires when a line is installed into a way.
 	OnFill(set, way int, ai AccessInfo)
@@ -47,6 +52,14 @@ type Policy interface {
 	// Victim picks the way to replace in set; every way is valid when it
 	// is called.
 	Victim(set int, ai AccessInfo) int
+}
+
+// PrefetchObserver is optionally implemented by policies that learn from
+// prefetch probes that hit (Hawkeye's and Harmony's OPTgen sampler). The
+// cache calls OnPrefetchHit for each such probe; a policy without it
+// never hears of them.
+type PrefetchObserver interface {
+	OnPrefetchHit(set, way int, ai AccessInfo)
 }
 
 // Demoter is optionally implemented by policies that support moving a line
@@ -165,11 +178,14 @@ func (s Stats) Coverage() float64 {
 
 // Cache is a single level of the instruction hierarchy.
 type Cache struct {
-	policy  Policy
-	sets    []line // ways entries per set, row-major by set
-	ways    int
-	setMask uint64
-	Stats   Stats
+	policy Policy
+	// observer is the policy as a PrefetchObserver, nil when it is not
+	// one.
+	observer PrefetchObserver
+	sets     []line // ways entries per set, row-major by set
+	ways     int
+	setMask  uint64
+	Stats    Stats
 	// j is the undo journal; nil until Mark.
 	j *journal
 	// idx is the line→way index (see Index): idx[l-idxFirst] is 1 + the
@@ -202,6 +218,7 @@ func New(cfg Config, p Policy) (*Cache, error) {
 		ways:    cfg.Ways,
 		setMask: uint64(cfg.Sets() - 1),
 	}
+	c.observer, _ = p.(PrefetchObserver)
 	p.Reset(cfg.Sets(), cfg.Ways)
 	return c, nil
 }
@@ -276,6 +293,21 @@ func (c *Cache) TryHit(ai AccessInfo) bool {
 	return true
 }
 
+// TryPrefetchHit is TryHit for a prefetch probe of line, cut to what such
+// a probe does when the index shows its line resident and the policy is
+// no PrefetchObserver: it counts the probe and changes nothing else. It
+// reports whether it did; otherwise the caller probes by TryHit or Access.
+// It is small enough to inline into the caller's loop.
+func (c *Cache) TryPrefetchHit(line uint64) bool {
+	i := line - c.idxFirst
+	if c.observer != nil || i >= uint64(len(c.idx)) || c.idx[i] == 0 {
+		return false
+	}
+	c.Stats.Accesses++
+	c.Stats.PrefetchProbes++
+	return true
+}
+
 // count counts one probe.
 func (c *Cache) count(ai AccessInfo) {
 	c.Stats.Accesses++
@@ -287,20 +319,24 @@ func (c *Cache) count(ai AccessInfo) {
 }
 
 // hit counts and performs a hit on way w of set. A demand hit uses up the
-// line's prefetch, marks it re-referenced and cancels an earlier demote
-// hint's claim on it; every hit, prefetch probes included, reaches the
-// policy.
+// line's prefetch, marks it re-referenced, cancels an earlier demote
+// hint's claim on it and reaches the policy's OnHit; a prefetch probe
+// changes no line and reaches only a PrefetchObserver.
 func (c *Cache) hit(set, w int, ai AccessInfo) {
 	c.count(ai)
-	if !ai.Prefetch {
-		ln := &c.sets[set*c.ways+w]
-		if ln.prefetch {
-			c.Stats.PrefetchUseful++
-			ln.prefetch = false
+	if ai.Prefetch {
+		if c.observer != nil {
+			c.observer.OnPrefetchHit(set, w, ai)
 		}
-		ln.reref = true
-		ln.demoted = false
+		return
 	}
+	ln := &c.sets[set*c.ways+w]
+	if ln.prefetch {
+		c.Stats.PrefetchUseful++
+		ln.prefetch = false
+	}
+	ln.reref = true
+	ln.demoted = false
 	c.policy.OnHit(set, w, ai)
 }
 

@@ -694,3 +694,84 @@ func TestRollbackRestoresMark(t *testing.T) {
 		}
 	}
 }
+
+// countingPolicy is fifoPolicy counting the OnHit and Victim calls it
+// gets.
+type countingPolicy struct {
+	fifoPolicy
+	hits, victims int
+}
+
+func (p *countingPolicy) OnHit(set, way int, ai AccessInfo) { p.hits++ }
+func (p *countingPolicy) Victim(set int, ai AccessInfo) int {
+	p.victims++
+	return p.fifoPolicy.Victim(set, ai)
+}
+
+// observingPolicy is countingPolicy as a PrefetchObserver.
+type observingPolicy struct {
+	countingPolicy
+	prefetchHits int
+}
+
+func (p *observingPolicy) OnPrefetchHit(set, way int, ai AccessInfo) { p.prefetchHits++ }
+
+// TestPrefetchHitContract pins what a prefetch probe of a resident line
+// reaches, by each way of probing: neither OnHit nor Victim, and
+// OnPrefetchHit only on a policy that implements it. TryPrefetchHit serves
+// such a probe only under a policy that does not observe it, and then
+// counts exactly what Access counts. A demand hit reaches OnHit only.
+func TestPrefetchHitContract(t *testing.T) {
+	for _, observing := range []bool{false, true} {
+		obs := &observingPolicy{}
+		var pol Policy = &obs.countingPolicy
+		if observing {
+			pol = obs
+		}
+		c, err := New(Config{SizeBytes: 256, Ways: 2, LineBytes: 64}, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.TryPrefetchHit(0) {
+			t.Fatalf("observing=%t: TryPrefetchHit served an unindexed cache", observing)
+		}
+		c.Index(0, make([]uint8, 8))
+		c.Access(AccessInfo{Line: 0})
+		c.Access(AccessInfo{Line: 2}) // set 0 is full
+		if c.TryPrefetchHit(4) {
+			t.Fatalf("observing=%t: TryPrefetchHit served a line that is not resident", observing)
+		}
+		probes := uint64(2)
+		if got := c.TryPrefetchHit(0); got == observing {
+			t.Fatalf("observing=%t: TryPrefetchHit(resident line) = %t", observing, got)
+		} else if got {
+			probes++
+		}
+		if !c.TryHit(AccessInfo{Line: 0, Prefetch: true}) || !c.Access(AccessInfo{Line: 2, Prefetch: true}).Hit {
+			t.Fatalf("observing=%t: a prefetch probe of a resident line missed", observing)
+		}
+		wantObserved := 0
+		if observing {
+			wantObserved = 2
+		}
+		if obs.hits != 0 || obs.victims != 0 || obs.prefetchHits != wantObserved {
+			t.Errorf("observing=%t: prefetch hits reached OnHit %d, Victim %d, OnPrefetchHit %d times; want 0, 0, %d",
+				observing, obs.hits, obs.victims, obs.prefetchHits, wantObserved)
+		}
+		if s := c.Stats; s.PrefetchProbes != probes || s.Accesses != 2+probes || s.DemandAccesses != 2 || s.PrefetchFills != 0 {
+			t.Errorf("observing=%t: stats %+v, want %d prefetch probes and 2 demand accesses", observing, s, probes)
+		}
+
+		c.Access(AccessInfo{Line: 0})
+		if obs.hits != 1 || obs.prefetchHits != wantObserved {
+			t.Errorf("observing=%t: after a demand hit, OnHit %d and OnPrefetchHit %d calls; want 1 and %d",
+				observing, obs.hits, obs.prefetchHits, wantObserved)
+		}
+		// A prefetch that misses a full set still asks the policy for a
+		// victim: the zero counts above are not for want of wiring.
+		c.Access(AccessInfo{Line: 4, Prefetch: true})
+		if obs.victims != 1 {
+			t.Errorf("observing=%t: a prefetch miss reached Victim %d times, want 1", observing, obs.victims)
+		}
+	}
+}

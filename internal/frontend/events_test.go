@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"ripple/internal/blockseq"
+	"ripple/internal/bpred"
 	"ripple/internal/opt"
+	"ripple/internal/prefetch"
 	"ripple/internal/replacement"
 	"ripple/internal/workload"
 )
@@ -116,6 +118,60 @@ func TestAccessEventsCountsMatchAccesses(t *testing.T) {
 			}
 			if again := drainEvents(t, es); !reflect.DeepEqual(first, again) {
 				t.Fatalf("warm=%d: second pass diverged:\n got %v\nwant %v", warm, again, first)
+			}
+		}
+	}
+}
+
+// TestAccessEventsSeeResidentProbes: a prefetch probe that finds its line
+// resident under a policy that does not observe prefetch hits is served
+// in the simulator's own issue loop, and still reaches the event hook in
+// issue order. FDIP's probes do not depend on the cache, so the stream
+// under LRU, whose resident probes take that loop, and under Harmony, a
+// cache.PrefetchObserver whose every probe takes issuePrefetch, must both
+// equal each block's demand lines followed by the lines FDIP returns on
+// its retire.
+func TestAccessEventsSeeResidentProbes(t *testing.T) {
+	app := catalogApps(t)["kafka"]
+	blocks := app.Trace(0, 5_000)
+	tr := blockseq.SliceSource(blocks)
+	newFDIP := func() *prefetch.FDIP { return prefetch.NewFDIP(app.Prog, bpred.DefaultConfig(), 32) }
+
+	var want []opt.Event
+	f, last := newFDIP(), ^uint64(0)
+	for i, bid := range blocks {
+		first, end := app.Prog.Block(bid).LineRange()
+		for l := first; l < end; l++ {
+			if l != last {
+				want = append(want, opt.Event{Line: l})
+				last = l
+			}
+		}
+		if i+1 < len(blocks) {
+			for _, l := range f.OnBlockRetire(bid, blocks[i+1], nil) {
+				want = append(want, opt.Event{Line: l, Prefetch: true})
+			}
+		}
+	}
+
+	res, err := Run(DefaultParams(), app.Prog, tr, Options{Policy: replacement.NewLRU(), Prefetcher: newFDIP()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resident := res.L1I.PrefetchProbes - res.L1I.PrefetchFills; 2*resident < res.L1I.PrefetchProbes {
+		t.Fatalf("test is vacuous: %d of %d prefetch probes found their line resident", resident, res.L1I.PrefetchProbes)
+	}
+	for _, policy := range []string{"lru", "harmony"} {
+		got := drainEvents(t, AccessEvents(DefaultParams(), app.Prog, tr, func() (Options, error) {
+			pol, err := replacement.New(policy)
+			return Options{Policy: pol, Prefetcher: newFDIP()}, err
+		}))
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d events, want %d", policy, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: event %d = %+v, want %+v", policy, i, got[i], want[i])
 			}
 		}
 	}

@@ -12,15 +12,20 @@ import (
 )
 
 // outer is a reusable L2/L3 pair, prewarmed with one block layout's text,
-// together with the per-line tables a run keeps beside the caches.
-// Building the pair (~4.3 MB of tags and LRU stamps at Table II's sizes)
-// and installing the text cost more than a short simulation, so runs
-// borrow pairs from a free list instead. Both caches are marked
-// right after the prewarm, so the journal holds only the sets a run
-// changes, and release rolls them back: the next run starts from exactly
-// the state a fresh build would give it.
+// together with the per-line tables and the prefetch buffer a run keeps
+// beside the caches. Building the L2 (~0.4 MB of tags and LRU stamps at
+// Table II's sizes) and installing the text cost more than a short
+// simulation, so runs borrow pairs from a free list instead. The L3
+// (~3.9 MB) is built only when an L2 miss first reaches it (see llc):
+// the text of all but the largest programs fits the L2, so most pairs
+// never hold one. Each cache is marked right after its prewarm, so the
+// journal holds only the sets a run changes, and release rolls them
+// back: the next run starts from exactly the state a fresh build would
+// give it.
 type outer struct {
-	l2, l3 *cache.Cache
+	l2 *cache.Cache
+	// l3 is nil until llc builds it.
+	l3 *cache.Cache
 
 	// The key: the geometry, and the layout (each block's address and
 	// encoded size) whose text was installed.
@@ -39,12 +44,21 @@ type outer struct {
 	ways  []uint8
 	// hints is the per-block hint table of Options.Injections.
 	hints [][]uint64
+	// pf is the buffer a run's prefetcher appends the lines it issues to.
+	pf []uint64
 }
 
 // blockSpan is one block's place in the layout.
 type blockSpan struct {
 	addr  uint64
 	bytes uint32
+}
+
+// lines returns the half-open range of the cache lines the block
+// occupies, as program.Block.LineRange does.
+func (b blockSpan) lines() (first, end uint64) {
+	first = isa.LineOf(b.addr)
+	return first, first + uint64(isa.LinesSpanned(b.addr, b.bytes))
 }
 
 // outers is the free list. A pair is built only when no idle pair
@@ -87,7 +101,9 @@ func acquire(p Params, prog *program.Program) *outer {
 // list. Run defers it, so an error or a panic returns the pair too.
 func (o *outer) release() {
 	o.l2.Rollback()
-	o.l3.Rollback()
+	if o.l3 != nil {
+		o.l3.Rollback()
+	}
 	outers.Lock()
 	outers.free = append(outers.free, o)
 	outers.Unlock()
@@ -106,30 +122,45 @@ func (o *outer) matches(p Params, prog *program.Program) bool {
 	return true
 }
 
-// build makes fresh caches for the key, installs the whole text image
-// into both, and marks them. Run has validated the geometry.
+// build records the key and makes a fresh, prewarmed L2 for it; the L3
+// waits for llc. Run has validated the geometry.
 func (o *outer) build(p Params, prog *program.Program) {
-	var err error
-	if o.l2, err = cache.New(p.L2, replacement.NewLRU()); err != nil {
-		panic(err)
-	}
-	if o.l3, err = cache.New(p.L3, replacement.NewLRU()); err != nil {
-		panic(err)
-	}
 	o.l2cfg, o.l3cfg = p.L2, p.L3
-	o.layout = o.layout[:0]
-	var buf [16]uint64
+	o.layout = resize(o.layout, len(prog.Blocks))
 	for i := range prog.Blocks {
 		b := &prog.Blocks[i]
-		o.layout = append(o.layout, blockSpan{b.Addr, b.CodeBytes()})
-		for _, l := range b.Lines(buf[:0]) {
-			ai := cache.AccessInfo{Line: l, Sig: l}
-			o.l2.Access(ai)
-			o.l3.Access(ai)
+		o.layout[i] = blockSpan{b.Addr, b.CodeBytes()}
+	}
+	o.l2 = o.prewarmed(p.L2)
+	o.l3 = nil
+}
+
+// llc returns the L3, building it the first time an L2 miss reaches it.
+// It is prewarmed like the L2, from the same layout in the same block
+// order, so its contents, recency stamps and clock are those of an L3
+// built with the pair.
+func (o *outer) llc() *cache.Cache {
+	if o.l3 == nil {
+		o.l3 = o.prewarmed(o.l3cfg)
+	}
+	return o.l3
+}
+
+// prewarmed returns an LRU cache of geometry cfg with the layout's text
+// installed block by block, marked.
+func (o *outer) prewarmed(cfg cache.Config) *cache.Cache {
+	c, err := cache.New(cfg, replacement.NewLRU())
+	if err != nil {
+		panic(err)
+	}
+	for _, b := range o.layout {
+		first, end := b.lines()
+		for l := first; l < end; l++ {
+			c.Access(cache.AccessInfo{Line: l, Sig: l})
 		}
 	}
-	o.l2.Mark()
-	o.l3.Mark()
+	c.Mark()
+	return c
 }
 
 // clearLines sizes and clears the line tables for prog's text.

@@ -93,14 +93,12 @@ func newStray(prog *program.Program) *strayPrefetcher {
 
 func (p *strayPrefetcher) Name() string { return "stray" }
 
-func (p *strayPrefetcher) OnBlockRetire(bid, next program.BlockID, issue prefetch.IssueFunc) {
+func (p *strayPrefetcher) OnBlockRetire(bid, next program.BlockID, dst []uint64) []uint64 {
 	p.n++
 	if p.n == p.panicAt {
 		panic("stray prefetcher: injected panic")
 	}
-	issue(p.prog.Block(next).FirstLine())
-	issue(p.first + p.lines + p.n%97)
-	issue(p.first - 1 - p.n%89)
+	return append(dst, p.prog.Block(next).FirstLine(), p.first+p.lines+p.n%97, p.first-1-p.n%89)
 }
 
 // reuseCases is the matrix: kafka and drupal under every pairing of a

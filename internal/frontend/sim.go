@@ -171,11 +171,11 @@ type sim struct {
 	prog *program.Program
 	opts Options
 	l1i  *cache.Cache
-	// out holds the L2/L3 and the per-line tables: which lines were
-	// demand-missed (compulsory misses), and the cycle each in-flight
-	// prefetched line's data arrives. A demand access before that cycle
-	// is a late prefetch: it stalls for the remainder and counts as a
-	// miss.
+	// out holds the L2/L3, the prefetch buffer and the per-line tables:
+	// which lines were demand-missed (compulsory misses), and the cycle
+	// each in-flight prefetched line's data arrives. A demand access
+	// before that cycle is a late prefetch: it stalls for the remainder
+	// and counts as a miss.
 	out    *outer
 	res    *Result
 	oracle *opt.Oracle
@@ -203,15 +203,16 @@ type sim struct {
 // MeasureAccuracy re-opens the source for the oracle pre-pass, relying on
 // the Source replayability contract.
 //
-// The L1I and its policy are built per run. The L2/L3 start with the
-// whole program text installed (10 MiB of L3 holds any of these
-// binaries), modeling the steady-state server the paper traces: after
-// hours of uptime every text line has long been resident beyond L1, and
-// charging one-time 260-cycle compulsory fills against a short
-// simulation window would distort every comparison. They are borrowed
-// already prewarmed from a free list shared by all runs and rolled back
-// when the run returns (see outer), which no result can tell from a
-// fresh hierarchy.
+// The L1I and its policy are built per run. The L2 and L3 hold the whole
+// program text (10 MiB of L3 holds any of these binaries), modeling the
+// steady-state server the paper traces: after hours of uptime every text
+// line has long been resident beyond L1, and charging one-time 260-cycle
+// compulsory fills against a short simulation window would distort every
+// comparison. They are borrowed from a free list shared by all runs and
+// rolled back when the run returns (see outer); the L2 comes prewarmed,
+// and the L3 is built and prewarmed the first time an L2 miss reaches
+// it, so a run whose text fits the L2 never pays for one. No result can
+// tell either from a fresh hierarchy.
 func Run(p Params, prog *program.Program, src blockseq.Source, opts Options) (Result, error) {
 	if opts.Policy == nil {
 		opts.Policy = replacement.NewLRU()
@@ -278,7 +279,6 @@ func Run(p Params, prog *program.Program, src blockseq.Source, opts Options) (Re
 
 func (s *sim) run(src blockseq.Source) error {
 	lastLine := ^uint64(0)
-	issue := s.issuePrefetch
 
 	// One-block lookahead: the prefetcher's retire hook needs the next
 	// block, so the loop always holds the current block plus the peeked
@@ -320,7 +320,9 @@ func (s *sim) run(src blockseq.Source) error {
 
 		// Let the prefetcher observe retirement and run ahead.
 		if haveNext {
-			s.opts.Prefetcher.OnBlockRetire(bid, next, issue)
+			if pf := s.opts.Prefetcher.OnBlockRetire(bid, next, s.out.pf[:0]); len(pf) > 0 {
+				s.issue(pf)
+			}
 		}
 
 		// Advance the pipeline clock by the block's base execution time;
@@ -403,7 +405,7 @@ func (s *sim) demandAccess(l uint64) {
 	case s.out.l2.Access(ai).Hit:
 		s.res.L2Hits++
 		s.stall(float64(s.p.L2Lat))
-	case s.out.l3.Access(ai).Hit:
+	case s.out.llc().Access(ai).Hit:
 		s.res.L3Hits++
 		s.stall(float64(s.p.L3Lat))
 		// L2 was filled by its miss handling in Access above.
@@ -412,12 +414,29 @@ func (s *sim) demandAccess(l uint64) {
 		s.stall(float64(s.p.MemLat))
 	}
 	if s.missObs != nil {
-		s.missObs.OnDemandMiss(l, s.issuePrefetch)
+		s.issue(s.missObs.OnDemandMiss(l, s.out.pf[:0]))
 	}
 }
 
-// issuePrefetch installs a prefetched line into the L1I (via the
-// hierarchy) off the critical path.
+// issue probes the L1I for each line a prefetcher returned, in order, and
+// keeps the buffer for the next call. Most lines are resident, and under
+// a policy that does not observe prefetch hits such a probe only counts:
+// TryPrefetchHit does that inline. issuePrefetch takes the rest.
+func (s *sim) issue(lines []uint64) {
+	s.out.pf = lines
+	for _, l := range lines {
+		if !s.l1i.TryPrefetchHit(l) {
+			s.issuePrefetch(l)
+		} else if s.opts.onEvent != nil {
+			s.opts.onEvent(opt.Event{Line: l, Prefetch: true})
+		}
+	}
+}
+
+// issuePrefetch probes the L1I for a prefetched line that may miss, lie
+// outside the L1I's index, or hit under a policy that observes prefetch
+// hits, and installs a missing line (via the hierarchy) off the critical
+// path.
 func (s *sim) issuePrefetch(l uint64) {
 	ai := cache.AccessInfo{Line: l, Sig: l, Prefetch: true}
 	hit := s.l1i.TryHit(ai) || s.scan(ai, s.pos-1)
@@ -431,7 +450,7 @@ func (s *sim) issuePrefetch(l uint64) {
 		lat := float64(s.p.L2Lat)
 		if !s.out.l2.Access(ai).Hit {
 			lat = float64(s.p.L3Lat)
-			if !s.out.l3.Access(ai).Hit {
+			if !s.out.llc().Access(ai).Hit {
 				lat = float64(s.p.MemLat)
 			}
 		}

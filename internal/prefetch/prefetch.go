@@ -4,12 +4,13 @@
 // mechanism shipped in contemporary cores, modeled as a branch-predictor-
 // driven runahead walk over a fetch target queue.
 //
-// Prefetchers see the committed block stream and issue cache-line
-// prefetches through a callback; the frontend simulator installs them into
-// the L1I marked as prefetches. Wrong-path prefetches (issued beyond a
-// misprediction before the squash) are deliberately left in the cache —
-// they are precisely the pollution the paper's ideal replacement policy
-// cleans up early (Sec. II-C, Observation #1).
+// Prefetchers see the committed block stream and append the cache lines
+// they prefetch to a buffer the caller owns; the frontend simulator then
+// issues each line, installing a missing one into the L1I marked as a
+// prefetch. Wrong-path prefetches (issued beyond a misprediction before
+// the squash) are deliberately left in the cache — they are precisely
+// the pollution the paper's ideal replacement policy cleans up early
+// (Sec. II-C, Observation #1).
 //
 // A batch of runs over one trace needs FDIP's predictions only once:
 // Batch records them as a Tape and gives every FDIP run a replay of it.
@@ -22,16 +23,16 @@ import (
 	"ripple/internal/program"
 )
 
-// IssueFunc receives prefetched line addresses from a prefetcher.
-type IssueFunc func(line uint64)
-
 // Prefetcher is the frontend's view of an instruction prefetch engine.
 type Prefetcher interface {
 	// Name identifies the prefetcher in reports ("none", "nlp", "fdip").
 	Name() string
 	// OnBlockRetire observes one committed block and its dynamic successor
-	// and may issue prefetches.
-	OnBlockRetire(bid, next program.BlockID, issue IssueFunc)
+	// and returns dst with the lines it prefetches appended, in issue
+	// order. The caller issues them after the call, which no prefetcher
+	// can tell apart from issuing each at once: a prefetcher's state never
+	// depends on the cache.
+	OnBlockRetire(bid, next program.BlockID, dst []uint64) []uint64
 }
 
 // catalog lists the prefetcher configurations in Names' order: the
@@ -73,7 +74,7 @@ type None struct{}
 func (None) Name() string { return "none" }
 
 // OnBlockRetire implements Prefetcher.
-func (None) OnBlockRetire(bid, next program.BlockID, issue IssueFunc) {}
+func (None) OnBlockRetire(bid, next program.BlockID, dst []uint64) []uint64 { return dst }
 
 // NLP is the classic sequential next-line prefetcher: after fetching a
 // block it prefetches the next `degree` lines following the block's last
@@ -92,11 +93,12 @@ func NewNLP(prog *program.Program, degree int) *NLP {
 func (p *NLP) Name() string { return "nlp" }
 
 // OnBlockRetire implements Prefetcher.
-func (p *NLP) OnBlockRetire(bid, next program.BlockID, issue IssueFunc) {
+func (p *NLP) OnBlockRetire(bid, next program.BlockID, dst []uint64) []uint64 {
 	_, end := p.prog.Block(bid).LineRange()
 	for d := 0; d < p.degree; d++ {
-		issue(end + uint64(d))
+		dst = append(dst, end+uint64(d))
 	}
+	return dst
 }
 
 // FDIP is fetch-directed instruction prefetching: a runahead engine walks
@@ -149,7 +151,7 @@ func (p *FDIP) Mispredicts() (uint64, error) {
 }
 
 // OnBlockRetire implements Prefetcher.
-func (p *FDIP) OnBlockRetire(bid, next program.BlockID, issue IssueFunc) {
+func (p *FDIP) OnBlockRetire(bid, next program.BlockID, dst []uint64) []uint64 {
 	_, correct := p.pred.Retire(p.prog, bid, next)
 
 	onPath := p.started && correct && len(p.ftq) > 0 && p.ftq[0] == next
@@ -168,26 +170,27 @@ func (p *FDIP) OnBlockRetire(bid, next program.BlockID, issue IssueFunc) {
 		p.pred.ResyncSpec()
 		p.runPC = next
 	}
-	p.refill(issue)
+	return p.refill(dst)
 }
 
-// refill extends the FTQ up to depth, prefetching each newly predicted
-// block's lines.
-func (p *FDIP) refill(issue IssueFunc) {
+// refill extends the FTQ up to depth and returns dst with each newly
+// predicted block's lines appended.
+func (p *FDIP) refill(dst []uint64) []uint64 {
 	for steps := 0; steps < p.stepsPerRetire && len(p.ftq) < p.depth && p.runPC != program.NoBlock; steps++ {
 		nb, ok := p.pred.PredictNextSpec(p.prog, p.runPC)
 		if !ok {
 			// Unpredictable target (cold indirect): the walk stops
 			// here, and the next refill retries from runPC; these are
 			// the paper's hard-to-prefetch lines.
-			return
+			return dst
 		}
 		p.ftq = append(p.ftq, nb)
 		first, end := p.prog.Block(nb).LineRange()
 		for l := first; l < end; l++ {
-			issue(l)
+			dst = append(dst, l)
 		}
 		p.Issued += end - first
 		p.runPC = nb
 	}
+	return dst
 }

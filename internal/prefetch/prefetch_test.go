@@ -50,19 +50,16 @@ func straightLine(t *testing.T) *program.Program {
 func TestNLPPrefetchesNextLines(t *testing.T) {
 	prog := straightLine(t)
 	p := NewNLP(prog, 2)
-	var got []uint64
-	p.OnBlockRetire(0, 1, func(l uint64) { got = append(got, l) })
-	// Block 0 occupies line 0; NLP must ask for lines 1 and 2.
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("NLP issued %v, want [1 2]", got)
+	got := p.OnBlockRetire(0, 1, []uint64{99})
+	// Block 0 occupies line 0; NLP must append lines 1 and 2.
+	if len(got) != 3 || got[0] != 99 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("NLP returned %v, want [99 1 2]", got)
 	}
 }
 
 func TestNonePrefetchesNothing(t *testing.T) {
-	var issued int
-	None{}.OnBlockRetire(0, 1, func(uint64) { issued++ })
-	if issued != 0 {
-		t.Fatal("None issued prefetches")
+	if issued := (None{}).OnBlockRetire(0, 1, nil); len(issued) != 0 {
+		t.Fatalf("None issued prefetches %v", issued)
 	}
 }
 
@@ -70,11 +67,12 @@ func TestFDIPCoversStraightLinePath(t *testing.T) {
 	prog := straightLine(t)
 	f := NewFDIP(prog, bpred.DefaultConfig(), 16)
 	issued := map[uint64]bool{}
-	issue := func(l uint64) { issued[l] = true }
 	// Walk the straight-line path; the runahead engine should cover the
 	// upcoming blocks' lines (each block is exactly one 64B line here).
 	for b := program.BlockID(0); b < 6; b++ {
-		f.OnBlockRetire(b, b+1, issue)
+		for _, l := range f.OnBlockRetire(b, b+1, nil) {
+			issued[l] = true
+		}
 	}
 	// After retiring blocks 0..5 with 2 steps/retire, the engine must
 	// have prefetched well past block 6.
@@ -109,7 +107,6 @@ func branchy(t *testing.T) *program.Program {
 func TestFDIPSquashesOnMispredict(t *testing.T) {
 	prog := branchy(t)
 	f := NewFDIP(prog, bpred.DefaultConfig(), 8)
-	issue := func(uint64) {}
 	// Train a strongly-taken pattern, then flip the outcome repeatedly:
 	// squashes must be counted.
 	seq := []struct{ b, next program.BlockID }{
@@ -117,13 +114,13 @@ func TestFDIPSquashesOnMispredict(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		for _, s := range seq {
-			f.OnBlockRetire(s.b, s.next, issue)
+			f.OnBlockRetire(s.b, s.next, nil)
 		}
 	}
 	before := f.Squashes
 	// Now take the other side: the FTQ holds the taken path and must be
 	// squashed.
-	f.OnBlockRetire(0, 1, issue)
+	f.OnBlockRetire(0, 1, nil)
 	if f.Squashes <= before {
 		t.Fatal("mispredicted branch did not squash the FTQ")
 	}
@@ -132,8 +129,7 @@ func TestFDIPSquashesOnMispredict(t *testing.T) {
 func TestFDIPBoundedIssueRate(t *testing.T) {
 	prog := straightLine(t)
 	f := NewFDIP(prog, bpred.DefaultConfig(), 16)
-	issues := 0
-	f.OnBlockRetire(0, 1, func(uint64) { issues++ })
+	issues := len(f.OnBlockRetire(0, 1, nil))
 	// With stepsPerRetire=2 and one-line blocks, the first retire can
 	// issue at most 2 lines' worth of prefetches.
 	if issues > 2*2 {
@@ -145,16 +141,15 @@ func TestTIFSReplaysMissStreams(t *testing.T) {
 	prog := straightLine(t)
 	p := NewTIFS(prog, 64, 3)
 	var issued []uint64
-	issue := func(l uint64) { issued = append(issued, l) }
 	// First pass over the miss stream 10,11,12,13: record only.
 	for _, l := range []uint64{10, 11, 12, 13} {
-		p.OnDemandMiss(l, issue)
+		issued = p.OnDemandMiss(l, issued)
 	}
 	if len(issued) != 0 {
 		t.Fatalf("cold pass issued %v", issued)
 	}
 	// Second occurrence of 10 replays its recorded successors.
-	p.OnDemandMiss(10, issue)
+	issued = p.OnDemandMiss(10, issued)
 	if len(issued) != 3 || issued[0] != 11 || issued[1] != 12 || issued[2] != 13 {
 		t.Fatalf("replay issued %v, want [11 12 13]", issued)
 	}

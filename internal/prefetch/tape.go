@@ -79,7 +79,7 @@ func (t *Tape) Bytes() int {
 // afterwards.
 func RecordTape(f *FDIP, src blockseq.Source) (*Tape, error) {
 	t := &Tape{}
-	noop := func(uint64) {}
+	var lines []uint64
 	seq := src.Open()
 	bid, ok := seq.Next()
 	for ok {
@@ -89,7 +89,7 @@ func RecordTape(f *FDIP, src blockseq.Source) (*Tape, error) {
 		}
 		started, squashes, queued, pc := f.started, f.Squashes, len(f.ftq), f.runPC
 		missed, _ := f.Mispredicts()
-		f.OnBlockRetire(bid, next, noop)
+		lines = f.OnBlockRetire(bid, next, lines[:0])
 
 		op := byte(next&3) << opNextShift
 		kept := queued - 1 // the popped head
@@ -160,14 +160,14 @@ type replay struct {
 func (r *replay) Name() string { return "fdip" }
 
 // OnBlockRetire implements Prefetcher.
-func (r *replay) OnBlockRetire(bid, next program.BlockID, issue IssueFunc) {
+func (r *replay) OnBlockRetire(bid, next program.BlockID, dst []uint64) []uint64 {
 	if r.err != nil {
-		return
+		return dst
 	}
 	if len(r.rest) == 0 {
 		if r.chunk == len(r.tape.chunks) {
 			r.err = fmt.Errorf("prefetch: the block stream runs past its FDIP tape's %d retires", r.tape.retires)
-			return
+			return dst
 		}
 		r.rest = r.tape.chunks[r.chunk]
 		r.chunk++
@@ -175,7 +175,7 @@ func (r *replay) OnBlockRetire(bid, next program.BlockID, issue IssueFunc) {
 	op := r.rest[0]
 	if program.BlockID(op>>opNextShift) != next&3 {
 		r.err = fmt.Errorf("prefetch: the block stream leaves its FDIP tape at retire %d", r.retires)
-		return
+		return dst
 	}
 	r.rest = r.rest[1:]
 	r.sum = streamSum(r.sum, r.retires == 0, bid, next)
@@ -195,14 +195,15 @@ func (r *replay) OnBlockRetire(bid, next program.BlockID, issue IssueFunc) {
 			// Only a stream that left the tape walks to a block without
 			// a fall-through.
 			r.err = fmt.Errorf("prefetch: the block stream leaves its FDIP tape at retire %d", r.retires)
-			return
+			return dst
 		}
 		first, end := r.prog.Block(nb).LineRange()
 		for l := first; l < end; l++ {
-			issue(l)
+			dst = append(dst, l)
 		}
 		r.pc = nb
 	}
+	return dst
 }
 
 // Mispredicts returns the replayed mispredictions so far. It fails once
@@ -234,11 +235,13 @@ type Batch struct {
 }
 
 // tapeRounds is the fewest FDIP runs per concurrent run for which a tape
-// pays. Recording costs a decode pass plus FDIP's prediction, about three
-// times what a replay saves over a live run (500k kafka blocks, LRU:
-// record 73 ms, live run 105 ms, replay 78 ms), and the batch's FDIP runs
-// wait for it. So the recording pays once every run slot has at least
-// four FDIP runs to do.
+// pays. Recording costs a decode pass plus FDIP's prediction, and the
+// batch's FDIP runs wait for it. Over a trace file of 500k kafka blocks
+// under LRU on 2 vCPUs, a recording takes 46 ms and a replay saves 26 ms
+// over a live run (live 65 ms, replay 39 ms), so a tape pays from two
+// rounds on. Four leaves room for slower hosts: on one, recording cost
+// three times a replay's saving (record 73 ms, live run 105 ms, replay
+// 78 ms).
 const tapeRounds = 4
 
 // NewBatch starts a batch of runs of prog, or of copies of it with

@@ -4,9 +4,10 @@ import "ripple/internal/program"
 
 // MissObserver is optionally implemented by prefetchers that train on
 // demand-miss feedback (temporal/record-and-replay designs). The frontend
-// calls it on every demand L1I miss.
+// calls it on every demand L1I miss; like OnBlockRetire, it returns dst
+// with the lines it prefetches appended.
 type MissObserver interface {
-	OnDemandMiss(line uint64, issue IssueFunc)
+	OnDemandMiss(line uint64, dst []uint64) []uint64
 }
 
 // TIFS is a temporal-streaming instruction prefetcher in the spirit of
@@ -49,11 +50,11 @@ func NewTIFS(prog *program.Program, logSize, degree int) *TIFS {
 func (p *TIFS) Name() string { return "tifs" }
 
 // OnBlockRetire implements Prefetcher: TIFS trains on misses only.
-func (p *TIFS) OnBlockRetire(bid, next program.BlockID, issue IssueFunc) {}
+func (p *TIFS) OnBlockRetire(bid, next program.BlockID, dst []uint64) []uint64 { return dst }
 
 // OnDemandMiss implements MissObserver: record the miss and replay the
 // stream that followed this line last time.
-func (p *TIFS) OnDemandMiss(line uint64, issue IssueFunc) {
+func (p *TIFS) OnDemandMiss(line uint64, dst []uint64) []uint64 {
 	if pos, ok := p.index[line]; ok {
 		p.Replays++
 		for i := 1; i <= p.degree; i++ {
@@ -65,7 +66,7 @@ func (p *TIFS) OnDemandMiss(line uint64, issue IssueFunc) {
 			if l == 0 {
 				break
 			}
-			issue(l)
+			dst = append(dst, l)
 			p.Issued++
 		}
 	}
@@ -76,6 +77,7 @@ func (p *TIFS) OnDemandMiss(line uint64, issue IssueFunc) {
 		p.head = 0
 		p.filled = true
 	}
+	return dst
 }
 
 // MetadataBytes reports the storage a hardware realization would need:

@@ -25,10 +25,8 @@ func (p *refCountLRU) Reset(sets, ways int) {
 	}
 }
 func (p *refCountLRU) OnHit(set, way int, ai cache.AccessInfo) {
-	if !ai.Prefetch {
-		p.clock++
-		p.seq[set][way] = p.clock
-	}
+	p.clock++
+	p.seq[set][way] = p.clock
 }
 func (p *refCountLRU) OnFill(set, way int, ai cache.AccessInfo) {
 	p.clock++

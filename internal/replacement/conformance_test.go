@@ -80,7 +80,7 @@ func TestCatalogImplementsOverheader(t *testing.T) {
 		"random":    0,    // no metadata
 		"srrip":     128,  // 2-bit RRPV / line
 		"drrip":     128,  // + sub-byte PSEL
-		"ghrp":      4162, // 3KB tables + dead bits + 16-bit sigs + history
+		"ghrp":      4162, // 3KB tables + 64B dead bits + 1KB 16-bit sigs + 2B history: Table I's breakdown, not its "4.13KB" total
 		"ghrp-orig": 4162,
 		"hawkeye":   5312, // sampler + occupancy + predictor + RRIP state
 		"harmony":   5312,

@@ -112,14 +112,12 @@ func (p *GHRP) observe(set, way int, sig uint64) {
 	p.history = (p.history<<4 ^ mix64(sig)) & 0xFFFF
 }
 
-// OnHit implements cache.Policy: a hit proves the line was alive; train
-// its last-access context toward alive, then observe the new access.
+// OnHit implements cache.Policy: a demand hit proves the line was alive;
+// train its last-access context toward alive, then observe the new
+// access. GHRP observes the fetch stream only: it is no
+// cache.PrefetchObserver, so prefetch probes neither train the tables nor
+// pollute the history register.
 func (p *GHRP) OnHit(set, way int, ai cache.AccessInfo) {
-	if ai.Prefetch {
-		// GHRP observes the fetch stream only; prefetch probes neither
-		// train the tables nor pollute the history register.
-		return
-	}
 	p.train(p.pidx[p.idx(set, way)], false)
 	p.observe(set, way, ai.Sig)
 }

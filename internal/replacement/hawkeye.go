@@ -149,15 +149,17 @@ func (p *Hawkeye) touch(set, way int, ai cache.AccessInfo, fill bool) {
 	}
 }
 
-// OnHit implements cache.Policy. The sampler sees every access (Harmony's
-// Demand-MIN-gen needs the prefetch events), but prefetch probes do not
-// refresh replacement state.
+// OnHit implements cache.Policy.
 func (p *Hawkeye) OnHit(set, way int, ai cache.AccessInfo) {
 	p.sample(set, ai)
-	if ai.Prefetch {
-		return
-	}
 	p.touch(set, way, ai, false)
+}
+
+// OnPrefetchHit implements cache.PrefetchObserver: the sampler sees every
+// access (Harmony's Demand-MIN-gen needs the prefetch events), but a
+// prefetch probe does not refresh replacement state.
+func (p *Hawkeye) OnPrefetchHit(set, way int, ai cache.AccessInfo) {
+	p.sample(set, ai)
 }
 
 // OnFill implements cache.Policy.

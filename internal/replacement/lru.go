@@ -30,15 +30,10 @@ func (p *LRU) touch(set, way int) {
 	p.stamp[p.idx(set, way)] = p.clock
 }
 
-// OnHit implements cache.Policy. Prefetch probes do not update recency
-// (the probe filter in real designs keeps prefetcher traffic out of the
-// replacement state).
-func (p *LRU) OnHit(set, way int, ai cache.AccessInfo) {
-	if ai.Prefetch {
-		return
-	}
-	p.touch(set, way)
-}
+// OnHit implements cache.Policy. LRU is no cache.PrefetchObserver, so
+// prefetch probes do not update recency (the probe filter in real designs
+// keeps prefetcher traffic out of the replacement state).
+func (p *LRU) OnHit(set, way int, ai cache.AccessInfo) { p.touch(set, way) }
 
 // OnFill implements cache.Policy.
 func (p *LRU) OnFill(set, way int, ai cache.AccessInfo) { p.touch(set, way) }

@@ -163,12 +163,8 @@ func (r *refLRU) touch(set, way int) {
 	r.seq[set][way] = r.tick
 }
 
-func (r *refLRU) OnHit(set, way int, ai cache.AccessInfo) {
-	if ai.Prefetch {
-		return // prefetch probes do not refresh recency
-	}
-	r.touch(set, way)
-}
+// OnHit sees demand hits only: prefetch probes do not refresh recency.
+func (r *refLRU) OnHit(set, way int, ai cache.AccessInfo) { r.touch(set, way) }
 
 func (r *refLRU) OnFill(set, way int, ai cache.AccessInfo) { r.touch(set, way) }
 
@@ -235,12 +231,7 @@ func (r *refSRRIP) Reset(sets, ways int) {
 	r.age = newAgeRows(sets, ways, refDistant)
 }
 
-func (r *refSRRIP) OnHit(set, way int, ai cache.AccessInfo) {
-	if ai.Prefetch {
-		return
-	}
-	r.age[set][way] = 0
-}
+func (r *refSRRIP) OnHit(set, way int, ai cache.AccessInfo) { r.age[set][way] = 0 }
 
 func (r *refSRRIP) OnFill(set, way int, ai cache.AccessInfo) { r.age[set][way] = refLong }
 
@@ -306,12 +297,7 @@ func (r *refDRRIP) Reset(sets, ways int) {
 	r.rng = stats.NewRNG(0xD221B)
 }
 
-func (r *refDRRIP) OnHit(set, way int, ai cache.AccessInfo) {
-	if ai.Prefetch {
-		return
-	}
-	r.age[set][way] = 0
-}
+func (r *refDRRIP) OnHit(set, way int, ai cache.AccessInfo) { r.age[set][way] = 0 }
 
 func (r *refDRRIP) OnFill(set, way int, ai cache.AccessInfo) {
 	brrip := false
@@ -391,9 +377,6 @@ func newSigRows(sets, ways int) [][]refSigLine {
 func sigIdx(sig uint64) int { return int(refMix(sig) & (refSigTableSize - 1)) }
 
 func (r *refSHiP) OnHit(set, way int, ai cache.AccessInfo) {
-	if ai.Prefetch {
-		return
-	}
 	l := &r.line[set][way]
 	l.age = 0
 	if !l.reref {
@@ -465,9 +448,6 @@ func (r *refTRRIP) Reset(sets, ways int) {
 }
 
 func (r *refTRRIP) OnHit(set, way int, ai cache.AccessInfo) {
-	if ai.Prefetch {
-		return
-	}
 	l := &r.line[set][way]
 	l.age = 0
 	if !l.reref {
@@ -592,10 +572,8 @@ func (r *refGHRP) observe(set, way int, sig uint64) {
 	r.hist = (r.hist<<4 ^ refMix(sig)) & 0xFFFF
 }
 
+// OnHit sees demand hits only: GHRP observes the demand fetch stream.
 func (r *refGHRP) OnHit(set, way int, ai cache.AccessInfo) {
-	if ai.Prefetch {
-		return // GHRP observes the demand fetch stream only
-	}
 	r.train(r.line[set][way].ix, false)
 	r.observe(set, way, ai.Sig)
 }
@@ -750,11 +728,12 @@ func (r *refHawkeye) touch(set, way int, ai cache.AccessInfo, fill bool) {
 
 func (r *refHawkeye) OnHit(set, way int, ai cache.AccessInfo) {
 	r.sample(set, ai)
-	if ai.Prefetch {
-		return
-	}
 	r.touch(set, way, ai, false)
 }
+
+// OnPrefetchHit feeds the sampler only: a prefetch probe refreshes no
+// replacement state.
+func (r *refHawkeye) OnPrefetchHit(set, way int, ai cache.AccessInfo) { r.sample(set, ai) }
 
 func (r *refHawkeye) OnFill(set, way int, ai cache.AccessInfo) {
 	r.sample(set, ai)

@@ -51,14 +51,18 @@ func TestLRUVictimOrder(t *testing.T) {
 }
 
 func TestLRUIgnoresPrefetchProbeRecency(t *testing.T) {
-	p := NewLRU()
-	p.Reset(1, 2)
-	p.OnFill(0, 0, cache.AccessInfo{})
-	p.OnFill(0, 1, cache.AccessInfo{})
-	// A prefetch probe hit on way 0 must not promote it.
-	p.OnHit(0, 0, cache.AccessInfo{Prefetch: true})
-	if v := p.Victim(0, cache.AccessInfo{}); v != 0 {
-		t.Fatalf("victim = %d; prefetch probe promoted way 0", v)
+	c, err := cache.New(cache.Config{SizeBytes: 128, Ways: 2, LineBytes: 64}, NewLRU()) // one set
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Access(cache.AccessInfo{Line: 0, Sig: 0})
+	c.Access(cache.AccessInfo{Line: 1, Sig: 1})
+	// A prefetch probe hit on line 0 must not promote it.
+	if !c.Access(cache.AccessInfo{Line: 0, Sig: 0, Prefetch: true}).Hit {
+		t.Fatal("prefetch probe of a resident line missed")
+	}
+	if r := c.Access(cache.AccessInfo{Line: 2, Sig: 2}); !r.EvictedValid || r.Evicted != 0 {
+		t.Fatalf("fill evicted %+v, want line 0; the prefetch probe promoted it", r)
 	}
 }
 
@@ -209,30 +213,6 @@ func TestOptgenDemandMINPrefetchEndingIsAverse(t *testing.T) {
 	}
 }
 
-func TestOverheadsMatchTableI(t *testing.T) {
-	// 32KB, 8-way, 64B lines: 64 sets.
-	const sets, ways = 64, 8
-	check := func(name string, want float64, tol float64) {
-		p, err := New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ov := p.(Overheader).OverheadBytes(sets, ways)
-		if ov < want-tol || ov > want+tol {
-			t.Fatalf("%s overhead = %.0fB, want %.0fB (+-%.0f)", name, ov, want, tol)
-		}
-	}
-	check("lru", 64, 0)
-	check("random", 0, 0)
-	check("srrip", 128, 0)
-	check("drrip", 128, 0)
-	// Table I says "4.13KB" but its own breakdown (3KB tables + 64B
-	// prediction bits + 1KB signatures + 2B history) sums to 4162B; we
-	// reproduce the breakdown.
-	check("ghrp", 4162, 8)
-	check("hawkeye", 5.19*1024, 300)
-}
-
 // TestVictimAlwaysInRange drives every policy with a random access stream
 // through a real cache and relies on the cache's own panic on
 // out-of-range victims; it also checks policies never pick an invalid way
@@ -330,13 +310,18 @@ func TestGHRPVictimPrefersDead(t *testing.T) {
 
 func TestHarmonySamplerSeesPrefetches(t *testing.T) {
 	p := NewHawkeye(true)
-	p.Reset(64, 8)
+	c, err := cache.New(cache.Config{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64}, p) // 64 sets
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Set 0 is sampled (stride 8). A demand open followed by a prefetch
 	// to the same line trains the opener averse under Demand-MIN-gen.
 	sig := uint64(64) // maps to set 0
-	p.OnFill(0, 0, cache.AccessInfo{Line: sig, Sig: sig})
+	c.Access(cache.AccessInfo{Line: sig, Sig: sig})
 	before := p.counters[p.counterIdx(sig)]
-	p.OnHit(0, 0, cache.AccessInfo{Line: sig, Sig: sig, Prefetch: true})
+	if !c.Access(cache.AccessInfo{Line: sig, Sig: sig, Prefetch: true}).Hit {
+		t.Fatal("prefetch probe of a resident line missed")
+	}
 	after := p.counters[p.counterIdx(sig)]
 	if after >= before {
 		t.Fatalf("prefetch-ending interval did not train averse: %d -> %d", before, after)

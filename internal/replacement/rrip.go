@@ -27,12 +27,10 @@ func (p *rrip) Reset(sets, ways int) {
 	}
 }
 
-// OnHit implements cache.Policy: hit promotion to near-immediate re-use.
-// Prefetch probes do not promote.
+// OnHit implements cache.Policy: demand-hit promotion to near-immediate
+// re-use. Prefetch probes, which it does not observe, do not promote.
 func (p *rrip) OnHit(set, way int, ai cache.AccessInfo) {
-	if !ai.Prefetch {
-		p.rrpv[p.idx(set, way)] = 0
-	}
+	p.rrpv[p.idx(set, way)] = 0
 }
 
 // OnEvict implements cache.Policy.
@@ -229,7 +227,7 @@ func (p *SignatureRRIP) cell(sig uint64) *uint8 {
 func (p *SignatureRRIP) OnHit(set, way int, ai cache.AccessInfo) {
 	p.rrip.OnHit(set, way, ai)
 	i := p.idx(set, way)
-	if ai.Prefetch || p.reref[i] {
+	if p.reref[i] {
 		return
 	}
 	p.reref[i] = true

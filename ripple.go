@@ -83,11 +83,15 @@ type (
 	// CacheConfig sizes a cache level.
 	CacheConfig = cache.Config
 	// Policy is the replacement-policy interface; implement it to plug a
-	// custom policy into the L1I (Ripple is policy-agnostic).
+	// custom policy into the L1I (Ripple is policy-agnostic). Its OnHit
+	// sees demand hits only; a policy that learns from prefetch probes
+	// that hit also implements OnPrefetchHit(set, way int, ai AccessInfo).
 	Policy = cache.Policy
 	// AccessInfo is the metadata a Policy observes per access.
 	AccessInfo = cache.AccessInfo
-	// Prefetcher is the instruction-prefetch interface.
+	// Prefetcher is the instruction-prefetch interface. Its
+	// OnBlockRetire(bid, next BlockID, dst []uint64) []uint64 returns dst
+	// with the lines it prefetches appended, in issue order.
 	Prefetcher = prefetch.Prefetcher
 
 	// Analysis is Ripple's eviction analysis over a profile.

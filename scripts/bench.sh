@@ -57,7 +57,7 @@ replay)
 simulate)
 	pkg=. pattern='^BenchmarkSimulate(LRU|FDIP)$' dflt=10x
 	units='blocks/s=blocks_per_sec ns/op=ns_per_op B/op=bytes_per_op allocs/op=allocs_per_op'
-	note='blocks_per_sec is trace blocks simulated per second by frontend.Run on an in-memory 50k-block finagle-http trace under Table II parameters; bytes_per_op and allocs_per_op are one run after the first, which leaves a prewarmed L2/L3 on the free list'
+	note='blocks_per_sec is trace blocks simulated per second by frontend.Run on an in-memory 50k-block finagle-http trace under Table II parameters; bytes_per_op and allocs_per_op are one run after the first, which leaves its prewarmed L2 (and an L3 only if a run needed one) on the free list'
 	;;
 tune)
 	pkg=. pattern='^BenchmarkTune$' dflt=10x
